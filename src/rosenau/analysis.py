@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dataclass_field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -20,18 +20,12 @@ from .errors import (
     InvalidParameterError,
     UnsupportedKernelError,
 )
-from .kernels import (
-    CENTRAL_DIFF,
-    ROSENAU,
-    BackgroundKernel,
-    b_epsilon,
-    bernoulli_kernel,
-    rosenau_kernel,
-)
-from .metrics import ds_distance, moment
+from .kernels import CENTRAL_DIFF, ROSENAU, BackgroundKernel, b_epsilon
+from .metrics import CONVEX_FUNCTIONALS, convex_functional, ds_distance, lp_norm, moment
 from .spectral import (
     GridSpec,
     SpectralField,
+    delta_field,
     dilate,
     field_from_symbol,
     gaussian_reference,
@@ -174,51 +168,46 @@ class BoundCheck:
         return self.lhs <= self.rhs + BOUND_SLACK
 
 
+def _decay_checks(g0: SpectralField, sigma_sq: float, s: float, times: Sequence[float],
+                  solve: Callable[[float], SpectralField], rhs: Callable[[float, float], float],
+                  label: str, params: Dict[str, float]) -> List[BoundCheck]:
+    """d_s(rescaled solve(t), Gaussian profile) against rhs(d_s(g0, profile), t)."""
+    ref = gaussian_reference(g0.grid, sigma_sq)
+    d0 = ds_distance(g0, ref, s).value
+    return [BoundCheck(name=f"{label} t={t:g}",
+                       lhs=ds_distance(rescale(solve(t), t).field, ref, s).value,
+                       rhs=rhs(d0, t), params={**params, "t": t})
+            for t in times]
+
+
 def exact_decay_check(g0: SpectralField, s: float, sigma_sq: float,
                       times: Sequence[float]) -> List[BoundCheck]:
     """Self-similar decay of the heat flow: d_s shrinks at least like (1+t)^-s/2."""
-    ref = gaussian_reference(g0.grid, sigma_sq)
-    d0 = ds_distance(g0, ref, s).value
-    out = []
-    for t in times:
-        h = rescale(heat_propagate(g0, sigma_sq, t), t).field
-        lhs = ds_distance(h, ref, s).value
-        rhs = d0 / (1.0 + t) ** (0.5 * s)
-        out.append(BoundCheck(
-            name=f"heat-decay s={s:g} t={t:g}", lhs=lhs, rhs=rhs,
-            params={"s": s, "t": t, "sigma_sq": sigma_sq}))
-    return out
+    return _decay_checks(g0, sigma_sq, s, times, lambda t: heat_propagate(g0, sigma_sq, t),
+                         lambda d0, t: d0 / (1.0 + t) ** (0.5 * s),
+                         f"heat-decay s={s:g}", {"s": s, "sigma_sq": sigma_sq})
 
 
 _D2_CONSTANTS = {CENTRAL_DIFF: 1.5, ROSENAU: 0.5}
 
 
-def d2_bound_check(kernel_family: str, g0: SpectralField, eps: float,
-                   times: Sequence[float], sigma: float = 1.0) -> List[BoundCheck]:
+def d2_bound_check(kernel: BackgroundKernel, g0: SpectralField,
+                   times: Sequence[float]) -> List[BoundCheck]:
     """Energy-level decay bound for the rescaled kinetic solution.
 
     rhs combines the exact-decay term (1+t)^-1 d2(g0, omega) with the
     family constant sqrt(c sigma_d^2 / 2) eps sqrt(t)/(1+t), c = 3 for the
     central-difference background and 1 for the exponential one.
     """
-    if kernel_family == CENTRAL_DIFF:
-        kernel = bernoulli_kernel(eps, sigma)
-    elif kernel_family == ROSENAU:
-        kernel = rosenau_kernel(eps, sigma)
-    else:
-        raise InvalidParameterError(f"no d2 bound constant for family {kernel_family!r}")
-    c = math.sqrt(_D2_CONSTANTS[kernel_family] * kernel.sigma_sq)
-    ref = gaussian_reference(g0.grid, kernel.sigma_sq)
-    d0 = ds_distance(g0, ref, 2.0).value
-    out = []
-    for t in times:
-        heps = rescale(rosenau_propagate(g0, kernel, t), t).field
-        lhs = ds_distance(heps, ref, 2.0).value
-        rhs = d0 / (1.0 + t) + c * eps * math.sqrt(t) / (1.0 + t)
-        out.append(BoundCheck(
-            name=f"d2-bound {kernel_family} eps={eps:g} t={t:g}", lhs=lhs, rhs=rhs,
-            params={"eps": eps, "t": t, "sigma": sigma}))
-    return out
+    if kernel.family not in _D2_CONSTANTS:
+        raise InvalidParameterError(f"no d2 bound constant for family {kernel.family!r}")
+    c = math.sqrt(_D2_CONSTANTS[kernel.family] * kernel.sigma_sq)
+    eps = kernel.epsilon
+    return _decay_checks(g0, kernel.sigma_sq, 2.0, times,
+                         lambda t: rosenau_propagate(g0, kernel, t),
+                         lambda d0, t: d0 / (1.0 + t) + c * eps * math.sqrt(t) / (1.0 + t),
+                         f"d2-bound {kernel.family} eps={eps:g}",
+                         {"eps": eps, "sigma": kernel.sigma})
 
 
 D3_PREFACTOR = 13.0 * math.sqrt(2.0) / 24.0
@@ -233,18 +222,10 @@ def d3_bound_check(kernel: BackgroundKernel, g0: SpectralField,
     moments through order two or the d3 distances diverge.
     """
     b_eps = b_epsilon(kernel)
-    ref = gaussian_reference(g0.grid, kernel.sigma_sq)
-    d0 = ds_distance(g0, ref, 3.0).value
-    out = []
-    for t in times:
-        heps = rescale(rosenau_propagate(g0, kernel, t), t).field
-        lhs = ds_distance(heps, ref, 3.0).value
-        rhs = d0 / (1.0 + t) ** 1.5 + D3_PREFACTOR * b_eps**0.75 * (math.sqrt(t) / (1.0 + t)) ** 1.5
-        out.append(BoundCheck(
-            name=f"d3-bound {kernel.family} eps={kernel.epsilon:g} t={t:g}",
-            lhs=lhs, rhs=rhs,
-            params={"eps": kernel.epsilon, "t": t, "b_eps": b_eps}))
-    return out
+    return _decay_checks(
+        g0, kernel.sigma_sq, 3.0, times, lambda t: rosenau_propagate(g0, kernel, t),
+        lambda d0, t: d0 / (1.0 + t) ** 1.5 + D3_PREFACTOR * b_eps**0.75 * (math.sqrt(t) / (1.0 + t)) ** 1.5,
+        f"d3-bound {kernel.family} eps={kernel.epsilon:g}", {"eps": kernel.epsilon, "b_eps": b_eps})
 
 
 # ----------------------------------------------------------------------
@@ -295,6 +276,11 @@ class L1Record:
     propagator_gap: float   # ||Omega(t) - P_reg(t)||_L1, the convolution bound
 
 
+def l1_distance(f1: SpectralField, f2: SpectralField) -> float:
+    """||f1 - f2||_L1 of two fields on one grid, inverted as one difference."""
+    return lp_norm(inverse_transform(SpectralField(f1.grid, f1.values - f2.values)), 1)
+
+
 def l1_convergence_series(kernel: BackgroundKernel, g0: SpectralField,
                           times: Sequence[float]) -> List[L1Record]:
     """L1 gap between the heat solution and the regularized kinetic solution.
@@ -312,17 +298,10 @@ def l1_convergence_series(kernel: BackgroundKernel, g0: SpectralField,
     m2_0 = moment(inverse_transform(g0), 2)
     out = []
     for t in sorted(times):
-        var = m2_0 + 2.0 * sigma_sq * t
-        require_grid_contains(grid, var, context=f"{kernel.label()} t={t:g}")
-        heat = heat_propagate(g0, sigma_sq, t)
-        reg = regularized_solution(g0, kernel, t)
-        diff = SpectralField(grid, heat.values - reg.values)
-        gap = grid.dv * float(np.sum(np.abs(inverse_transform(diff).density)))
-        p_reg = regularized_propagator(kernel, t, grid)
-        omega = field_from_symbol(
-            grid, lambda z, t=t: np.exp(-sigma_sq * np.asarray(z) ** 2 * t))
-        pdiff = SpectralField(grid, omega.values - p_reg.values)
-        pgap = grid.dv * float(np.sum(np.abs(inverse_transform(pdiff).density)))
+        require_grid_contains(grid, m2_0 + 2.0 * sigma_sq * t, context=f"{kernel.label()} t={t:g}")
+        gap = l1_distance(heat_propagate(g0, sigma_sq, t), regularized_solution(g0, kernel, t))
+        pgap = l1_distance(heat_propagate(delta_field(grid), sigma_sq, t),
+                           regularized_propagator(kernel, t, grid))
         out.append(L1Record(t=float(t), gap=gap, propagator_gap=pgap))
     return out
 
@@ -335,12 +314,74 @@ def heat_l1_series(g0: SpectralField, sigma_sq: float,
     out = []
     for t in sorted(times):
         require_grid_contains(grid, m2_0 + 2.0 * sigma_sq * t, context=f"heat t={t:g}")
-        gt = heat_propagate(g0, sigma_sq, t)
-        omega = field_from_symbol(
-            grid, lambda z, t=t: np.exp(-sigma_sq * np.asarray(z) ** 2 * t))
-        diff = SpectralField(grid, gt.values - omega.values)
-        out.append((float(t), grid.dv * float(np.sum(np.abs(inverse_transform(diff).density)))))
+        out.append((float(t), l1_distance(heat_propagate(g0, sigma_sq, t),
+                                          heat_propagate(delta_field(grid), sigma_sq, t))))
     return out
+
+
+# ----------------------------------------------------------------------
+# sweep-point metrics and checks
+# ----------------------------------------------------------------------
+
+class SweepPoint:
+    """The fields one (eps, t) sweep point compares, each built at most once.
+
+    A field is built by its _POINT_FIELDS entry on first access and then
+    stored.  The entries look module-level names up when they run, so
+    tracers that rebind those names see every call.
+    """
+
+    def __init__(self, kernel: BackgroundKernel, g0: SpectralField, t: float):
+        self.kernel, self.g0, self.t = kernel, g0, t
+
+    def __getattr__(self, name: str):  # only reached for fields not built yet
+        if name not in _POINT_FIELDS:
+            raise AttributeError(name)
+        value = _POINT_FIELDS[name](self)
+        setattr(self, name, value)
+        return value
+
+
+_POINT_FIELDS: Dict[str, Callable[[SweepPoint], object]] = {
+    "sol": lambda p: rosenau_propagate(p.g0, p.kernel, p.t),
+    "heat": lambda p: heat_propagate(p.g0, p.kernel.sigma_sq, p.t),
+    "reg": lambda p: regularized_solution(p.g0, p.kernel, p.t),
+    "h_kin": lambda p: rescale(p.sol, p.t).field,
+    "h_heat": lambda p: rescale(p.heat, p.t).field,
+    "ref": lambda p: gaussian_reference(p.g0.grid, p.kernel.sigma_sq),
+    "density": lambda p: inverse_transform(p.sol),
+}
+
+
+def _ds(f1: SpectralField, f2: SpectralField, s: float) -> Tuple[float, float]:
+    rep = ds_distance(f1, f2, s)
+    return rep.value, rep.argsup
+
+
+# metric name -> (value, argsup) of one SweepPoint
+METRICS: Dict[str, Callable[[SweepPoint], Tuple[float, float]]] = {
+    "mass": lambda p: (p.sol.mass, 0.0),
+    "m2": lambda p: (moment(p.density, 2), 0.0),
+    "m4": lambda p: (moment(p.density, 4), 0.0),
+    "d2_selfsim": lambda p: _ds(p.h_kin, p.ref, 2.0),
+    "d3_selfsim": lambda p: _ds(p.h_kin, p.ref, 3.0),
+    "d2_gap": lambda p: _ds(p.h_kin, p.h_heat, 2.0),
+    "d2_selfsim_heat": lambda p: _ds(p.h_heat, p.ref, 2.0),
+    "l1_reg_gap": lambda p: (l1_distance(p.heat, p.reg), 0.0),
+    "l1_heat_gap": lambda p: (l1_distance(p.heat, heat_propagate(
+        delta_field(p.g0.grid), p.kernel.sigma_sq, p.t)), 0.0),
+    "entropy_reg": lambda p: (convex_functional(inverse_transform(p.reg),
+                                                CONVEX_FUNCTIONALS["rlogr"]), 0.0),
+}
+
+# check name -> (runs at every eps, checks of (kernel, g0, times)); the heat
+# flow does not depend on eps, so heat_decay runs once, at the first eps
+CHECKS: Dict[str, Tuple[bool, Callable[..., List[BoundCheck]]]] = {
+    "d2_bound": (True, lambda kernel, g0, times: d2_bound_check(kernel, g0, times)),
+    "d3_bound": (True, lambda kernel, g0, times: d3_bound_check(kernel, g0, times)),
+    "heat_decay": (False, lambda kernel, g0, times: exact_decay_check(
+        g0, 2.0, kernel.sigma_sq, times)),
+}
 
 
 # ----------------------------------------------------------------------

@@ -63,10 +63,13 @@ def _load(args) -> ExperimentConfig:
 
 def _cmd_rates(args) -> int:
     cfg = _load(args)
-    quantities = [args.quantity] if args.quantity else sorted(cfg.metrics)
+    if args.quantity:
+        cfg.metrics = [args.quantity]
+        cfg.lines.pop("metrics", None)  # the name now comes from --quantity
+    quantities = sorted(cfg.metrics)
     if not quantities:
         raise ConfigError("no metrics configured and no --quantity given")
-    cfg.metrics = quantities
+    cfg.validate()
     rows = compute_rows(cfg, threads=args.threads)
     window = tuple(args.window)
     for quantity in quantities:

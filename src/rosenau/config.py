@@ -8,20 +8,14 @@ log-spaced form "logspace <lo> <hi> <n>".  Parsing failures carry the
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 import numpy as np
 
-from .analysis import INITIAL_PRESETS
+from .analysis import CHECKS, INITIAL_PRESETS, METRICS
 from .errors import ConfigError
-
-KNOWN_METRICS = (
-    "mass", "m2", "m4",
-    "d2_selfsim", "d3_selfsim", "d2_gap", "d2_selfsim_heat",
-    "l1_reg_gap", "l1_heat_gap", "entropy_reg",
-)
-KNOWN_CHECKS = ("heat_decay", "d2_bound", "d3_bound")
 
 
 @dataclass
@@ -36,104 +30,108 @@ class ExperimentConfig:
     outputs: str = "results"
     grid_length: Optional[float] = None
     grid_points: Optional[int] = None
+    # field name -> 1-based line that set it, so errors can point there
+    lines: Dict[str, int] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def validate(self) -> None:
-        if not self.epsilons:
-            raise ConfigError("epsilons list is empty")
-        if not self.times:
-            raise ConfigError("times list is empty")
-        if any(e <= 0 for e in self.epsilons):
-            raise ConfigError("epsilons must be positive")
-        if any(t <= 0 for t in self.times):
-            raise ConfigError("times must be positive")
+        """Reject every invalid value with a ConfigError naming its key and line."""
+        def fail(key: str, message: str):
+            raise ConfigError(f"{key}: {message}", self.lines.get(key))
+
+        for key in ("sigma", "grid_length"):
+            value = getattr(self, key)
+            if value is not None and not (math.isfinite(value) and value > 0):
+                fail(key, f"must be finite and positive, got {value!r}")
+        for key in ("epsilons", "times"):
+            values = getattr(self, key)
+            if not values:
+                fail(key, "list is empty")
+            if not all(math.isfinite(v) and v > 0 for v in values):
+                fail(key, f"values must be finite and positive, got {' '.join(map(repr, values))}")
+        for key, known in (("metrics", METRICS), ("checks", CHECKS)):
+            for name in getattr(self, key):
+                if name not in known:
+                    fail(key, f"unknown {key[:-1]} {name!r}; known: {', '.join(known)}")
+        for key in ("epsilons", "times", "metrics", "checks"):
+            values = getattr(self, key)
+            if len(set(values)) != len(values):
+                fail(key, f"values must be unique, got {' '.join(map(str, values))}")
         if not self.metrics and not self.checks:
             raise ConfigError("nothing to do: no metrics and no checks requested")
-        for m in self.metrics:
-            if m not in KNOWN_METRICS:
-                raise ConfigError(f"unknown metric {m!r}; known: {', '.join(KNOWN_METRICS)}")
-        for c in self.checks:
-            if c not in KNOWN_CHECKS:
-                raise ConfigError(f"unknown check {c!r}; known: {', '.join(KNOWN_CHECKS)}")
         if not (self.kernel in ("rosenau", "central-diff") or self.kernel.startswith("custom:")):
-            raise ConfigError(f"unknown kernel {self.kernel!r}")
-        if not (self.initial in INITIAL_PRESETS or self.initial.startswith("file:")):
-            raise ConfigError(f"unknown initial datum {self.initial!r}")
+            fail("kernel", f"unknown kernel {self.kernel!r}")
+        if self.initial.startswith("file:"):
+            for key in ("grid_length", "grid_points"):
+                if key in self.lines:
+                    fail(key, "[grid] does not apply to file: initial data, "
+                              "which runs on the file's own grid")
+        elif self.initial not in INITIAL_PRESETS:
+            fail("initial", f"unknown initial datum {self.initial!r}")
 
 
-def _parse_times(value: str, line_no: int) -> List[float]:
+def _parse_times(value: str) -> List[float]:
     parts = value.split()
     if parts and parts[0] == "logspace":
         if len(parts) != 4:
-            raise ConfigError("logspace needs exactly: logspace <lo> <hi> <n>", line_no)
+            raise ValueError("logspace needs exactly: logspace <lo> <hi> <n>")
         lo, hi, n = float(parts[1]), float(parts[2]), int(parts[3])
         if lo <= 0 or hi <= lo or n < 2:
-            raise ConfigError("logspace needs 0 < lo < hi and n >= 2", line_no)
+            raise ValueError("logspace needs 0 < lo < hi and n >= 2")
         return [float(x) for x in np.geomspace(lo, hi, n)]
-    try:
-        return [float(x) for x in parts]
-    except ValueError as exc:
-        raise ConfigError(f"bad time value: {exc}", line_no)
+    return [float(x) for x in parts]
+
+
+def _auto(convert):
+    return lambda value: None if value == "auto" else convert(value)
+
+
+# section -> config key -> (field name, value parser)
+_KEYS = {
+    "experiment": {
+        "kernel": ("kernel", str),
+        "sigma": ("sigma", float),
+        "epsilons": ("epsilons", lambda v: [float(x) for x in v.split()]),
+        "times": ("times", _parse_times),
+        "initial": ("initial", str),
+        "metrics": ("metrics", str.split),
+        "checks": ("checks", str.split),
+        "out": ("outputs", str),
+        "outputs": ("outputs", str),
+    },
+    "grid": {
+        "l": ("grid_length", _auto(float)),
+        "length": ("grid_length", _auto(float)),
+        "n": ("grid_points", _auto(int)),
+        "points": ("grid_points", _auto(int)),
+    },
+}
 
 
 def parse_config(text: str, path: str = "<config>") -> ExperimentConfig:
     cfg = ExperimentConfig()
-    section = ""
-    seen_any = False
+    section = "experiment"
     for i, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if line.startswith("[") and line.endswith("]"):
             section = line[1:-1].strip().lower()
-            if section not in ("experiment", "grid"):
+            if section not in _KEYS:
                 raise ConfigError(f"unknown section [{section}]", i)
             continue
         if "=" not in line:
             raise ConfigError(f"expected key = value, got {line!r}", i)
         key, _, value = line.partition("=")
         key = key.strip().lower()
-        value = value.strip()
-        seen_any = True
+        if key not in _KEYS[section]:
+            raise ConfigError(f"unknown key {key!r} in [{section}]", i)
+        name, convert = _KEYS[section][key]
         try:
-            if section in ("", "experiment"):
-                if key == "kernel":
-                    cfg.kernel = value
-                elif key == "sigma":
-                    cfg.sigma = float(value)
-                elif key == "epsilons":
-                    cfg.epsilons = [float(x) for x in value.split()]
-                elif key == "times":
-                    cfg.times = _parse_times(value, i)
-                elif key == "initial":
-                    cfg.initial = value
-                elif key == "metrics":
-                    cfg.metrics = value.split()
-                    for m in cfg.metrics:
-                        if m not in KNOWN_METRICS:
-                            raise ConfigError(
-                                f"unknown metric {m!r}; known: {', '.join(KNOWN_METRICS)}", i)
-                elif key == "checks":
-                    cfg.checks = value.split()
-                    for c in cfg.checks:
-                        if c not in KNOWN_CHECKS:
-                            raise ConfigError(
-                                f"unknown check {c!r}; known: {', '.join(KNOWN_CHECKS)}", i)
-                elif key in ("out", "outputs"):
-                    cfg.outputs = value
-                else:
-                    raise ConfigError(f"unknown key {key!r} in [experiment]", i)
-            elif section == "grid":
-                if key in ("l", "length"):
-                    cfg.grid_length = None if value == "auto" else float(value)
-                elif key in ("n", "points"):
-                    cfg.grid_points = None if value == "auto" else int(value)
-                else:
-                    raise ConfigError(f"unknown key {key!r} in [grid]", i)
-        except ConfigError:
-            raise
+            setattr(cfg, name, convert(value.strip()))
         except ValueError as exc:
             raise ConfigError(f"bad value for {key!r}: {exc}", i)
-    if not seen_any:
+        cfg.lines[name] = i
+    if not cfg.lines:
         raise ConfigError(f"{path}: empty configuration")
     cfg.validate()
     return cfg

@@ -80,6 +80,10 @@ class BackgroundKernel:
     def label(self) -> str:
         return f"{self.family}(eps={self.epsilon:g})"
 
+    def intensity(self, t: float) -> float:
+        """Poisson jump intensity mu = lam t / eps^2 accumulated by time t."""
+        return self.lam * t / self.epsilon**2
+
 
 def _require_positive(**params: float) -> None:
     for name, value in params.items():

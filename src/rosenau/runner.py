@@ -12,26 +12,22 @@ import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from . import analysis
 from .config import ExperimentConfig
-from .errors import RosenauError
+from .errors import ConfigError, RosenauError
 from .kernels import BackgroundKernel, kernel_by_name
-from .metrics import CONVEX_FUNCTIONALS, convex_functional, ds_distance, moment
+from .metrics import moment
 from .spectral import (
     GridSpec,
     SpectralField,
     default_grid,
-    field_from_symbol,
     forward_transform,
-    heat_propagate,
     inverse_transform,
     load_distribution,
-    regularized_solution,
     require_grid_contains,
     rosenau_propagate,
     save_distribution,
@@ -66,98 +62,63 @@ class Row:
         ])
 
 
-def _initial_field(cfg: ExperimentConfig, grid: GridSpec, sigma_sq: float) -> SpectralField:
-    if cfg.initial.startswith("file:"):
-        dist = load_distribution(cfg.initial.split(":", 1)[1])
-        return forward_transform(dist)
-    return analysis.initial_by_name(cfg.initial, grid, sigma_sq)
+@contextmanager
+def _sweep_point(cfg: ExperimentConfig, eps: float, times: Sequence[float]):
+    """Re-raise a numerical failure as RunError naming the sweep point."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except RosenauError as exc:
+        at = f"t={times[0]:g}" if len(times) == 1 else f"t in {list(times)}"
+        raise RunError(f"sweep point (kernel={cfg.kernel}, eps={eps:g}, {at}): {exc}") from exc
 
 
-def _grid_for(cfg: ExperimentConfig, kernel: BackgroundKernel) -> GridSpec:
-    t_max = max(cfg.times)
-    sigma_d = math.sqrt(kernel.sigma_sq)
-    m2_hint = 2.0 * kernel.sigma_sq if cfg.initial == "mixture-matched" else 1.0
-    if cfg.grid_length is not None:
-        points = cfg.grid_points or default_grid(sigma_d, t_max).points
-        return GridSpec(length=cfg.grid_length, points=points)
-    return default_grid(sigma_d, t_max, n=cfg.grid_points, m2=m2_hint)
+def _setup(cfg: ExperimentConfig, eps: float) -> Tuple[BackgroundKernel, SpectralField]:
+    """Kernel and initial-datum transform of one eps; file: data keeps its own grid."""
+    with _sweep_point(cfg, eps, sorted(cfg.times)):
+        kernel = kernel_by_name(cfg.kernel, eps, cfg.sigma)
+        if cfg.initial.startswith("file:"):
+            try:
+                dist = load_distribution(cfg.initial.split(":", 1)[1])
+            except (OSError, ValueError) as exc:
+                raise ConfigError(f"initial: {exc}", cfg.lines.get("initial")) from exc
+            return kernel, forward_transform(dist)
+        t_max = max(cfg.times)
+        sigma_d = math.sqrt(kernel.sigma_sq)
+        if cfg.grid_length is not None:
+            points = cfg.grid_points or default_grid(sigma_d, t_max).points
+            grid = GridSpec(length=cfg.grid_length, points=points)
+        else:
+            m2_hint = 2.0 * kernel.sigma_sq if cfg.initial == "mixture-matched" else 1.0
+            grid = default_grid(sigma_d, t_max, n=cfg.grid_points, m2=m2_hint)
+        return kernel, analysis.initial_by_name(cfg.initial, grid, kernel.sigma_sq)
 
 
-def _heat_field(grid: GridSpec, sigma_sq: float, t: float) -> SpectralField:
-    return field_from_symbol(grid, lambda z: np.exp(-sigma_sq * np.asarray(z) ** 2 * t))
-
-
-def _point_rows(cfg: ExperimentConfig, kernel: BackgroundKernel, grid: GridSpec,
-                g0: SpectralField, eps: float, t: float) -> List[Row]:
-    sigma_sq = kernel.sigma_sq
-    ref = analysis.gaussian_reference(grid, sigma_sq)
-    rows: List[Row] = []
-
-    def add(quantity, value, argsup=0.0):
-        rows.append(Row(kernel=cfg.kernel, epsilon=eps, t=t, quantity=quantity,
-                        value=float(value), argsup=float(argsup), grid=grid))
-
-    sol = rosenau_propagate(g0, kernel, t)
-    needs_density = any(q in cfg.metrics for q in ("m2", "m4", "l1_reg_gap",
-                                                   "l1_heat_gap", "entropy_reg"))
-    if needs_density:
-        m2_0 = moment(inverse_transform(g0), 2)
-        require_grid_contains(grid, m2_0 + kernel.lam * kernel.gamma**2 * t)
-
+def _point_rows(cfg: ExperimentConfig, kernel: BackgroundKernel, g0: SpectralField,
+                m2_0: float, eps: float, t: float) -> List[Row]:
+    require_grid_contains(g0.grid, m2_0 + kernel.lam * kernel.gamma**2 * t)
+    point = analysis.SweepPoint(kernel, g0, t)
+    rows = []
     for quantity in sorted(cfg.metrics):
-        if quantity == "mass":
-            add(quantity, sol.mass)
-        elif quantity == "m2":
-            add(quantity, moment(inverse_transform(sol), 2))
-        elif quantity == "m4":
-            add(quantity, moment(inverse_transform(sol), 4))
-        elif quantity == "d2_selfsim":
-            rep = ds_distance(analysis.rescale(sol, t).field, ref, 2.0)
-            add(quantity, rep.value, rep.argsup)
-        elif quantity == "d3_selfsim":
-            rep = ds_distance(analysis.rescale(sol, t).field, ref, 3.0)
-            add(quantity, rep.value, rep.argsup)
-        elif quantity == "d2_gap":
-            h_kin = analysis.rescale(sol, t).field
-            h_heat = analysis.rescale(heat_propagate(g0, sigma_sq, t), t).field
-            rep = ds_distance(h_kin, h_heat, 2.0)
-            add(quantity, rep.value, rep.argsup)
-        elif quantity == "d2_selfsim_heat":
-            h_heat = analysis.rescale(heat_propagate(g0, sigma_sq, t), t).field
-            rep = ds_distance(h_heat, ref, 2.0)
-            add(quantity, rep.value, rep.argsup)
-        elif quantity == "l1_reg_gap":
-            heat = heat_propagate(g0, sigma_sq, t)
-            reg = regularized_solution(g0, kernel, t)
-            diff = SpectralField(grid, heat.values - reg.values)
-            add(quantity, grid.dv * float(np.sum(np.abs(inverse_transform(diff).density))))
-        elif quantity == "l1_heat_gap":
-            heat = heat_propagate(g0, sigma_sq, t)
-            diff = SpectralField(grid, heat.values - _heat_field(grid, sigma_sq, t).values)
-            add(quantity, grid.dv * float(np.sum(np.abs(inverse_transform(diff).density))))
-        elif quantity == "entropy_reg":
-            reg = inverse_transform(regularized_solution(g0, kernel, t))
-            add(quantity, convex_functional(reg, CONVEX_FUNCTIONALS["rlogr"]))
+        value, argsup = analysis.METRICS[quantity](point)
+        rows.append(Row(cfg.kernel, eps, t, quantity, float(value), float(argsup), g0.grid))
     return rows
 
 
 def compute_rows(cfg: ExperimentConfig, threads: int = 0) -> List[Row]:
     """All metric rows of the sweep, sorted by (epsilon, t, quantity)."""
     points: List[Tuple[float, float]] = [(e, t) for e in cfg.epsilons for t in cfg.times]
-    grids: Dict[float, Tuple[BackgroundKernel, GridSpec, SpectralField]] = {}
+    setups: Dict[float, Tuple[BackgroundKernel, SpectralField, float]] = {}
     for eps in cfg.epsilons:
-        kernel = kernel_by_name(cfg.kernel, eps, cfg.sigma)
-        grid = _grid_for(cfg, kernel)
-        g0 = _initial_field(cfg, grid, kernel.sigma_sq)
-        grids[eps] = (kernel, grid, g0)
+        kernel, g0 = _setup(cfg, eps)
+        with _sweep_point(cfg, eps, cfg.times):
+            setups[eps] = kernel, g0, moment(inverse_transform(g0), 2)
 
     def work(point):
         eps, t = point
-        kernel, grid, g0 = grids[eps]
-        try:
-            return _point_rows(cfg, kernel, grid, g0, eps, t)
-        except RosenauError as exc:
-            raise RunError(f"sweep point (kernel={cfg.kernel}, eps={eps:g}, t={t:g}): {exc}") from exc
+        with _sweep_point(cfg, eps, [t]):
+            return _point_rows(cfg, *setups[eps], eps, t)
 
     if threads == 1 or len(points) == 1:
         chunks = [work(p) for p in points]
@@ -172,29 +133,16 @@ def compute_rows(cfg: ExperimentConfig, threads: int = 0) -> List[Row]:
 
 def compute_checks(cfg: ExperimentConfig) -> List[analysis.BoundCheck]:
     """All requested bound checks over the sweep, in deterministic order."""
-    checks: List[analysis.BoundCheck] = []
     times = sorted(cfg.times)
-    for eps in sorted(cfg.epsilons):
-        try:
-            kernel = kernel_by_name(cfg.kernel, eps, cfg.sigma)
-            grid = _grid_for(cfg, kernel)
-            g0 = _initial_field(cfg, grid, kernel.sigma_sq)
-            if "d2_bound" in cfg.checks:
-                checks.extend(analysis.d2_bound_check(cfg.kernel, g0, eps, times, cfg.sigma))
-            if "d3_bound" in cfg.checks:
-                checks.extend(analysis.d3_bound_check(kernel, g0, times))
-        except RosenauError as exc:
-            raise RunError(
-                f"check sweep point (kernel={cfg.kernel}, eps={eps:g}, "
-                f"t in {times}): {exc}") from exc
-    if "heat_decay" in cfg.checks:
-        try:
-            kernel = kernel_by_name(cfg.kernel, cfg.epsilons[0], cfg.sigma)
-            grid = _grid_for(cfg, kernel)
-            g0 = _initial_field(cfg, grid, kernel.sigma_sq)
-            checks.extend(analysis.exact_decay_check(g0, 2.0, kernel.sigma_sq, times))
-        except RosenauError as exc:
-            raise RunError(f"heat decay check (kernel={cfg.kernel}, t in {times}): {exc}") from exc
+    setups = {eps: _setup(cfg, eps) for eps in cfg.epsilons}
+    names = sorted(cfg.checks)
+    jobs = [(eps, n) for eps in sorted(cfg.epsilons) for n in names if analysis.CHECKS[n][0]]
+    jobs += [(cfg.epsilons[0], n) for n in names if not analysis.CHECKS[n][0]]
+    checks: List[analysis.BoundCheck] = []
+    for eps, name in jobs:
+        kernel, g0 = setups[eps]
+        with _sweep_point(cfg, eps, times):
+            checks.extend(analysis.CHECKS[name][1](kernel, g0, times))
     return checks
 
 
@@ -262,16 +210,10 @@ def simulate(cfg: ExperimentConfig, out_dir: Optional[str] = None,
     os.makedirs(out, exist_ok=True)
     written = []
     for eps in sorted(cfg.epsilons):
-        kernel = kernel_by_name(cfg.kernel, eps, cfg.sigma)
-        grid = _grid_for(cfg, kernel)
-        g0 = _initial_field(cfg, grid, kernel.sigma_sq)
+        kernel, g0 = _setup(cfg, eps)
         for t in sorted(cfg.times):
-            try:
-                sol = rosenau_propagate(g0, kernel, t)
-                dist = inverse_transform(sol)
-            except RosenauError as exc:
-                raise RunError(
-                    f"sweep point (kernel={cfg.kernel}, eps={eps:g}, t={t:g}): {exc}") from exc
+            with _sweep_point(cfg, eps, [t]):
+                dist = inverse_transform(rosenau_propagate(g0, kernel, t))
             path = os.path.join(out, f"dist_{cfg.kernel.replace(':', '_')}_eps{eps:g}_t{t:g}.txt")
             save_distribution(dist, path)
             written.append(path)

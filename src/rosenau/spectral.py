@@ -267,7 +267,7 @@ def singular_split(kernel: BackgroundKernel, t: float,
     """
     if t < 0:
         raise InvalidParameterError(f"time must be nonnegative, got {t}")
-    mu = kernel.lam * t / kernel.epsilon**2
+    mu = kernel.intensity(t)
     w = math.exp(-mu)
 
     def g1(xi):
@@ -282,23 +282,14 @@ def regularized_propagator(kernel: BackgroundKernel, t: float, grid: GridSpec) -
     P_reg(xi, t) = exp(-mu (1-Mhat(xi))) - (1-Mhat(xi)) exp(-mu); adding back
     (1-Mhat) exp(-mu) recovers the kinetic multiplier pointwise.
     """
-    if t < 0:
-        raise InvalidParameterError(f"time must be nonnegative, got {t}")
-    mu = kernel.lam * t / kernel.epsilon**2
-    w = math.exp(-mu)
-
-    def preg(xi):
-        om = np.asarray(kernel.one_minus_symbol(xi))
-        return np.exp(-mu * om) - om * w
-
-    return field_from_symbol(grid, preg)
+    return regularized_solution(delta_field(grid), kernel, t)
 
 
 def regularized_solution(f: SpectralField, kernel: BackgroundKernel, t: float) -> SpectralField:
     """Solution obtained by convolving the initial datum with the regularized kernel."""
     if t < 0:
         raise InvalidParameterError(f"time must be nonnegative, got {t}")
-    mu = kernel.lam * t / kernel.epsilon**2
+    mu = kernel.intensity(t)
     w = math.exp(-mu)
 
     def mult(xi):
@@ -412,7 +403,6 @@ def load_distribution(path: str) -> MixedDistribution:
         tokens = fh.read().split()
     if len(tokens) < 3:
         raise InvalidParameterError(f"{path}: truncated distribution file")
-    length = float(tokens[0])
     points = int(tokens[1])
     n_atoms = int(tokens[2])
     need = 3 + points + 2 * n_atoms
@@ -420,11 +410,11 @@ def load_distribution(path: str) -> MixedDistribution:
         raise InvalidParameterError(
             f"{path}: expected {need} tokens for N={points}, n_atoms={n_atoms}, got {len(tokens)}"
         )
-    density = np.array([float(x) for x in tokens[3:3 + points]])
-    atoms = []
-    for i in range(n_atoms):
-        base = 3 + points + 2 * i
-        atoms.append((float(tokens[base]), float(tokens[base + 1])))
+    values = np.array([float(x) for x in tokens[:1] + tokens[3:]])
+    if not np.all(np.isfinite(values)):
+        raise InvalidParameterError(f"{path}: non-finite value in distribution file")
+    length, density = float(values[0]), values[1:1 + points]
+    atoms = [(float(loc), float(w)) for loc, w in values[1 + points:].reshape(-1, 2)]
     if points == 0:
         # atoms-only file: rebuild a minimal grid containing all atoms
         grid = GridSpec(length=length, points=16)

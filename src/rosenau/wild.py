@@ -95,7 +95,7 @@ def wild_partial_sum(g0: SpectralField, kernel: BackgroundKernel, t: float,
         raise InvalidParameterError("time must be nonnegative")
     if n_terms < 0:
         raise InvalidParameterError("term count must be nonnegative")
-    mu = kernel.lam * t / kernel.epsilon**2
+    mu = kernel.intensity(t)
     xi = g0.grid.xi()
     mhat = np.asarray(kernel.symbol(xi), dtype=complex)
     logw = _log_poisson_weights(mu, n_terms)
@@ -123,7 +123,7 @@ def wild_solution(g0: SpectralField, kernel: BackgroundKernel, t: float,
     insight, so the exact spectral propagator is used instead and the
     result is flagged as delegated.
     """
-    mu = kernel.lam * t / kernel.epsilon**2
+    mu = kernel.intensity(t)
     if mu > DELEGATION_MU:
         field = rosenau_propagate(g0, kernel, t)
         return WildResult(field=field, truncation=WildTruncation(terms=0, mu=mu), delegated=True)
@@ -161,7 +161,7 @@ def cd_wild_solution(kernel: BackgroundKernel, t: float, tol: float = 1e-12,
         raise UnsupportedKernelError("atomic solution requires the central-difference kernel")
     if t < 0:
         raise InvalidParameterError("time must be nonnegative")
-    mu = kernel.lam * t / kernel.epsilon**2
+    mu = kernel.intensity(t)
     if mu > DELEGATION_MU:
         raise InvalidParameterError(
             f"mu = {mu:g} beyond the direct-summation range ({DELEGATION_MU:g}); "

@@ -27,6 +27,7 @@ from rosenau import (
     heat_l1_series,
     heat_propagate,
     inverse_transform,
+    kernel_by_name,
     l1_convergence_series,
     mixture_initial,
     moment,
@@ -150,7 +151,7 @@ class TestCriterion05SuboptimalRate:
         for family in ("rosenau", "central-diff"):
             for eps in SWEEP_EPS:
                 for g0 in data.values():
-                    for c in d2_bound_check(family, g0, eps, SWEEP_T):
+                    for c in d2_bound_check(kernel_by_name(family, eps), g0, SWEEP_T):
                         n += 1
                         ok = ok and c.satisfied
                         worst_margin = min(worst_margin, c.margin)

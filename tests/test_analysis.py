@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -16,6 +17,7 @@ from rosenau import (
     heat_l1_series,
     heat_propagate,
     inverse_transform,
+    kernel_by_name,
     l1_convergence_series,
     mixture_initial,
     moment,
@@ -106,19 +108,20 @@ class TestD2BoundCheck:
     def test_t0_equality(self, grid):
         g0 = gaussian_initial(grid, 1.0)
         for family in ("rosenau", "central-diff"):
-            chk = d2_bound_check(family, g0, 0.1, [0.0])[0]
+            chk = d2_bound_check(kernel_by_name(family, 0.1), g0, [0.0])[0]
             assert chk.lhs == pytest.approx(chk.rhs, rel=1e-12)
 
     @pytest.mark.parametrize("family", ["rosenau", "central-diff"])
     def test_satisfied_with_margin(self, grid, family):
         g0 = mixture_initial(grid, 1.0)
-        checks = d2_bound_check(family, g0, 0.1, [1.0, 10.0, 100.0])
+        checks = d2_bound_check(kernel_by_name(family, 0.1), g0, [1.0, 10.0, 100.0])
         for c in checks:
             assert c.satisfied and c.margin > 0.0
 
     def test_unknown_family(self, grid):
         with pytest.raises(InvalidParameterError):
-            d2_bound_check("heat", gaussian_initial(grid, 1.0), 0.1, [1.0])
+            heat = dataclasses.replace(rosenau_kernel(0.1, 1.0), family="heat")
+            d2_bound_check(heat, gaussian_initial(grid, 1.0), [1.0])
 
 
 class TestD3BoundCheck:

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 
 import pytest
@@ -55,6 +56,31 @@ class TestConfigParsing:
     def test_nothing_to_do_rejected(self):
         with pytest.raises(ConfigError):
             parse_config("kernel = rosenau\n")
+
+    @pytest.mark.parametrize("line,key", [
+        ("times = 1 inf", "times"),
+        ("epsilons = nan", "epsilons"),
+        ("sigma = -1", "sigma"),
+        ("sigma = nan", "sigma"),
+        ("times = 1 1", "times"),
+        ("epsilons = 0.1 0.1", "epsilons"),
+        ("[grid]\nL = inf", "grid_length"),
+    ])
+    def test_invalid_value_is_config_error(self, tmp_path, capsys, line, key):
+        text = f"metrics = mass\n{line}\n"
+        bad_line = text.count("\n")  # the offending key is on the last line
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        assert err.value.line == bad_line and key in str(err.value)
+        path = tmp_path / "bad.cfg"
+        path.write_text(text)
+        assert main(["metrics", "--config", str(path), "--out", str(tmp_path)]) == 2
+        assert f"line {bad_line}" in capsys.readouterr().err
+
+    def test_grid_section_with_file_initial_rejected(self):
+        with pytest.raises(ConfigError) as err:
+            parse_config("metrics = mass\ninitial = file:dist.txt\n[grid]\nN = 1024\n")
+        assert err.value.line == 4
 
 
 class TestRunner:
@@ -157,6 +183,41 @@ class TestCli:
         bad.write_text("kernel = rosenau\nmetrics = nonsense\n")
         assert main(["metrics", "--config", str(bad)]) == 2
         assert "line 2" in capsys.readouterr().err
+
+    def test_rates_unknown_quantity_exit_2(self, capsys):
+        rc = main(["rates", "--config", os.path.join(CONFIG_DIR, "minimal.cfg"),
+                   "--quantity", "bogus"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "'bogus'" in err and "d2_selfsim" in err
+
+    def test_file_initial_runs_on_its_own_grid(self, tmp_path):
+        sim = tmp_path / "sim"
+        rc = main(["simulate", "--config", os.path.join(CONFIG_DIR, "minimal.cfg"),
+                   "--out", str(sim)])
+        assert rc == 0
+        dist = sim / "dist_rosenau_eps0.1_t10.txt"
+        cfg = tmp_path / "reuse.cfg"
+        cfg.write_text(f"kernel = rosenau\nepsilons = 0.1\ntimes = 1\n"
+                       f"initial = file:{dist}\nmetrics = d2_selfsim mass\n")
+        assert main(["metrics", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        rows = (tmp_path / "out" / "results.csv").read_text().splitlines()[1:]
+        grid_l = load_distribution(str(dist)).grid.length
+        assert len(rows) == 2
+        for row in rows:
+            value, _, length = (float(x) for x in row.split(",")[4:7])
+            assert math.isfinite(value) and length == grid_l
+
+    def test_file_initial_with_nan_exit_2(self, tmp_path, capsys):
+        dist = tmp_path / "nan.txt"
+        dist.write_text("10 16 0\n" + "0.1\n" * 15 + "nan\n")
+        cfg = tmp_path / "nan.cfg"
+        cfg.write_text(f"kernel = rosenau\nepsilons = 0.1\ntimes = 1\n"
+                       f"initial = file:{dist}\nmetrics = mass\n")
+        assert main(["metrics", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "line 4" in err and "initial" in err and "non-finite" in err
+        assert not os.path.exists(tmp_path / "out" / "results.csv")
 
     def test_missing_config_exit_2(self, capsys):
         assert main(["metrics", "--config", "/nonexistent.cfg"]) == 2
