@@ -15,7 +15,8 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from .analysis import CHECKS, INITIAL_PRESETS, METRICS
-from .errors import ConfigError
+from .errors import ConfigError, InvalidParameterError
+from .spectral import GridSpec
 
 
 @dataclass
@@ -42,6 +43,11 @@ class ExperimentConfig:
             value = getattr(self, key)
             if value is not None and not (math.isfinite(value) and value > 0):
                 fail(key, f"must be finite and positive, got {value!r}")
+        if self.grid_points is not None:
+            try:
+                GridSpec(1.0, self.grid_points)
+            except InvalidParameterError as exc:
+                fail("grid_points", str(exc))
         for key in ("epsilons", "times"):
             values = getattr(self, key)
             if not values:

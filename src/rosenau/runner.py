@@ -74,15 +74,23 @@ def _sweep_point(cfg: ExperimentConfig, eps: float, times: Sequence[float]):
         raise RunError(f"sweep point (kernel={cfg.kernel}, eps={eps:g}, {at}): {exc}") from exc
 
 
+@contextmanager
+def _input_file(cfg: ExperimentConfig, key: str):
+    """Re-raise a missing or malformed input file as ConfigError naming its key."""
+    try:
+        yield
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"{key}: {exc}", cfg.lines.get(key)) from exc
+
+
 def _setup(cfg: ExperimentConfig, eps: float) -> Tuple[BackgroundKernel, SpectralField]:
     """Kernel and initial-datum transform of one eps; file: data keeps its own grid."""
     with _sweep_point(cfg, eps, sorted(cfg.times)):
-        kernel = kernel_by_name(cfg.kernel, eps, cfg.sigma)
+        with _input_file(cfg, "kernel"):
+            kernel = kernel_by_name(cfg.kernel, eps, cfg.sigma)
         if cfg.initial.startswith("file:"):
-            try:
+            with _input_file(cfg, "initial"):
                 dist = load_distribution(cfg.initial.split(":", 1)[1])
-            except (OSError, ValueError) as exc:
-                raise ConfigError(f"initial: {exc}", cfg.lines.get("initial")) from exc
             return kernel, forward_transform(dist)
         t_max = max(cfg.times)
         sigma_d = math.sqrt(kernel.sigma_sq)

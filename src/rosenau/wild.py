@@ -6,7 +6,8 @@ The solution is the Poisson mixture
 
 so truncating after N terms discards exactly the Poisson tail mass beyond N.
 Weights are evaluated in log space (mu can exceed 1e4 at small eps) and the
-convolution powers are accumulated with a running pointwise product.
+polynomial in Mhat is summed by Horner's rule.  For the central-difference
+family the mixture has the closed form exp(-mu) I_|m|(mu) at lattice site m.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
-from scipy.special import gammainc, gammaln
+from scipy.special import gammainc, gammaln, ive, xlogy
 
 from .errors import InvalidParameterError, UnsupportedKernelError
 from .kernels import CENTRAL_DIFF, BackgroundKernel
@@ -75,15 +76,6 @@ def truncation_order(mu: float, tol: float) -> int:
     return lo
 
 
-def _log_poisson_weights(mu: float, n_max: int) -> np.ndarray:
-    n = np.arange(n_max + 1, dtype=float)
-    if mu == 0.0:
-        out = np.full(n_max + 1, -np.inf)
-        out[0] = 0.0
-        return out
-    return -mu + n * math.log(mu) - gammaln(n + 1.0)
-
-
 def wild_partial_sum(g0: SpectralField, kernel: BackgroundKernel, t: float,
                      n_terms: int) -> SpectralField:
     """Partial sum exp(-mu) sum_{n<=N} (mu^n/n!) Mhat^n g0hat.
@@ -96,15 +88,13 @@ def wild_partial_sum(g0: SpectralField, kernel: BackgroundKernel, t: float,
     if n_terms < 0:
         raise InvalidParameterError("term count must be nonnegative")
     mu = kernel.intensity(t)
-    xi = g0.grid.xi()
-    mhat = np.asarray(kernel.symbol(xi), dtype=complex)
-    logw = _log_poisson_weights(mu, n_terms)
-    acc = np.zeros_like(g0.values)
-    power = np.ones_like(g0.values)
-    for n in range(n_terms + 1):
-        if np.isfinite(logw[n]):
-            acc = acc + math.exp(logw[n]) * power
-        power = power * mhat
+    mhat = np.asarray(kernel.symbol(g0.grid.xi()), dtype=complex)
+    n = np.arange(n_terms + 1, dtype=float)
+    weights = np.exp(-mu + xlogy(n, mu) - gammaln(n + 1.0))
+    acc = np.full_like(g0.values, weights[-1])
+    for w in weights[-2::-1]:
+        acc *= mhat
+        acc += w
     return SpectralField(grid=g0.grid, values=acc * g0.values)
 
 
@@ -154,40 +144,23 @@ def cd_wild_solution(kernel: BackgroundKernel, t: float, tol: float = 1e-12,
                      grid: GridSpec = None) -> MixedDistribution:
     """Fully atomic fundamental solution of the central-difference family.
 
-    Poisson-mixed binomial atoms on the lattice (eps sigma) Z, truncated at
-    the certified order; total retained mass lies in [1 - tol, 1].
+    The Poisson mixture of binomial atoms is the continuous-time random walk
+    on the lattice (eps sigma) Z, whose weight at site m is exp(-mu) I_|m|(mu)
+    (Abramowitz-Stegun 9.6.33).  Sites |m| <= N for the certified order N
+    carry at least the Poisson mass P(X <= N), so the total retained mass
+    lies in [1 - tol, 1] at any mu.
     """
     if kernel.family != CENTRAL_DIFF:
         raise UnsupportedKernelError("atomic solution requires the central-difference kernel")
     if t < 0:
         raise InvalidParameterError("time must be nonnegative")
     mu = kernel.intensity(t)
-    if mu > DELEGATION_MU:
-        raise InvalidParameterError(
-            f"mu = {mu:g} beyond the direct-summation range ({DELEGATION_MU:g}); "
-            "use the spectral propagator"
-        )
     n_star = truncation_order(mu, tol)
     a = kernel.epsilon * kernel.sigma
-    logw = _log_poisson_weights(mu, n_star)
-    # lattice offsets m = -n_star .. n_star; row n holds the binomial weights
-    # of M^(*n), updated in place by the two-point averaging recurrence
-    size = 2 * n_star + 1
-    row = np.zeros(size)
-    row[n_star] = 1.0
-    acc = np.zeros(size)
-    if np.isfinite(logw[0]):
-        acc[n_star] += math.exp(logw[0])
-    for n in range(1, n_star + 1):
-        nxt = np.zeros(size)
-        nxt[1:] += 0.5 * row[:-1]
-        nxt[:-1] += 0.5 * row[1:]
-        row = nxt
-        if np.isfinite(logw[n]):
-            acc += math.exp(logw[n]) * row
-    keep = acc > 0.0
-    locs = a * (np.arange(size) - n_star)
-    atoms = tuple((float(l), float(w)) for l, w in zip(locs[keep], acc[keep]))
+    m = np.arange(-n_star, n_star + 1)
+    weights = ive(np.abs(m), mu)
+    keep = weights > 0.0
+    atoms = tuple(zip((a * m[keep]).tolist(), weights[keep].tolist()))
     if grid is None:
         span = 2.2 * max(a * (n_star + 1), 1.0)
         points = 16

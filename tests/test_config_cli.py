@@ -65,6 +65,8 @@ class TestConfigParsing:
         ("times = 1 1", "times"),
         ("epsilons = 0.1 0.1", "epsilons"),
         ("[grid]\nL = inf", "grid_length"),
+        ("[grid]\nN = 100", "grid_points"),
+        ("[grid]\nN = 8", "grid_points"),
     ])
     def test_invalid_value_is_config_error(self, tmp_path, capsys, line, key):
         text = f"metrics = mass\n{line}\n"
@@ -218,6 +220,18 @@ class TestCli:
         err = capsys.readouterr().err
         assert "line 4" in err and "initial" in err and "non-finite" in err
         assert not os.path.exists(tmp_path / "out" / "results.csv")
+
+    @pytest.mark.parametrize("content", [None, "xi symbol\nzero one\n"],
+                             ids=["missing", "malformed"])
+    def test_bad_custom_kernel_file_exit_2(self, tmp_path, capsys, content):
+        table = tmp_path / "kernel.txt"
+        if content is not None:
+            table.write_text(content)
+        cfg = tmp_path / "custom.cfg"
+        cfg.write_text(f"kernel = custom:{table}\nepsilons = 0.1\ntimes = 1\nmetrics = mass\n")
+        assert main(["metrics", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "line 1" in err and "kernel" in err
 
     def test_missing_config_exit_2(self, capsys):
         assert main(["metrics", "--config", "/nonexistent.cfg"]) == 2

@@ -184,7 +184,35 @@ class TestCdWildSolution:
         with pytest.raises(UnsupportedKernelError):
             cd_wild_solution(ros_kernel, 1.0)
 
-    def test_refuses_extreme_intensity(self):
+    def test_extreme_intensity(self):
+        # mu = 20000, four times the direct-summation range of wild_solution
         k = bernoulli_kernel(0.01, 1.0)
-        with pytest.raises(InvalidParameterError):
-            cd_wild_solution(k, 1.0)  # mu = 20000
+        t = 1.0
+        grid = GridSpec(length=512.0, points=256)
+        d = cd_wild_solution(k, t, grid=grid)
+        assert 1.0 - 1e-12 <= d.total_mass <= 1.0
+        assert max(abs(loc) for loc, _ in d.atoms) < grid.length / 2
+        exact = np.exp(-generator_symbol(k, grid.xi()) * t)
+        assert np.max(np.abs(forward_transform(d).values - exact)) <= 1e-13
+
+    @pytest.mark.parametrize("mu", [0.3, 7.0, 50.0, 200.0])
+    def test_matches_binomial_mixture(self, mu):
+        # independent oracle: Poisson mixture of the binomial convolution
+        # powers, summed far enough past mu that its own tail is negligible
+        k = bernoulli_kernel(0.5, 1.0)
+        t = mu * k.epsilon**2 / k.lam
+        mu = k.intensity(t)
+        oracle = {}
+        for n in range(int(mu + 20.0 * math.sqrt(mu) + 40.0)):
+            p = math.exp(-mu + n * math.log(mu) - math.lgamma(n + 1))
+            for loc, w in cd_fundamental_atoms(k, n):
+                oracle[loc] = oracle.get(loc, 0.0) + p * w
+        d = cd_wild_solution(k, t)
+        assert len(d.atoms) == 2 * truncation_order(mu, 1e-12) + 1
+        assert max(abs(w - oracle[loc]) for loc, w in d.atoms) <= 1e-13
+
+    @pytest.mark.parametrize("t", [24.75, 25.0, float(np.nextafter(25.0, 26.0))])
+    def test_mass_within_certificate(self, t):
+        # mu = 4950 and 5000, on both sides of t = 25
+        d = cd_wild_solution(bernoulli_kernel(0.1, 1.0), t, tol=1e-12)
+        assert 1.0 - 1e-12 <= d.total_mass <= 1.0
