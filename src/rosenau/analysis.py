@@ -28,6 +28,7 @@ from .spectral import (
     delta_field,
     dilate,
     field_from_symbol,
+    gaussian_field,
     gaussian_reference,
     heat_propagate,
     inverse_transform,
@@ -48,13 +49,7 @@ def gaussian_initial(grid: GridSpec, second_moment: float = 1.0) -> SpectralFiel
     """Centered Gaussian datum with the requested second moment."""
     if second_moment <= 0:
         raise InvalidParameterError("second moment must be positive")
-    var = second_moment
-
-    def fn(xi):
-        x = np.asarray(xi, dtype=float)
-        return np.exp(-0.5 * var * x * x).astype(complex)
-
-    return field_from_symbol(grid, fn)
+    return gaussian_field(grid, second_moment)
 
 
 def solve_mixture_params(second_moment: float, fourth_moment: float) -> Tuple[float, float]:
@@ -108,18 +103,22 @@ def mixture_initial(grid: GridSpec, second_moment: float = 1.0,
     return field_from_symbol(grid, fn)
 
 
-INITIAL_PRESETS = ("gaussian-unit", "mixture-unit", "mixture-matched")
+# preset name -> (datum of (grid, m2), its second moment m2 given the kernel's
+# sigma^2); "mixture-matched" matches the Gaussian energy 2 sigma^2
+INITIAL_PRESETS: Dict[str, Tuple[Callable[[GridSpec, float], SpectralField],
+                                 Callable[[float], float]]] = {
+    "gaussian-unit": (gaussian_initial, lambda sigma_sq: 1.0),
+    "mixture-unit": (mixture_initial, lambda sigma_sq: 1.0),
+    "mixture-matched": (mixture_initial, lambda sigma_sq: 2.0 * sigma_sq),
+}
 
 
 def initial_by_name(name: str, grid: GridSpec, sigma_sq: float = 1.0) -> SpectralField:
-    """Resolve preset names; "mixture-matched" matches the Gaussian energy 2 sigma^2."""
-    if name == "gaussian-unit":
-        return gaussian_initial(grid, 1.0)
-    if name == "mixture-unit":
-        return mixture_initial(grid, 1.0)
-    if name == "mixture-matched":
-        return mixture_initial(grid, 2.0 * sigma_sq)
-    raise InvalidParameterError(f"unknown initial datum {name!r}")
+    """Resolve a preset name to its datum on the grid."""
+    if name not in INITIAL_PRESETS:
+        raise InvalidParameterError(f"unknown initial datum {name!r}")
+    build, second_moment = INITIAL_PRESETS[name]
+    return build(grid, second_moment(sigma_sq))
 
 
 # ----------------------------------------------------------------------

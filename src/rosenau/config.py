@@ -9,6 +9,7 @@ log-spaced form "logspace <lo> <hi> <n>".  Parsing failures carry the
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -54,6 +55,8 @@ class ExperimentConfig:
                 fail(key, "list is empty")
             if not all(math.isfinite(v) and v > 0 for v in values):
                 fail(key, f"values must be finite and positive, got {' '.join(map(repr, values))}")
+        if any(e * e < sys.float_info.min for e in self.epsilons):
+            fail("epsilons", f"eps^2 underflows, got {' '.join(map(repr, self.epsilons))}")
         for key, known in (("metrics", METRICS), ("checks", CHECKS)):
             for name in getattr(self, key):
                 if name not in known:
@@ -66,6 +69,8 @@ class ExperimentConfig:
             raise ConfigError("nothing to do: no metrics and no checks requested")
         if not (self.kernel in ("rosenau", "central-diff") or self.kernel.startswith("custom:")):
             fail("kernel", f"unknown kernel {self.kernel!r}")
+        if self.kernel.startswith("custom:") and "sigma" in self.lines:
+            fail("sigma", "does not apply to custom: kernels, whose table fixes the variance")
         if self.initial.startswith("file:"):
             for key in ("grid_length", "grid_points"):
                 if key in self.lines:

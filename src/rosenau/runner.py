@@ -22,6 +22,7 @@ from .errors import ConfigError, RosenauError
 from .kernels import BackgroundKernel, kernel_by_name
 from .metrics import moment
 from .spectral import (
+    DEFAULT_GRID_N,
     GridSpec,
     SpectralField,
     default_grid,
@@ -84,44 +85,47 @@ def _input_file(cfg: ExperimentConfig, key: str):
 
 
 def _setup(cfg: ExperimentConfig, eps: float) -> Tuple[BackgroundKernel, SpectralField]:
-    """Kernel and initial-datum transform of one eps; file: data keeps its own grid."""
-    with _sweep_point(cfg, eps, sorted(cfg.times)):
+    """Kernel and initial-datum transform of one eps, on a grid that holds every time.
+
+    The grid comes from the config alone: file: data keep their own grid,
+    presets take [grid] L and N, sized by default from the datum's m2.
+    """
+    times = sorted(cfg.times)
+    with _sweep_point(cfg, eps, times):
         with _input_file(cfg, "kernel"):
             kernel = kernel_by_name(cfg.kernel, eps, cfg.sigma)
         if cfg.initial.startswith("file:"):
             with _input_file(cfg, "initial"):
                 dist = load_distribution(cfg.initial.split(":", 1)[1])
-            return kernel, forward_transform(dist)
-        t_max = max(cfg.times)
-        sigma_d = math.sqrt(kernel.sigma_sq)
-        if cfg.grid_length is not None:
-            points = cfg.grid_points or default_grid(sigma_d, t_max).points
-            grid = GridSpec(length=cfg.grid_length, points=points)
+            m2, g0 = moment(dist, 2), forward_transform(dist)
         else:
-            m2_hint = 2.0 * kernel.sigma_sq if cfg.initial == "mixture-matched" else 1.0
-            grid = default_grid(sigma_d, t_max, n=cfg.grid_points, m2=m2_hint)
-        return kernel, analysis.initial_by_name(cfg.initial, grid, kernel.sigma_sq)
+            m2 = analysis.INITIAL_PRESETS[cfg.initial][1](kernel.sigma_sq)
+            points = cfg.grid_points or DEFAULT_GRID_N
+            grid = (GridSpec(cfg.grid_length, points) if cfg.grid_length is not None else
+                    default_grid(math.sqrt(kernel.sigma_sq), times[-1], n=points, m2=m2))
+            g0 = analysis.initial_by_name(cfg.initial, grid, kernel.sigma_sq)
+    for t in times:
+        with _sweep_point(cfg, eps, [t]):
+            require_grid_contains(g0.grid, m2 + kernel.lam * kernel.gamma**2 * t)
+    return kernel, g0
 
 
 def _point_rows(cfg: ExperimentConfig, kernel: BackgroundKernel, g0: SpectralField,
-                m2_0: float, eps: float, t: float) -> List[Row]:
-    require_grid_contains(g0.grid, m2_0 + kernel.lam * kernel.gamma**2 * t)
+                eps: float, t: float) -> List[Row]:
     point = analysis.SweepPoint(kernel, g0, t)
     rows = []
     for quantity in sorted(cfg.metrics):
-        value, argsup = analysis.METRICS[quantity](point)
-        rows.append(Row(cfg.kernel, eps, t, quantity, float(value), float(argsup), g0.grid))
+        value, argsup = (float(x) for x in analysis.METRICS[quantity](point))
+        if not (math.isfinite(value) and math.isfinite(argsup)):
+            raise RosenauError(f"{quantity} is not finite: value {value!r}, argsup {argsup!r}")
+        rows.append(Row(cfg.kernel, eps, t, quantity, value, argsup, g0.grid))
     return rows
 
 
 def compute_rows(cfg: ExperimentConfig, threads: int = 0) -> List[Row]:
     """All metric rows of the sweep, sorted by (epsilon, t, quantity)."""
     points: List[Tuple[float, float]] = [(e, t) for e in cfg.epsilons for t in cfg.times]
-    setups: Dict[float, Tuple[BackgroundKernel, SpectralField, float]] = {}
-    for eps in cfg.epsilons:
-        kernel, g0 = _setup(cfg, eps)
-        with _sweep_point(cfg, eps, cfg.times):
-            setups[eps] = kernel, g0, moment(inverse_transform(g0), 2)
+    setups = {eps: _setup(cfg, eps) for eps in cfg.epsilons}
 
     def work(point):
         eps, t = point
@@ -216,9 +220,9 @@ def simulate(cfg: ExperimentConfig, out_dir: Optional[str] = None,
     """Solve the kinetic equation at every sweep point and dump distributions."""
     out = out_dir or cfg.outputs
     os.makedirs(out, exist_ok=True)
+    setups = {eps: _setup(cfg, eps) for eps in sorted(cfg.epsilons)}
     written = []
-    for eps in sorted(cfg.epsilons):
-        kernel, g0 = _setup(cfg, eps)
+    for eps, (kernel, g0) in setups.items():
         for t in sorted(cfg.times):
             with _sweep_point(cfg, eps, [t]):
                 dist = inverse_transform(rosenau_propagate(g0, kernel, t))

@@ -14,7 +14,6 @@ All operations are pure (input -> new output) and thread-safe.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple
 
@@ -31,7 +30,6 @@ from .kernels import BackgroundKernel, generator_symbol
 
 Array = np.ndarray
 
-GRID_ENV_VAR = "ROSENAU_GRID_N"
 DEFAULT_GRID_N = 4096
 LEAK_TOL = 1e-12
 
@@ -78,20 +76,10 @@ def default_grid(sigma: float, t_max: float, n: Optional[int] = None,
                  m2: float = 1.0) -> GridSpec:
     """Grid sized so Gaussian tails at L/2 stay far below the leak tolerance.
 
-    L = 40 sigma sqrt(1+t_max); N defaults to 4096 and may be overridden by
-    the ROSENAU_GRID_N environment variable (power of two enforced).
+    L = 40 max(sigma, sqrt(m2)) sqrt(1+t_max); N defaults to 4096.
     """
-    if n is None:
-        raw = os.environ.get(GRID_ENV_VAR)
-        if raw is not None:
-            try:
-                n = int(raw)
-            except ValueError:
-                raise InvalidParameterError(f"{GRID_ENV_VAR}={raw!r} is not an integer")
-        else:
-            n = DEFAULT_GRID_N
     length = 40.0 * max(sigma, math.sqrt(m2)) * math.sqrt(1.0 + t_max)
-    return GridSpec(length=length, points=n)
+    return GridSpec(length=length, points=DEFAULT_GRID_N if n is None else n)
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@ import json
 import math
 import os
 
+import numpy as np
 import pytest
 
 from rosenau.cli import main
@@ -67,6 +68,7 @@ class TestConfigParsing:
         ("[grid]\nL = inf", "grid_length"),
         ("[grid]\nN = 100", "grid_points"),
         ("[grid]\nN = 8", "grid_points"),
+        ("epsilons = 1e-170", "epsilons"),
     ])
     def test_invalid_value_is_config_error(self, tmp_path, capsys, line, key):
         text = f"metrics = mass\n{line}\n"
@@ -78,6 +80,17 @@ class TestConfigParsing:
         path.write_text(text)
         assert main(["metrics", "--config", str(path), "--out", str(tmp_path)]) == 2
         assert f"line {bad_line}" in capsys.readouterr().err
+
+    def test_sigma_with_custom_kernel_exit_2(self, tmp_path, capsys):
+        table = tmp_path / "kernel.txt"
+        xi = np.linspace(-400.0, 400.0, 8001)
+        np.savetxt(table, np.column_stack([xi, np.cos(0.1 * xi)]))
+        cfg = tmp_path / "custom.cfg"
+        cfg.write_text(f"kernel = custom:{table}\nsigma = 2\nepsilons = 0.1\n"
+                       "times = 1\nmetrics = mass\n")
+        assert main(["metrics", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "line 2" in err and "sigma" in err
 
     def test_grid_section_with_file_initial_rejected(self):
         with pytest.raises(ConfigError) as err:
@@ -236,22 +249,41 @@ class TestCli:
     def test_missing_config_exit_2(self, capsys):
         assert main(["metrics", "--config", "/nonexistent.cfg"]) == 2
 
-    def test_numerical_failure_exit_1(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["metrics", "check", "simulate"])
+    def test_numerical_failure_exit_1(self, tmp_path, capsys, command):
         cfg = tmp_path / "tight.cfg"
         cfg.write_text("kernel = rosenau\nepsilons = 0.2\ntimes = 50\nmetrics = m2\n"
-                       "[grid]\nL = 20\nN = 256\n")
+                       "checks = d2_bound\n[grid]\nL = 20\nN = 256\n")
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "eps=0.2" in err and "t=50" in err and "estimated mass" in err
+        assert not out.exists() or os.listdir(out) == []
+
+    @pytest.mark.parametrize("command", ["metrics", "check", "simulate"])
+    def test_leaking_time_named_exit_1(self, tmp_path, capsys, command):
+        # the grid holds t = 1 but leaks about half the mass by t = 400
+        cfg = tmp_path / "tight.cfg"
+        cfg.write_text("kernel = rosenau\nepsilons = 0.1\ntimes = 1 400\nmetrics = m2\n"
+                       "checks = d2_bound\n[grid]\nL = 40\n")
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "eps=0.1, t=400)" in err and "estimated mass" in err
+        assert not out.exists() or os.listdir(out) == []
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_metric_exit_1(self, tmp_path, capsys):
+        # mu = lam t / eps^2 overflows to inf
+        cfg = tmp_path / "overflow.cfg"
+        cfg.write_text("kernel = rosenau\nepsilons = 1e-5\ntimes = 1e300\n"
+                       "metrics = l1_reg_gap mass\n[grid]\nN = 16\n")
         assert main(["metrics", "--config", str(cfg), "--out", str(tmp_path)]) == 1
         err = capsys.readouterr().err
-        assert "eps=0.2" in err and "t=50" in err
+        assert "eps=1e-05" in err and "t=1e+300" in err and "not finite" in err
+        assert not os.path.exists(tmp_path / "results.csv")
 
     def test_unknown_subcommand_exit_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
-
-    def test_env_grid_override(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("ROSENAU_GRID_N", "2048")
-        cfg = ExperimentConfig(kernel="rosenau", epsilons=[0.1], times=[1.0],
-                               metrics=["d2_selfsim"])
-        rows = compute_rows(cfg)
-        assert rows[0].grid.points == 2048

@@ -49,13 +49,6 @@ class TestGridSpec:
         assert g.xi()[g.points // 2] == 0.0
         assert g.v()[g.points // 2] == 0.0
 
-    def test_default_grid_env_override(self, monkeypatch):
-        monkeypatch.setenv("ROSENAU_GRID_N", "2048")
-        assert default_grid(1.0, 10.0).points == 2048
-        monkeypatch.setenv("ROSENAU_GRID_N", "1000")
-        with pytest.raises(InvalidParameterError):
-            default_grid(1.0, 10.0)
-
 
 class TestForwardTransform:
     def test_unit_atom_gives_constant_one(self):
