@@ -2,6 +2,7 @@
 
 from .kernels import (
     BackgroundKernel,
+    atomic_kernel,
     b_epsilon,
     bernoulli_kernel,
     generator_symbol,

@@ -187,7 +187,7 @@ def exact_decay_check(g0: SpectralField, s: float, sigma_sq: float,
                          f"heat-decay s={s:g}", {"s": s, "sigma_sq": sigma_sq})
 
 
-_D2_CONSTANTS = {CENTRAL_DIFF: 1.5, ROSENAU: 0.5}
+D2_CONSTANTS = {CENTRAL_DIFF: 1.5, ROSENAU: 0.5}
 
 
 def d2_bound_check(kernel: BackgroundKernel, g0: SpectralField,
@@ -198,9 +198,9 @@ def d2_bound_check(kernel: BackgroundKernel, g0: SpectralField,
     family constant sqrt(c sigma_d^2 / 2) eps sqrt(t)/(1+t), c = 3 for the
     central-difference background and 1 for the exponential one.
     """
-    if kernel.family not in _D2_CONSTANTS:
+    if kernel.family not in D2_CONSTANTS:
         raise InvalidParameterError(f"no d2 bound constant for family {kernel.family!r}")
-    c = math.sqrt(_D2_CONSTANTS[kernel.family] * kernel.sigma_sq)
+    c = math.sqrt(D2_CONSTANTS[kernel.family] * kernel.sigma_sq)
     eps = kernel.epsilon
     return _decay_checks(g0, kernel.sigma_sq, 2.0, times,
                          lambda t: rosenau_propagate(g0, kernel, t),
@@ -216,9 +216,9 @@ def d3_bound_check(kernel: BackgroundKernel, g0: SpectralField,
                    times: Sequence[float]) -> List[BoundCheck]:
     """Fourth-moment-level decay bound with the B_eps^(3/4) suboptimal term.
 
-    B_eps = 2 m4(M_eps)/eps^2 is computed from the kernel (atom sums or
-    quadrature), not from any closed-form claim; g0 must match the Gaussian
-    moments through order two or the d3 distances diverge.
+    B_eps = 2 m4(M_eps)/eps^2 is the kernel's exact fourth moment (an atom
+    sum or the exponential density's 4! (eps sigma)^4); g0 must match the
+    Gaussian moments through order two or the d3 distances diverge.
     """
     b_eps = b_epsilon(kernel)
     return _decay_checks(
@@ -462,7 +462,7 @@ def appendix_report(s: float, t: float, panels: int = 128) -> AppendixReport:
 def appendix_bs(kernel: BackgroundKernel, s: float, t: float, panels: int = 128) -> float:
     """B_s(t) = (1+t)^(s+1/2) I_s(t)^(1/2) for the unit exponential kernel."""
     if kernel.family != ROSENAU or abs(kernel.epsilon - 1.0) > 1e-12 or \
-            abs((kernel.sigma or 0.0) - 1.0) > 1e-12:
+            abs(kernel.sigma - 1.0) > 1e-12:
         raise InvalidParameterError("the growth integral is normalized to the "
                                     "exponential kernel with eps = sigma = 1")
     return appendix_report(s, t, panels).value

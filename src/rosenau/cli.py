@@ -124,14 +124,13 @@ def main(argv: Optional[List[str]] = None) -> int:
             cfg = _load(args)
             simulate(cfg, out_dir=args.out, verbose=args.verbose)
             return 0
-        if args.command == "metrics":
+        if args.command in ("metrics", "check"):
             cfg = _load(args)
-            cfg.checks = []
-            run(cfg, out_dir=args.out, threads=args.threads, verbose=args.verbose)
-            return 0
-        if args.command == "check":
-            cfg = _load(args)
-            cfg.metrics = []
+            key, other = ("metrics", "checks") if args.command == "metrics" else ("checks", "metrics")
+            if not getattr(cfg, key):
+                raise ConfigError(f"{key}: none configured; `rosenau {args.command}` needs a "
+                                  f"`{key} = ...` line")
+            setattr(cfg, other, [])
             run(cfg, out_dir=args.out, threads=args.threads, verbose=args.verbose)
             return 0
         if args.command == "rates":

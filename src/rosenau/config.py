@@ -15,8 +15,9 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from .analysis import CHECKS, INITIAL_PRESETS, METRICS
+from .analysis import CHECKS, D2_CONSTANTS, INITIAL_PRESETS, METRICS
 from .errors import ConfigError, InvalidParameterError
+from .kernels import CENTRAL_DIFF, CUSTOM, ROSENAU
 from .spectral import GridSpec
 
 
@@ -67,10 +68,12 @@ class ExperimentConfig:
                 fail(key, f"values must be unique, got {' '.join(map(str, values))}")
         if not self.metrics and not self.checks:
             raise ConfigError("nothing to do: no metrics and no checks requested")
-        if not (self.kernel in ("rosenau", "central-diff") or self.kernel.startswith("custom:")):
+        family = CUSTOM if self.kernel.startswith("custom:") else self.kernel
+        if family not in (ROSENAU, CENTRAL_DIFF, CUSTOM):
             fail("kernel", f"unknown kernel {self.kernel!r}")
-        if self.kernel.startswith("custom:") and "sigma" in self.lines:
-            fail("sigma", "does not apply to custom: kernels, whose table fixes the variance")
+        if "d2_bound" in self.checks and family not in D2_CONSTANTS:
+            fail("checks", f"d2_bound has no constant for kernel {self.kernel!r}; "
+                           f"it needs one of: {', '.join(D2_CONSTANTS)}")
         if self.initial.startswith("file:"):
             for key in ("grid_length", "grid_points"):
                 if key in self.lines:

@@ -13,10 +13,6 @@ class InvalidKernelError(RosenauError, ValueError):
     """A background kernel fails its normalization or moment conditions."""
 
 
-class UnsupportedMomentError(RosenauError):
-    """Requested moment order exceeds what the kernel can provide."""
-
-
 class UnsupportedKernelError(RosenauError):
     """Operation requires a kernel family with a different structure."""
 

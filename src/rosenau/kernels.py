@@ -1,20 +1,27 @@
 """Background velocity distributions driving the kinetic approximation.
 
 A background kernel is a probability distribution M_eps with zero mean and
-variance eps^2 gamma^2.  The analytic Fourier symbol is the ground truth;
-atoms and densities are auxiliary representations validated against it.
-The associated generator symbol
+variance eps^2 gamma^2.  Its generator symbol
 
     A_eps(xi) = lam * (1 - symbol(xi)) / eps^2
 
-is the Fourier multiplier of the solution semigroup.  Kernels are frozen
+is the Fourier multiplier of the solution semigroup, and lam gamma^2 / 2 is
+the diffusivity of the limiting heat equation.  Kernels are frozen
 dataclasses: immutable after construction and safe to share across threads.
 
-Two presets are built in.  The "rosenau" family has a two-sided exponential
-density with scale eps*sigma, symbol 1/(1+(eps*sigma*xi)^2) and intensity
-lam = sigma^2.  The "central-diff" family is the balanced two-atom Bernoulli
-background at +-eps*sigma with symbol cos(eps*sigma*xi) and lam = 2; it
-reproduces the semi-discrete second-order central difference scheme.
+There are two representations, each with closed-form moments.
+
+- The "rosenau" family is a two-sided exponential density with scale
+  eps*sigma, symbol 1/(1+(eps*sigma*xi)^2) and intensity lam = sigma^2.
+- Every other kernel is a finite mirror-symmetric set of atoms (v, w) given
+  at unit scale and placed at eps*sigma*v.  With m2 = sum w v^2 over the unit
+  atoms, lam = 2/m2 and gamma = sigma sqrt(m2), so the limiting diffusivity
+  is sigma^2 at every eps.  The symbol is sum w cos(v xi) and 1 - symbol is
+  2 sum w sin^2(v xi / 2), each +-v pair folded into one real term, so the
+  generator suffers no cancellation near xi = 0.  "central-diff" is the
+  two-atom instance +-1 at weight 1/2 (lam = 2), which reproduces the
+  semi-discrete second-order central difference scheme; "custom:<path>"
+  reads the unit-scale atoms from a two-column text file.
 """
 
 from __future__ import annotations
@@ -24,25 +31,14 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.interpolate import CubicSpline
 
-from .errors import (
-    InvalidKernelError,
-    InvalidParameterError,
-    UnsupportedKernelError,
-    UnsupportedMomentError,
-)
+from .errors import InvalidKernelError, InvalidParameterError
 
 Array = np.ndarray
 
 ROSENAU = "rosenau"
 CENTRAL_DIFF = "central-diff"
 CUSTOM = "custom"
-
-# Quadrature window for the exponential density, in units of the Laplace
-# scale.  exp(-40) ~ 4e-18, negligible against the 1e-12 quadrature target.
-_DENSITY_WINDOW = 40.0
 
 
 @dataclass(frozen=True)
@@ -53,19 +49,19 @@ class BackgroundKernel:
     ``one_minus_symbol`` evaluates 1 - symbol(xi) in a cancellation-free
     form; the generator divides this by eps^2, so evaluating the naive
     difference would amplify roundoff by 1/eps^2 near xi = 0.
+    ``atoms`` holds the (location, weight) pairs of an atomic kernel;
+    ``density`` the density of the exponential one.
     """
 
     family: str
     epsilon: float
+    sigma: float
     lam: float
     gamma: float
     symbol: Callable[[Array], Array]
     one_minus_symbol: Callable[[Array], Array]
     atoms: Tuple[Tuple[float, float], ...] = ()
     density: Optional[Callable[[Array], Array]] = None
-    density_halfwidth: float = 0.0
-    max_moment: float = math.inf
-    sigma: Optional[float] = None
 
     @property
     def sigma_sq(self) -> float:
@@ -106,158 +102,100 @@ def rosenau_kernel(epsilon: float, sigma: float) -> BackgroundKernel:
     def density(v):
         return np.exp(-np.abs(np.asarray(v)) / a) / (2.0 * a)
 
-    kernel = BackgroundKernel(
+    return BackgroundKernel(
         family=ROSENAU,
         epsilon=float(epsilon),
+        sigma=float(sigma),
         lam=float(sigma) ** 2,
         gamma=math.sqrt(2.0) * float(sigma),
         symbol=symbol,
         one_minus_symbol=one_minus,
         density=density,
-        density_halfwidth=_DENSITY_WINDOW * a,
-        max_moment=math.inf,
-        sigma=float(sigma),
     )
-    validate_kernel(kernel)
-    return kernel
+
+
+def _pair_sum(fn, locations, coefs, x):
+    """sum_j coefs[j] * fn(locations[j] * x); the first term is the accumulator."""
+    terms = (c * fn(v * x) for v, c in zip(locations, coefs))
+    total = next(terms)
+    for term in terms:
+        total += term
+    return total
+
+
+def atomic_kernel(atoms, epsilon: float, sigma: float, family: str = CUSTOM) -> BackgroundKernel:
+    """Kernel of mirror-symmetric (location, weight) atoms given at unit scale.
+
+    The atoms are placed at eps*sigma*location.  The input is checked
+    exactly: finite values, positive weights, total weight 1 within
+    1e-12, distinct locations, every atom (v, w) matched by (-v, w), and
+    a positive, finite second moment.
+    """
+    _require_positive(epsilon=epsilon, sigma=sigma)
+    table = np.asarray(atoms, dtype=float)
+    if table.ndim != 2 or table.shape[1] != 2 or len(table) == 0:
+        raise InvalidKernelError(f"expected rows of (location, weight), got shape {table.shape}")
+    if not np.all(np.isfinite(table)):
+        raise InvalidKernelError("atom locations and weights must be finite")
+    v, w = table[np.argsort(table[:, 0], kind="stable")].T
+    if not np.all(w > 0):
+        raise InvalidKernelError(f"atom weights must be positive, got {float(w.min())!r}")
+    mass = math.fsum(w)
+    if abs(mass - 1.0) > 1e-12:
+        raise InvalidKernelError(f"atom weights sum to {mass!r}, expected 1 (unit mass)")
+    if np.any(np.diff(v) == 0):
+        raise InvalidKernelError("atom locations must be distinct")
+    if not (np.array_equal(v, -v[::-1]) and np.array_equal(w, w[::-1])):
+        raise InvalidKernelError("atoms must be mirror-symmetric: each (v, w) needs (-v, w)")
+    m2 = math.fsum(wi * vi * vi for vi, wi in zip(v.tolist(), w.tolist()))
+    if not 0.0 < m2 < math.inf:
+        raise InvalidKernelError(f"second moment sum w v^2 = {m2!r} must be positive and finite")
+
+    a = float(epsilon) * float(sigma)
+    pos = v > 0
+    locs, half_locs = a * v[pos], 0.5 * (a * v[pos])
+    # a +-v pair of weight w each contributes 2w cos(v xi) and 4w sin^2(v xi/2)
+    cos_coefs, sin2_coefs = 2.0 * w[pos], 4.0 * w[pos]
+    center = math.fsum(w[v == 0])
+
+    def symbol(xi):
+        total = _pair_sum(np.cos, locs, cos_coefs, np.asarray(xi))
+        return total + center if center else total
+
+    def one_minus(xi):
+        return _pair_sum(lambda z: np.sin(z) ** 2, half_locs, sin2_coefs, np.asarray(xi))
+
+    return BackgroundKernel(
+        family=family,
+        epsilon=float(epsilon),
+        sigma=float(sigma),
+        lam=2.0 / m2,
+        gamma=float(sigma) * math.sqrt(m2),
+        symbol=symbol,
+        one_minus_symbol=one_minus,
+        atoms=tuple(zip((a * v).tolist(), w.tolist())),
+    )
 
 
 def bernoulli_kernel(epsilon: float, sigma: float) -> BackgroundKernel:
     """Balanced Bernoulli background: atoms of mass 1/2 at -eps*sigma and +eps*sigma."""
-    _require_positive(epsilon=epsilon, sigma=sigma)
-    a = epsilon * sigma
-
-    def symbol(xi):
-        return np.cos(a * np.asarray(xi))
-
-    def one_minus(xi):
-        # 1 - cos(x) = 2 sin^2(x/2), exact near x = 0
-        return 2.0 * np.sin(0.5 * a * np.asarray(xi)) ** 2
-
-    kernel = BackgroundKernel(
-        family=CENTRAL_DIFF,
-        epsilon=float(epsilon),
-        lam=2.0,
-        gamma=float(sigma),
-        symbol=symbol,
-        one_minus_symbol=one_minus,
-        atoms=((-a, 0.5), (a, 0.5)),
-        max_moment=math.inf,
-        sigma=float(sigma),
-    )
-    validate_kernel(kernel)
-    return kernel
+    return atomic_kernel(((-1.0, 0.5), (1.0, 0.5)), epsilon, sigma, family=CENTRAL_DIFF)
 
 
-def tabulated_kernel(path: str, epsilon: float, lam: float) -> BackgroundKernel:
-    """Kernel from a two-column text file of (xi, symbol) samples.
-
-    The symbol is interpolated with a cubic spline.  Unit mass and zero
-    first moment are enforced at construction; gamma is derived from the
-    curvature of the tabulated symbol at the origin.  Only moments up to
-    order two are certified, so ``max_moment`` is 2.  The 1 - symbol form
-    is the naive difference here, so tabulated kernels inherit the table's
-    accuracy near the origin rather than the analytic presets' stability.
-    """
-    _require_positive(epsilon=epsilon, lam=lam)
-    table = np.loadtxt(path, ndmin=2)
-    if table.shape[1] < 2:
-        raise InvalidKernelError(f"{path}: expected two columns (xi, symbol)")
-    xi_tab = table[:, 0]
-    m_tab = table[:, 1]
-    order = np.argsort(xi_tab)
-    xi_tab, m_tab = xi_tab[order], m_tab[order]
-    if np.any(np.diff(xi_tab) <= 0):
-        raise InvalidKernelError(f"{path}: xi samples must be strictly increasing")
-    spline = CubicSpline(xi_tab, m_tab)
-    lo, hi = float(xi_tab[0]), float(xi_tab[-1])
-
-    def symbol(xi):
-        x = np.asarray(xi, dtype=float)
-        if np.any(x < lo) or np.any(x > hi):
-            raise InvalidParameterError(
-                f"tabulated symbol sampled on [{lo:g}, {hi:g}], requested outside"
-            )
-        return spline(x)
-
-    def one_minus(xi):
-        return 1.0 - symbol(xi)
-
-    m2 = float(-spline.derivative(2)(0.0))
-    if m2 <= 0:
-        raise InvalidKernelError(f"{path}: symbol curvature at 0 gives nonpositive variance")
-    # refine with the same stencil the validator uses, so the derived gamma
-    # and the validation curvature agree to roundoff
-    for _ in range(2):
-        m2 = -_fd_curvature(symbol, math.sqrt(m2)).real
-    kernel = BackgroundKernel(
-        family=CUSTOM,
-        epsilon=float(epsilon),
-        lam=float(lam),
-        gamma=math.sqrt(m2) / float(epsilon),
-        symbol=symbol,
-        one_minus_symbol=one_minus,
-        max_moment=2,
-    )
-    validate_kernel(kernel)
-    return kernel
+def tabulated_kernel(path: str, epsilon: float, sigma: float) -> BackgroundKernel:
+    """Atomic kernel from a text file of unit-scale (location, weight) rows."""
+    return atomic_kernel(np.loadtxt(path, ndmin=2), epsilon, sigma)
 
 
-def kernel_by_name(name: str, epsilon: float, sigma: float = 1.0, lam: float = None) -> BackgroundKernel:
+def kernel_by_name(name: str, epsilon: float, sigma: float = 1.0) -> BackgroundKernel:
     """Resolve the external name strings "rosenau", "central-diff", "custom:<path>"."""
     if name == ROSENAU:
         return rosenau_kernel(epsilon, sigma)
     if name == CENTRAL_DIFF:
         return bernoulli_kernel(epsilon, sigma)
     if name.startswith("custom:"):
-        return tabulated_kernel(name.split(":", 1)[1], epsilon, lam if lam is not None else 2.0)
+        return tabulated_kernel(name.split(":", 1)[1], epsilon, sigma)
     raise InvalidParameterError(f"unknown kernel family {name!r}")
-
-
-def _fd_slope(symbol, scale: float) -> complex:
-    """Fourth-order first derivative of the symbol at 0; equals -i * mean."""
-    h = 0.005 / max(scale, 1e-300)
-    pts = np.array([-2.0, -1.0, 1.0, 2.0]) * h
-    vals = np.asarray(symbol(pts), dtype=complex)
-    return (vals[0] - 8.0 * vals[1] + 8.0 * vals[2] - vals[3]) / (12.0 * h)
-
-
-def _fd_curvature(symbol, scale: float) -> complex:
-    """Fourth-order second derivative of the symbol at 0; equals -m2."""
-    h = 0.005 / max(scale, 1e-300)
-    pts = np.array([-2.0, -1.0, 1.0, 2.0]) * h
-    vals = np.asarray(symbol(pts), dtype=complex)
-    s0 = complex(np.asarray(symbol(0.0), dtype=complex))
-    return (-vals[0] + 16.0 * vals[1] - 30.0 * s0 + 16.0 * vals[2] - vals[3]) / (12.0 * h * h)
-
-
-def validate_kernel(kernel: BackgroundKernel, mass_tol: float = 1e-12,
-                    mean_tol: float = 1e-10, var_rtol: float = 1e-8) -> None:
-    """Enforce the normalization conditions: unit mass, zero mean, variance eps^2 gamma^2.
-
-    Mean and variance are read off finite-difference derivatives of the
-    symbol at the origin (fourth-order stencils; the step is tied to the
-    kernel scale so truncation stays below the stated tolerances).
-    If both atoms and a density are present their masses must sum to one.
-    """
-    s0 = complex(np.asarray(kernel.symbol(0.0), dtype=complex))
-    if abs(s0 - 1.0) > mass_tol:
-        raise InvalidKernelError(f"symbol(0) = {s0}, expected 1 (unit mass)")
-
-    mean = abs(_fd_slope(kernel.symbol, kernel.scale))
-    if mean > mean_tol * max(1.0, kernel.scale):
-        raise InvalidKernelError(f"first moment {mean:.3e} exceeds tolerance")
-    m2 = -_fd_curvature(kernel.symbol, kernel.scale).real
-    target = (kernel.epsilon * kernel.gamma) ** 2
-    if abs(m2 - target) > var_rtol * target:
-        raise InvalidKernelError(
-            f"second moment from curvature {m2:.12e} != eps^2 gamma^2 = {target:.12e}"
-        )
-    if kernel.atoms and kernel.density is not None:
-        atom_mass = sum(w for _, w in kernel.atoms)
-        dens_mass = _density_moment(kernel, 0, signed=False)
-        if abs(atom_mass + dens_mass - 1.0) > 1e-10:
-            raise InvalidKernelError("atom and density masses do not sum to 1")
 
 
 def generator_symbol(kernel: BackgroundKernel, xi) -> Array:
@@ -265,66 +203,30 @@ def generator_symbol(kernel: BackgroundKernel, xi) -> Array:
     return kernel.lam * np.asarray(kernel.one_minus_symbol(xi)) / kernel.epsilon**2
 
 
-def _density_moment(kernel: BackgroundKernel, k: int, signed: bool) -> float:
-    if kernel.density is None:
-        return 0.0
-    half = kernel.density_halfwidth
+def kernel_moment(kernel: BackgroundKernel, k: int, signed: bool = False) -> float:
+    """k-th moment of M_eps in closed form: of |v|^k, or of v^k if ``signed``.
 
-    def f(v):
-        w = v**k if signed else abs(v) ** k
-        return w * float(kernel.density(v))
-
-    # split at 0: the built-in density has a kink there
-    left, _ = quad(f, -half, 0.0, epsabs=1e-12, epsrel=1e-12, limit=200)
-    right, _ = quad(f, 0.0, half, epsabs=1e-12, epsrel=1e-12, limit=200)
-    return left + right
-
-
-def kernel_moment(kernel: BackgroundKernel, k: int, signed: bool = False,
-                  method: str = "quadrature") -> float:
-    """k-th moment of M_eps: sum over atoms plus quadrature of the density part.
-
-    ``signed`` integrates v^k instead of |v|^k (they agree for the symmetric
-    built-in families at even k; signed odd moments vanish).  ``method``
-    may be "closed" for the presets, where |v|-moments are k! (eps sigma)^k
-    for the exponential density and (eps sigma)^k for the Bernoulli atoms.
+    Atoms give sum w |v|^k; the exponential density gives k! (eps sigma)^k.
+    Both representations are symmetric, so signed odd moments are 0.
     """
     if k < 0 or int(k) != k:
         raise InvalidParameterError(f"moment order must be a nonnegative integer, got {k}")
     k = int(k)
-    if k > kernel.max_moment:
-        raise UnsupportedMomentError(
-            f"moment {k} not available: kernel certifies orders <= {kernel.max_moment}"
-        )
-    if method == "closed":
-        return _closed_moment(kernel, k, signed)
-    if method != "quadrature":
-        raise InvalidParameterError(f"unknown moment method {method!r}")
-    total = sum(w * ((v**k) if signed else abs(v) ** k) for v, w in kernel.atoms)
-    return total + _density_moment(kernel, k, signed)
-
-
-def _closed_moment(kernel: BackgroundKernel, k: int, signed: bool) -> float:
-    a = kernel.epsilon * (kernel.sigma if kernel.sigma is not None else kernel.gamma)
-    if kernel.family == ROSENAU:
-        if signed and k % 2 == 1:
-            return 0.0
-        return math.factorial(k) * a**k
-    if kernel.family == CENTRAL_DIFF:
-        if signed and k % 2 == 1:
-            return 0.0
-        return a**k
-    raise UnsupportedKernelError("closed-form moments exist only for the built-in families")
+    if signed and k % 2 == 1:
+        return 0.0
+    try:
+        m = (math.fsum(w * abs(v) ** k for v, w in kernel.atoms) if kernel.atoms
+             else math.factorial(k) * (kernel.epsilon * kernel.sigma) ** k)
+    except OverflowError:
+        m = math.inf
+    if not math.isfinite(m):
+        raise InvalidParameterError(f"moment {k} of {kernel.label()} overflows a double")
+    return m
 
 
 def b_epsilon(kernel: BackgroundKernel) -> float:
-    """Scaled fourth moment 2 m4 / eps^2 controlling the d3 convergence rate.
-
-    Uses the signed fourth moment, identical to the absolute one here since
-    both built-in families are symmetric.
-    """
-    m4 = kernel_moment(kernel, 4, signed=True)
-    return 2.0 * m4 / kernel.epsilon**2
+    """Scaled fourth moment 2 m4 / eps^2 controlling the d3 convergence rate."""
+    return 2.0 * kernel_moment(kernel, 4, signed=True) / kernel.epsilon**2
 
 
 def symbol_deviation(kernel: BackgroundKernel, sigma_sq: float, R: float,

@@ -37,6 +37,12 @@ def gauss_unit(grid):
     return gaussian_field(grid, 1.0)
 
 
+def write_atoms(path, rows):
+    """Unit-scale (location, weight) rows in the custom: kernel file format."""
+    np.savetxt(path, np.asarray(rows, dtype=float))
+    return str(path)
+
+
 def simpson_moment(density_fn, k, half, n=400_001, signed=False):
     """Independent moment oracle: Simpson rule on a dense symmetric grid."""
     from scipy.integrate import simpson

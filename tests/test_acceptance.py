@@ -212,13 +212,13 @@ class TestCriterion06D3Bound:
         ok_cd = abs(b_cd - 2.0 * 0.1**2) <= 1e-14
         b_ros = b_epsilon(rosenau_kernel(0.1, 1.0))
         ok_ros = abs(b_ros - 48.0 * 0.1**2) <= 1e-9 * 48.0 * 0.1**2
-        # flagged scaling: quadrature gives an eps^2 family, not eps^3
+        # flagged scaling: the exact m4 gives an eps^2 family, not eps^3
         ratio = b_epsilon(rosenau_kernel(0.2, 1.0)) / b_ros
         ok_flag = abs(ratio - 4.0) <= 1e-6
         ok = ok_bounds and ok_cd and ok_ros and ok_flag
         report(6, ok,
                f"d3 bounds: {ok_bounds}; B(central-diff) = {b_cd:.6g} (= 2 eps^2 sigma^4); "
-               f"B(rosenau) = {b_ros:.6g} (= 48 eps^2 sigma^4 by quadrature; eps-doubling "
+               f"B(rosenau) = {b_ros:.6g} (= 48 eps^2 sigma^4 exactly; eps-doubling "
                f"ratio {ratio:.3f} flags the eps^2 scaling of this family)")
 
 

@@ -3,14 +3,16 @@ import json
 import math
 import os
 
-import numpy as np
 import pytest
 
 from rosenau.cli import main
 from rosenau.config import ExperimentConfig, load_config, parse_config
 from rosenau.errors import ConfigError
+from rosenau.kernels import kernel_by_name
 from rosenau.runner import CSV_HEADER, RunError, compute_rows, run
 from rosenau.spectral import load_distribution
+
+from conftest import write_atoms
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
@@ -81,16 +83,32 @@ class TestConfigParsing:
         assert main(["metrics", "--config", str(path), "--out", str(tmp_path)]) == 2
         assert f"line {bad_line}" in capsys.readouterr().err
 
-    def test_sigma_with_custom_kernel_exit_2(self, tmp_path, capsys):
-        table = tmp_path / "kernel.txt"
-        xi = np.linspace(-400.0, 400.0, 8001)
-        np.savetxt(table, np.column_stack([xi, np.cos(0.1 * xi)]))
+    def test_sigma_scales_custom_kernel(self, tmp_path):
+        table = write_atoms(tmp_path / "atoms.txt", [(-1.0, 0.25), (0.0, 0.5), (1.0, 0.25)])
         cfg = tmp_path / "custom.cfg"
         cfg.write_text(f"kernel = custom:{table}\nsigma = 2\nepsilons = 0.1\n"
-                       "times = 1\nmetrics = mass\n")
-        assert main(["metrics", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+                       "times = 1\nmetrics = m2\n")
+        parsed = load_config(str(cfg))
+        kernel = kernel_by_name(parsed.kernel, 0.1, parsed.sigma)
+        assert kernel.atoms == ((-0.2, 0.25), (0.0, 0.5), (0.2, 0.25))
+        assert kernel.sigma_sq == pytest.approx(4.0, rel=1e-15)
+        assert main(["metrics", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        # m2 of the solution from the unit Gaussian: 1 + 2 sigma^2 t
+        m2 = float((tmp_path / "out" / "results.csv").read_text().splitlines()[1].split(",")[4])
+        assert m2 == pytest.approx(9.0, rel=1e-9)
+
+    def test_d2_bound_with_custom_kernel_exit_2(self, tmp_path, capsys):
+        table = write_atoms(tmp_path / "atoms.txt", [(-1.0, 0.5), (1.0, 0.5)])
+        text = f"kernel = custom:{table}\nepsilons = 0.1\ntimes = 1\nchecks = d2_bound\n"
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        assert err.value.line == 4 and "rosenau" in str(err.value)
+        cfg = tmp_path / "custom.cfg"
+        cfg.write_text(text)
+        assert main(["check", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
-        assert "config error" in err and "line 2" in err and "sigma" in err
+        assert "config error" in err and "line 4" in err and "checks" in err
+        assert not (tmp_path / "out").exists()
 
     def test_grid_section_with_file_initial_rejected(self):
         with pytest.raises(ConfigError) as err:
@@ -234,8 +252,14 @@ class TestCli:
         assert "line 4" in err and "initial" in err and "non-finite" in err
         assert not os.path.exists(tmp_path / "out" / "results.csv")
 
-    @pytest.mark.parametrize("content", [None, "xi symbol\nzero one\n"],
-                             ids=["missing", "malformed"])
+    @pytest.mark.parametrize("content", [
+        None,
+        "xi symbol\nzero one\n",
+        "-1 0.4\n1 0.4\n",
+        "-1 0.5\n2 0.5\n",
+        "-1 -0.5\n0 2\n1 -0.5\n",
+        "-1 0.5\ninf 0.5\n",
+    ], ids=["missing", "malformed", "mass", "asymmetric", "negative", "non-finite"])
     def test_bad_custom_kernel_file_exit_2(self, tmp_path, capsys, content):
         table = tmp_path / "kernel.txt"
         if content is not None:
@@ -245,6 +269,52 @@ class TestCli:
         assert main(["metrics", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert "config error" in err and "line 1" in err and "kernel" in err
+        assert not os.path.exists(tmp_path / "out" / "results.csv")
+
+    def test_custom_two_atoms_reproduce_central_diff(self, tmp_path):
+        table = write_atoms(tmp_path / "atoms.txt", [(-1.0, 0.5), (1.0, 0.5)])
+        shipped = open(os.path.join(CONFIG_DIR, "decay_sweep.cfg")).read()
+        assert "kernel = central-diff\n" in shipped
+        cfg = tmp_path / "custom.cfg"
+        # d2_bound has no constant for custom kernels; the metrics ignore checks
+        cfg.write_text(shipped.replace("kernel = central-diff", f"kernel = custom:{table}")
+                       .replace(" d2_bound", ""))
+        for name, path in (("cd", os.path.join(CONFIG_DIR, "decay_sweep.cfg")), ("custom", cfg)):
+            assert main(["metrics", "--config", str(path), "--out", str(tmp_path / name),
+                         "--threads", "1"]) == 0
+        cd = (tmp_path / "cd" / "results.csv").read_text().splitlines()
+        custom = (tmp_path / "custom" / "results.csv").read_text().splitlines()
+        assert len(cd) == len(custom) > 1 and cd[0] == custom[0]
+        for a, b in zip(cd[1:], custom[1:]):
+            assert a.split(",")[0] == "central-diff" and b.split(",")[0] == f"custom:{table}"
+            assert a.split(",")[1:] == b.split(",")[1:]
+
+    def test_d3_bound_on_custom_kernel(self, tmp_path):
+        table = write_atoms(tmp_path / "atoms.txt",
+                            [(-2.0, 0.1), (-1.0, 0.2), (0.0, 0.4), (1.0, 0.2), (2.0, 0.1)])
+        cfg = tmp_path / "d3.cfg"
+        cfg.write_text(f"kernel = custom:{table}\nepsilons = 0.2 0.1\ntimes = 1 10 100\n"
+                       "initial = mixture-matched\nchecks = d3_bound\n")
+        out = tmp_path / "out"
+        assert main(["check", "--config", str(cfg), "--out", str(out)]) == 0
+        records = [json.loads(line) for line in open(out / "checks.jsonl")]
+        assert len(records) == 6 and all(r["satisfied"] for r in records)
+        # unit-scale m4 = 2 (0.1 * 16 + 0.2) = 3.6, so B_eps = 2 * 3.6 eps^2
+        b_eps = {r["params"]["eps"]: r["params"]["b_eps"] for r in records}
+        assert b_eps[0.1] == pytest.approx(7.2 * 0.1**2, rel=1e-12)
+
+    @pytest.mark.parametrize("command,key,other", [
+        ("metrics", "metrics", "checks = d2_bound"),
+        ("check", "checks", "metrics = mass"),
+    ])
+    def test_missing_run_list_exit_2(self, tmp_path, capsys, command, key, other):
+        cfg = tmp_path / "only.cfg"
+        cfg.write_text(f"kernel = rosenau\nepsilons = 0.1\ntimes = 1\n{other}\n")
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and f"{key}:" in err
+        assert not out.exists()
 
     def test_missing_config_exit_2(self, capsys):
         assert main(["metrics", "--config", "/nonexistent.cfg"]) == 2

@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rosenau import (
+    atomic_kernel,
     b_epsilon,
     bernoulli_kernel,
     generator_symbol,
@@ -13,13 +16,10 @@ from rosenau import (
     symbol_deviation,
     tabulated_kernel,
 )
-from rosenau.errors import (
-    InvalidKernelError,
-    InvalidParameterError,
-    UnsupportedMomentError,
-)
+from rosenau.errors import InvalidKernelError, InvalidParameterError
 
-from conftest import simpson_moment
+from conftest import simpson_moment, write_atoms
+
 
 
 class TestFactories:
@@ -30,7 +30,7 @@ class TestFactories:
         assert k.lam == 1.0
 
     def test_rosenau_second_moment_is_laplace(self):
-        # quadrature of v^2 exp(-|v|)/2 rescaled: Laplace m2 = 2 (eps sigma)^2
+        # Laplace m2 = 2 (eps sigma)^2, pinned to a Simpson oracle of the density
         k = rosenau_kernel(0.5, 2.0)
         assert kernel_moment(k, 2) == pytest.approx(2.0, rel=1e-10)
         oracle = simpson_moment(k.density, 2, half=50.0)
@@ -60,12 +60,21 @@ class TestFactories:
             kernel_by_name("heat", 0.2)
 
     def test_kernel_by_name_custom_path(self, tmp_path):
-        path = tmp_path / "tab.txt"
-        xi = np.linspace(-80, 80, 8001)
-        np.savetxt(path, np.column_stack([xi, np.cos(0.3 * xi)]))
-        k = kernel_by_name(f"custom:{path}", epsilon=0.3, lam=2.0)
+        path = write_atoms(tmp_path / "atoms.txt", [(-1.0, 0.5), (1.0, 0.5)])
+        k = kernel_by_name(f"custom:{path}", epsilon=0.3)
         assert k.family == "custom"
-        assert k.gamma == pytest.approx(1.0, rel=1e-5)
+        assert k.atoms == ((-0.3, 0.5), (0.3, 0.5))
+        assert k.lam == 2.0 and k.gamma == 1.0
+
+    def test_central_diff_is_two_atom_instance(self):
+        # the shared atomic sums reproduce the closed forms bit for bit
+        eps, sigma = 0.05, 1.3
+        a = eps * sigma
+        k = bernoulli_kernel(eps, sigma)
+        xi = np.linspace(-300.0, 300.0, 4097)
+        assert np.array_equal(k.symbol(xi), np.cos(a * xi))
+        assert np.array_equal(k.one_minus_symbol(xi), 2.0 * np.sin(0.5 * a * xi) ** 2)
+        assert k.atoms == ((-a, 0.5), (a, 0.5))
 
 
 class TestGeneratorSymbol:
@@ -103,7 +112,6 @@ class TestMoments:
         oracle = simpson_moment(k.density, 4, half=60.0)
         assert oracle == pytest.approx(24.0, rel=1e-8)
         assert kernel_moment(k, 4) == pytest.approx(24.0, rel=1e-9)
-        assert kernel_moment(k, 4, method="closed") == pytest.approx(24.0, rel=1e-15)
 
     def test_any_kernel_zeroth_moment(self, ros_kernel, cd_kernel):
         assert kernel_moment(ros_kernel, 0) == pytest.approx(1.0, abs=1e-12)
@@ -116,14 +124,24 @@ class TestMoments:
             assert abs(kernel_moment(k, 1, signed=True)) <= 1e-10
             assert kernel_moment(k, 2) == pytest.approx(target, rel=1e-8)
 
-    def test_unsupported_moment(self, tmp_path):
-        path = tmp_path / "table.txt"
-        xi = np.linspace(-80, 80, 4001)
-        np.savetxt(path, np.column_stack([xi, np.cos(0.3 * xi)]))
-        k = tabulated_kernel(str(path), epsilon=0.3, lam=2.0)
-        with pytest.raises(UnsupportedMomentError):
-            kernel_moment(k, 4)
-        with pytest.raises(UnsupportedMomentError):
+    def test_custom_fourth_moment_exact(self, tmp_path):
+        # +-1 and +-2 at 1/4 each: unit-scale m2 = 5/2 and m4 = 17/2
+        rows = [(-2.0, 0.25), (-1.0, 0.25), (1.0, 0.25), (2.0, 0.25)]
+        k = tabulated_kernel(write_atoms(tmp_path / "atoms.txt", rows), epsilon=0.3, sigma=1.0)
+        assert kernel_moment(k, 4) == pytest.approx(8.5 * 0.3**4, rel=1e-14)
+        assert kernel_moment(k, 3, signed=True) == 0.0
+        assert b_epsilon(k) == pytest.approx(2.0 * 8.5 * 0.3**2, rel=1e-14)
+        assert k.sigma_sq == pytest.approx(1.0, rel=1e-15)
+
+
+    @pytest.mark.parametrize("make", [
+        lambda: rosenau_kernel(0.1, 1e78),
+        lambda: atomic_kernel([(-1e80, 0.5), (1e80, 0.5)], 0.1, 1.0),
+    ], ids=["rosenau", "atoms"])
+    def test_overflowing_moment_rejected(self, make):
+        k = make()
+        assert math.isfinite(kernel_moment(k, 2))
+        with pytest.raises(InvalidParameterError, match="overflows"):
             b_epsilon(k)
 
 
@@ -133,7 +151,7 @@ class TestBEpsilon:
         assert b_epsilon(k) == pytest.approx(2.0 * 0.1**2, rel=1e-13)
 
     def test_rosenau_value_48(self):
-        # 2 * 24 (eps sigma)^4 / eps^2 at eps = sigma = 1; quadrature, eps^2 family
+        # 2 * 24 (eps sigma)^4 / eps^2 at eps = sigma = 1; an eps^2 family
         k = rosenau_kernel(1.0, 1.0)
         assert b_epsilon(k) == pytest.approx(48.0, rel=1e-9)
 
@@ -194,27 +212,96 @@ class TestSymbolMeasureDuality:
 
 class TestTabulatedKernel:
     def test_valid_table_roundtrip(self, tmp_path):
-        path = tmp_path / "cd.txt"
-        xi = np.linspace(-100, 100, 8001)
-        np.savetxt(path, np.column_stack([xi, np.cos(0.5 * xi)]))
-        k = tabulated_kernel(str(path), epsilon=0.5, lam=2.0)
-        # curvature of cos(0.5 xi) gives m2 = 0.25, so gamma = 1; accuracy is
-        # bounded by the spline curvature error O(spacing^2)
-        assert k.gamma == pytest.approx(1.0, rel=1e-5)
-        assert k.symbol(2.0) == pytest.approx(math.cos(1.0), abs=1e-9)
+        rows = [(2.0, 0.125), (-1.0, 0.25), (0.0, 0.25), (1.0, 0.25), (-2.0, 0.125)]
+        k = tabulated_kernel(write_atoms(tmp_path / "atoms.txt", rows), epsilon=0.5, sigma=2.0)
+        # unit-scale m2 = 3/2: lam = 4/3, gamma = 2 sqrt(3/2), limiting diffusivity sigma^2
+        assert k.lam == pytest.approx(4.0 / 3.0, rel=1e-15)
+        assert k.gamma == pytest.approx(2.0 * math.sqrt(1.5), rel=1e-15)
+        assert k.sigma_sq == pytest.approx(4.0, rel=1e-15)
+        assert k.atoms == ((-2.0, 0.125), (-1.0, 0.25), (0.0, 0.25), (1.0, 0.25), (2.0, 0.125))
+        xi = np.linspace(-20.0, 20.0, 801)
+        direct = sum(w * np.exp(-1j * xi * v) for v, w in k.atoms)
+        assert np.max(np.abs(direct - k.symbol(xi))) <= 1e-14
+        assert np.max(np.abs(1.0 - direct - k.one_minus_symbol(xi))) <= 1e-14
+
+    def test_no_cancellation_near_origin(self, tmp_path):
+        rows = [(-3.0, 0.2), (-1.0, 0.3), (1.0, 0.3), (3.0, 0.2)]
+        k = tabulated_kernel(write_atoms(tmp_path / "atoms.txt", rows), epsilon=0.01, sigma=1.0)
+        xi = np.array([1e-9, 1e-6, 1e-3])
+        # A_eps(xi) = sigma^2 xi^2 (1 + O(eps^2 xi^2)); the naive 1 - symbol gives 0 at 1e-9
+        assert np.allclose(generator_symbol(k, xi), xi**2, rtol=1e-9, atol=0.0)
 
     def test_bad_mass_rejected(self, tmp_path):
-        path = tmp_path / "bad.txt"
-        xi = np.linspace(-10, 10, 801)
-        np.savetxt(path, np.column_stack([xi, 0.9 * np.cos(xi)]))
-        with pytest.raises(InvalidKernelError):
-            tabulated_kernel(str(path), epsilon=1.0, lam=1.0)
+        path = write_atoms(tmp_path / "bad.txt", [(-1.0, 0.45), (1.0, 0.45)])
+        with pytest.raises(InvalidKernelError, match="unit mass"):
+            tabulated_kernel(path, epsilon=1.0, sigma=1.0)
 
     def test_nonzero_mean_rejected(self, tmp_path):
-        path = tmp_path / "skew.txt"
-        xi = np.linspace(-10, 10, 2001)
-        # odd perturbation puts a nonzero slope (first moment) at the origin
-        vals = np.cos(0.5 * xi) + 0.05 * np.sin(xi)
-        np.savetxt(path, np.column_stack([xi, vals]))
+        path = write_atoms(tmp_path / "skew.txt", [(-1.0, 0.5), (2.0, 0.5)])
+        with pytest.raises(InvalidKernelError, match="mirror-symmetric"):
+            tabulated_kernel(path, epsilon=1.0, sigma=1.0)
+
+    @pytest.mark.parametrize("rows,match", [
+        ([(-1.0, -0.5), (0.0, 2.0), (1.0, -0.5)], "positive"),
+        ([(-1.0, 0.5), (1.0, float("nan"))], "finite"),
+        ([(-math.inf, 0.5), (math.inf, 0.5)], "finite"),
+        ([(-1.0, 0.25), (-1.0, 0.25), (1.0, 0.25), (1.0, 0.25)], "distinct"),
+        ([(0.0, 1.0)], "second moment"),
+        ([(-1e200, 0.5), (1e200, 0.5)], "second moment"),
+        ([(-1.0, 0.5, 0.0), (1.0, 0.5, 0.0)], "rows of"),
+    ], ids=["negative", "nan", "inf", "duplicate", "degenerate", "m2-overflow", "columns"])
+    def test_invalid_atoms_rejected(self, rows, match):
+        with pytest.raises(InvalidKernelError, match=match):
+            atomic_kernel(rows, 0.1, 1.0)
+
+
+@st.composite
+def unit_atoms(draw):
+    """Random mirror-symmetric unit-scale atoms, in random order, with unit mass."""
+    locs = draw(st.lists(st.floats(0.01, 50.0), min_size=1, max_size=6, unique=True))
+    raw = draw(st.lists(st.floats(0.01, 1.0), min_size=len(locs), max_size=len(locs)))
+    center = draw(st.one_of(st.just(0.0), st.floats(0.01, 1.0)))
+    total = 2.0 * math.fsum(raw) + center
+    rows = [(s * v, r / total) for v, r in zip(locs, raw) for s in (-1.0, 1.0)]
+    if center:
+        rows.append((0.0, center / total))
+    return draw(st.permutations(rows))
+
+
+class TestAtomicProperties:
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(rows=unit_atoms(), eps=st.floats(0.01, 1.0), sigma=st.floats(0.1, 10.0))
+    def test_exact_moments_and_symbol(self, rows, eps, sigma):
+        k = atomic_kernel(rows, eps, sigma)
+        v = np.array([r[0] for r in rows])
+        w = np.array([r[1] for r in rows])
+        a = eps * sigma
+        assert kernel_moment(k, 0) == pytest.approx(1.0, abs=1e-12)
+        assert kernel_moment(k, 1, signed=True) == 0.0
+        assert kernel_moment(k, 2) == pytest.approx(a**2 * math.fsum(w * v**2), rel=1e-12)
+        assert kernel_moment(k, 2) == pytest.approx(k.scale**2, rel=1e-12)
+        assert k.sigma_sq == pytest.approx(sigma**2, rel=1e-12)
+        assert b_epsilon(k) == pytest.approx(2.0 * a**4 * math.fsum(w * v**4) / eps**2, rel=1e-12)
+        xi = np.linspace(-64.0, 64.0, 2049)
+        sym, om = k.symbol(xi), k.one_minus_symbol(xi)
+        assert np.max(np.abs(sym)) <= 1.0 + 1e-12
+        assert np.min(generator_symbol(k, xi)) >= 0.0
+        assert np.max(np.abs(sym + om - 1.0)) <= 1e-12
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(rows=unit_atoms(), data=st.data())
+    def test_perturbed_atoms_rejected(self, rows, data):
+        rows = [list(r) for r in rows]
+        i = data.draw(st.integers(0, len(rows) - 1))
+        kind = data.draw(st.sampled_from(["mass", "shift", "negative", "nan", "inf"]))
+        if kind == "mass":
+            rows = [[v, w * (1.0 + 1e-9)] for v, w in rows]
+        elif kind == "shift":
+            i = max(range(len(rows)), key=lambda j: abs(rows[j][0]))
+            rows[i][0] *= 1.0 + 1e-9
+        elif kind == "negative":
+            rows[i][1] = -rows[i][1]
+        else:
+            rows[i][data.draw(st.integers(0, 1))] = float(kind)
         with pytest.raises(InvalidKernelError):
-            tabulated_kernel(str(path), epsilon=1.0, lam=1.0)
+            atomic_kernel(rows, 0.1, 1.0)
