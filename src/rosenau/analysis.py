@@ -30,9 +30,10 @@ from .spectral import (
     field_from_symbol,
     gaussian_field,
     gaussian_reference,
+    heat_multiplier,
     heat_propagate,
     inverse_transform,
-    regularized_propagator,
+    kinetic_multiplier,
     regularized_solution,
     require_grid_contains,
     rosenau_propagate,
@@ -167,22 +168,23 @@ class BoundCheck:
         return self.lhs <= self.rhs + BOUND_SLACK
 
 
-def _decay_checks(g0: SpectralField, sigma_sq: float, s: float, times: Sequence[float],
-                  solve: Callable[[float], SpectralField], rhs: Callable[[float, float], float],
-                  label: str, params: Dict[str, float]) -> List[BoundCheck]:
-    """d_s(rescaled solve(t), Gaussian profile) against rhs(d_s(g0, profile), t)."""
-    ref = gaussian_reference(g0.grid, sigma_sq)
-    d0 = ds_distance(g0, ref, s).value
-    return [BoundCheck(name=f"{label} t={t:g}",
-                       lhs=ds_distance(rescale(solve(t), t).field, ref, s).value,
-                       rhs=rhs(d0, t), params={**params, "t": t})
-            for t in times]
+def _decay_checks(kernel: Optional[BackgroundKernel], g0: SpectralField, sigma_sq: float,
+                  field: str, s: float, times: Sequence[float], lhs: Optional[Sequence[float]],
+                  rhs: Callable[[float, float], float], label: str,
+                  params: Dict[str, float]) -> List[BoundCheck]:
+    """lhs = d_s(field, profile) at each time (given or computed) against rhs(d_s(g0, profile), t)."""
+    d0 = ds_distance(g0, gaussian_reference(g0.grid, sigma_sq), s).value
+    if lhs is None:
+        points = (SweepPoint(kernel, g0, sigma_sq, t) for t in times)
+        lhs = [ds_distance(getattr(p, field), p.ref, s).value for p in points]
+    return [BoundCheck(name=f"{label} t={t:g}", lhs=value, rhs=rhs(d0, t),
+                       params={**params, "t": t}) for t, value in zip(times, lhs)]
 
 
-def exact_decay_check(g0: SpectralField, s: float, sigma_sq: float,
-                      times: Sequence[float]) -> List[BoundCheck]:
+def exact_decay_check(g0: SpectralField, s: float, sigma_sq: float, times: Sequence[float],
+                      lhs: Optional[Sequence[float]] = None) -> List[BoundCheck]:
     """Self-similar decay of the heat flow: d_s shrinks at least like (1+t)^-s/2."""
-    return _decay_checks(g0, sigma_sq, s, times, lambda t: heat_propagate(g0, sigma_sq, t),
+    return _decay_checks(None, g0, sigma_sq, "h_heat", s, times, lhs,
                          lambda d0, t: d0 / (1.0 + t) ** (0.5 * s),
                          f"heat-decay s={s:g}", {"s": s, "sigma_sq": sigma_sq})
 
@@ -190,8 +192,8 @@ def exact_decay_check(g0: SpectralField, s: float, sigma_sq: float,
 D2_CONSTANTS = {CENTRAL_DIFF: 1.5, ROSENAU: 0.5}
 
 
-def d2_bound_check(kernel: BackgroundKernel, g0: SpectralField,
-                   times: Sequence[float]) -> List[BoundCheck]:
+def d2_bound_check(kernel: BackgroundKernel, g0: SpectralField, times: Sequence[float],
+                   lhs: Optional[Sequence[float]] = None) -> List[BoundCheck]:
     """Energy-level decay bound for the rescaled kinetic solution.
 
     rhs combines the exact-decay term (1+t)^-1 d2(g0, omega) with the
@@ -202,8 +204,7 @@ def d2_bound_check(kernel: BackgroundKernel, g0: SpectralField,
         raise InvalidParameterError(f"no d2 bound constant for family {kernel.family!r}")
     c = math.sqrt(D2_CONSTANTS[kernel.family] * kernel.sigma_sq)
     eps = kernel.epsilon
-    return _decay_checks(g0, kernel.sigma_sq, 2.0, times,
-                         lambda t: rosenau_propagate(g0, kernel, t),
+    return _decay_checks(kernel, g0, kernel.sigma_sq, "h_kin", 2.0, times, lhs,
                          lambda d0, t: d0 / (1.0 + t) + c * eps * math.sqrt(t) / (1.0 + t),
                          f"d2-bound {kernel.family} eps={eps:g}",
                          {"eps": eps, "sigma": kernel.sigma})
@@ -212,8 +213,8 @@ def d2_bound_check(kernel: BackgroundKernel, g0: SpectralField,
 D3_PREFACTOR = 13.0 * math.sqrt(2.0) / 24.0
 
 
-def d3_bound_check(kernel: BackgroundKernel, g0: SpectralField,
-                   times: Sequence[float]) -> List[BoundCheck]:
+def d3_bound_check(kernel: BackgroundKernel, g0: SpectralField, times: Sequence[float],
+                   lhs: Optional[Sequence[float]] = None) -> List[BoundCheck]:
     """Fourth-moment-level decay bound with the B_eps^(3/4) suboptimal term.
 
     B_eps = 2 m4(M_eps)/eps^2 is the kernel's exact fourth moment (an atom
@@ -222,7 +223,7 @@ def d3_bound_check(kernel: BackgroundKernel, g0: SpectralField,
     """
     b_eps = b_epsilon(kernel)
     return _decay_checks(
-        g0, kernel.sigma_sq, 3.0, times, lambda t: rosenau_propagate(g0, kernel, t),
+        kernel, g0, kernel.sigma_sq, "h_kin", 3.0, times, lhs,
         lambda d0, t: d0 / (1.0 + t) ** 1.5 + D3_PREFACTOR * b_eps**0.75 * (math.sqrt(t) / (1.0 + t)) ** 1.5,
         f"d3-bound {kernel.family} eps={kernel.epsilon:g}", {"eps": kernel.epsilon, "b_eps": b_eps})
 
@@ -289,18 +290,16 @@ def l1_convergence_series(kernel: BackgroundKernel, g0: SpectralField,
     carries the data-independent propagator gap, which dominates the data
     gap by Young's inequality.
     """
-    if kernel.family != ROSENAU:
+    if kernel.family not in REGULARIZED_FAMILIES:
         raise UnsupportedKernelError("the regularized solution has a density only "
                                      "for the exponential family")
-    grid = g0.grid
     sigma_sq = kernel.sigma_sq
     m2_0 = moment(inverse_transform(g0), 2)
     out = []
     for t in sorted(times):
-        require_grid_contains(grid, m2_0 + 2.0 * sigma_sq * t, context=f"{kernel.label()} t={t:g}")
-        gap = l1_distance(heat_propagate(g0, sigma_sq, t), regularized_solution(g0, kernel, t))
-        pgap = l1_distance(heat_propagate(delta_field(grid), sigma_sq, t),
-                           regularized_propagator(kernel, t, grid))
+        require_grid_contains(g0.grid, m2_0 + 2.0 * sigma_sq * t, context=f"{kernel.label()} t={t:g}")
+        gap, pgap = (METRICS["l1_reg_gap"](SweepPoint(kernel, f, sigma_sq, t))[0]
+                     for f in (g0, delta_field(g0.grid)))
         out.append(L1Record(t=float(t), gap=gap, propagator_gap=pgap))
     return out
 
@@ -308,13 +307,11 @@ def l1_convergence_series(kernel: BackgroundKernel, g0: SpectralField,
 def heat_l1_series(g0: SpectralField, sigma_sq: float,
                    times: Sequence[float]) -> List[Tuple[float, float]]:
     """||g(t) - Omega(t)||_L1 for the heat flow, the classical baseline."""
-    grid = g0.grid
     m2_0 = moment(inverse_transform(g0), 2)
     out = []
     for t in sorted(times):
-        require_grid_contains(grid, m2_0 + 2.0 * sigma_sq * t, context=f"heat t={t:g}")
-        out.append((float(t), l1_distance(heat_propagate(g0, sigma_sq, t),
-                                          heat_propagate(delta_field(grid), sigma_sq, t))))
+        require_grid_contains(g0.grid, m2_0 + 2.0 * sigma_sq * t, context=f"heat t={t:g}")
+        out.append((float(t), SweepPoint(None, g0, sigma_sq, t).l1_heat_gap))
     return out
 
 
@@ -325,30 +322,45 @@ def heat_l1_series(g0: SpectralField, sigma_sq: float,
 class SweepPoint:
     """The fields one (eps, t) sweep point compares, each built at most once.
 
-    A field is built by its _POINT_FIELDS entry on first access and then
-    stored.  The entries look module-level names up when they run, so
-    tracers that rebind those names see every call.
+    Fields keyed by t alone (z = V(t) xi, ``datum`` = g0 at z, ``heat``,
+    ``h_heat``, ``ref``, ``l1_heat_gap``, ``d2_selfsim_heat``) live in
+    ``shared``, one memo for every eps at t; those keyed by (eps, t) (``sol``,
+    ``reg``, ``h_kin``, ``density``) live on the point.  Builders look names
+    up when they run, so tracers that rebind them see every call.
     """
 
-    def __init__(self, kernel: BackgroundKernel, g0: SpectralField, t: float):
-        self.kernel, self.g0, self.t = kernel, g0, t
+    def __init__(self, kernel: Optional[BackgroundKernel], g0: SpectralField,
+                 sigma_sq: float, t: float, shared: Optional[dict] = None):
+        self.kernel, self.g0, self.sigma_sq, self.t = kernel, g0, sigma_sq, t
+        self.shared = {} if shared is None else shared
 
-    def __getattr__(self, name: str):  # only reached for fields not built yet
-        if name not in _POINT_FIELDS:
+    def __getattr__(self, name: str):  # only reached for fields not on the point yet
+        if name not in FIELDS:
             raise AttributeError(name)
-        value = _POINT_FIELDS[name](self)
-        setattr(self, name, value)
-        return value
+        by_t, build = FIELDS[name]
+        store = self.shared if by_t else self.__dict__
+        if name not in store:
+            store[name] = build(self)
+        return store[name]
+
+    def rescaled(self, mult: Callable[[np.ndarray], np.ndarray]) -> SpectralField:
+        return SpectralField(self.g0.grid, self.datum * np.asarray(mult(self.z)))
 
 
-_POINT_FIELDS: Dict[str, Callable[[SweepPoint], object]] = {
-    "sol": lambda p: rosenau_propagate(p.g0, p.kernel, p.t),
-    "heat": lambda p: heat_propagate(p.g0, p.kernel.sigma_sq, p.t),
-    "reg": lambda p: regularized_solution(p.g0, p.kernel, p.t),
-    "h_kin": lambda p: rescale(p.sol, p.t).field,
-    "h_heat": lambda p: rescale(p.heat, p.t).field,
-    "ref": lambda p: gaussian_reference(p.g0.grid, p.kernel.sigma_sq),
-    "density": lambda p: inverse_transform(p.sol),
+# field -> (keyed by t alone, builder of a SweepPoint)
+FIELDS: Dict[str, Tuple[bool, Callable[[SweepPoint], object]]] = {
+    "z": (True, lambda p: rescale(p.g0, p.t).scale * p.g0.grid.xi()),
+    "datum": (True, lambda p: p.g0.at(p.z)),
+    "heat": (True, lambda p: heat_propagate(p.g0, p.sigma_sq, p.t)),
+    "h_heat": (True, lambda p: p.rescaled(heat_multiplier(p.sigma_sq, p.t))),
+    "ref": (True, lambda p: gaussian_reference(p.g0.grid, p.sigma_sq)),
+    "l1_heat_gap": (True, lambda p: l1_distance(p.heat, heat_propagate(
+        delta_field(p.g0.grid), p.sigma_sq, p.t))),
+    "d2_selfsim_heat": (True, lambda p: _ds(p.h_heat, p.ref, 2.0)),
+    "sol": (False, lambda p: rosenau_propagate(p.g0, p.kernel, p.t)),
+    "reg": (False, lambda p: regularized_solution(p.g0, p.kernel, p.t)),
+    "h_kin": (False, lambda p: p.rescaled(kinetic_multiplier(p.kernel, p.t))),
+    "density": (False, lambda p: inverse_transform(p.sol)),
 }
 
 
@@ -356,6 +368,10 @@ def _ds(f1: SpectralField, f2: SpectralField, s: float) -> Tuple[float, float]:
     rep = ds_distance(f1, f2, s)
     return rep.value, rep.argsup
 
+
+# the regularized solution has a density only for these kernel families
+REGULARIZED_FAMILIES = (ROSENAU,)
+REGULARIZED_METRICS = ("l1_reg_gap", "entropy_reg")
 
 # metric name -> (value, argsup) of one SweepPoint
 METRICS: Dict[str, Callable[[SweepPoint], Tuple[float, float]]] = {
@@ -365,21 +381,20 @@ METRICS: Dict[str, Callable[[SweepPoint], Tuple[float, float]]] = {
     "d2_selfsim": lambda p: _ds(p.h_kin, p.ref, 2.0),
     "d3_selfsim": lambda p: _ds(p.h_kin, p.ref, 3.0),
     "d2_gap": lambda p: _ds(p.h_kin, p.h_heat, 2.0),
-    "d2_selfsim_heat": lambda p: _ds(p.h_heat, p.ref, 2.0),
+    "d2_selfsim_heat": lambda p: p.d2_selfsim_heat,
     "l1_reg_gap": lambda p: (l1_distance(p.heat, p.reg), 0.0),
-    "l1_heat_gap": lambda p: (l1_distance(p.heat, heat_propagate(
-        delta_field(p.g0.grid), p.kernel.sigma_sq, p.t)), 0.0),
+    "l1_heat_gap": lambda p: (p.l1_heat_gap, 0.0),
     "entropy_reg": lambda p: (convex_functional(inverse_transform(p.reg),
                                                 CONVEX_FUNCTIONALS["rlogr"]), 0.0),
 }
 
-# check name -> (runs at every eps, checks of (kernel, g0, times)); the heat
-# flow does not depend on eps, so heat_decay runs once, at the first eps
-CHECKS: Dict[str, Tuple[bool, Callable[..., List[BoundCheck]]]] = {
-    "d2_bound": (True, lambda kernel, g0, times: d2_bound_check(kernel, g0, times)),
-    "d3_bound": (True, lambda kernel, g0, times: d3_bound_check(kernel, g0, times)),
-    "heat_decay": (False, lambda kernel, g0, times: exact_decay_check(
-        g0, 2.0, kernel.sigma_sq, times)),
+# check name -> (runs at every eps, the metric that is its lhs, checks of (kernel, g0, times,
+# lhs values)); the heat flow does not depend on eps, so heat_decay runs at the first eps
+CHECKS: Dict[str, Tuple[bool, str, Callable[..., List[BoundCheck]]]] = {
+    "d2_bound": (True, "d2_selfsim", lambda *args: d2_bound_check(*args)),
+    "d3_bound": (True, "d3_selfsim", lambda *args: d3_bound_check(*args)),
+    "heat_decay": (False, "d2_selfsim_heat", lambda kernel, g0, times, lhs: exact_decay_check(
+        g0, 2.0, kernel.sigma_sq, times, lhs)),
 }
 
 

@@ -22,7 +22,7 @@ from .runner import RunError, compute_rows, run, simulate
 def _add_common(p: argparse.ArgumentParser, config_required: bool = True) -> None:
     p.add_argument("--config", required=config_required, help="experiment config file")
     p.add_argument("--out", default=None, help="output directory (overrides config)")
-    p.add_argument("--threads", type=int, default=0, help="worker threads, 0 = auto")
+    p.add_argument("--threads", type=int, default=0, help="worker threads, 0 = auto, 1 = serial")
     p.add_argument("--verbose", action="store_true")
 
 
@@ -119,6 +119,8 @@ def _cmd_plot(args) -> int:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "threads", 0) < 0:
+        parser.error(f"--threads must be 0 (auto) or positive, got {args.threads}")
     try:
         if args.command == "simulate":
             cfg = _load(args)

@@ -15,7 +15,8 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from .analysis import CHECKS, D2_CONSTANTS, INITIAL_PRESETS, METRICS
+from .analysis import (CHECKS, D2_CONSTANTS, INITIAL_PRESETS, METRICS, REGULARIZED_FAMILIES,
+                       REGULARIZED_METRICS)
 from .errors import ConfigError, InvalidParameterError
 from .kernels import CENTRAL_DIFF, CUSTOM, ROSENAU
 from .spectral import GridSpec
@@ -74,6 +75,9 @@ class ExperimentConfig:
         if "d2_bound" in self.checks and family not in D2_CONSTANTS:
             fail("checks", f"d2_bound has no constant for kernel {self.kernel!r}; "
                            f"it needs one of: {', '.join(D2_CONSTANTS)}")
+        if family not in REGULARIZED_FAMILIES and (bad := set(self.metrics) & set(REGULARIZED_METRICS)):
+            fail("metrics", f"{' '.join(sorted(bad))}: the regularized solution has a density only for "
+                            f"kernel {', '.join(REGULARIZED_FAMILIES)}, got {self.kernel!r}")
         if self.initial.startswith("file:"):
             for key in ("grid_length", "grid_points"):
                 if key in self.lines:

@@ -13,6 +13,7 @@ is taken into the reported maximum instead.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -78,6 +79,19 @@ def _small_xi_part(x: np.ndarray, delta: np.ndarray, s: float, scale: float) -> 
     return max(raw_sup, limit)
 
 
+@functools.lru_cache(maxsize=8)
+def _ds_layout(grid: GridSpec, s: float):
+    """Masks, |xi| and |xi[outer]|^s of ds_distance, shared per (grid, s), read-only."""
+    absxi = np.abs(grid.xi())
+    cutoff = SMALL_XI_BINS * grid.dxi
+    outer = absxi >= cutoff
+    inner = (absxi > 0.5 * grid.dxi) & (absxi < cutoff)
+    layout = (outer, absxi[outer], absxi[outer] ** s, inner, absxi[inner])
+    for a in layout:
+        a.flags.writeable = False
+    return layout
+
+
 def ds_distance(f1: SpectralField, f2: SpectralField, s: float,
                 name: Optional[str] = None) -> MetricReport:
     """Fourier distance of order s between two fields on the same grid."""
@@ -86,25 +100,15 @@ def ds_distance(f1: SpectralField, f2: SpectralField, s: float,
     if f1.grid != f2.grid:
         raise InvalidParameterError("fields must share one grid")
     grid = f1.grid
-    xi = grid.xi()
     delta = np.abs(f1.values - f2.values)
     scale = max(1.0, float(np.max(np.abs(f1.values))), float(np.max(np.abs(f2.values))))
 
-    absxi = np.abs(xi)
-    cutoff = SMALL_XI_BINS * grid.dxi
-    outer = absxi >= cutoff
-    ratio = delta[outer] / absxi[outer] ** s
+    outer, abs_outer, pow_outer, inner, abs_inner = _ds_layout(grid, s)
+    ratio = delta[outer] / pow_outer
     k = int(np.argmax(ratio))
     grid_sup = float(ratio[k])
-    grid_arg = float(absxi[outer][k])
-
-    inner = (absxi > 0.5 * grid.dxi) & (absxi < cutoff)
-    limit = _small_xi_part(absxi[inner], delta[inner], s, scale)
-
-    if limit > grid_sup:
-        value, argsup = limit, 0.0
-    else:
-        value, argsup = grid_sup, grid_arg
+    limit = _small_xi_part(abs_inner, delta[inner], s, scale)
+    value, argsup = (limit, 0.0) if limit > grid_sup else (grid_sup, float(abs_outer[k]))
     return MetricReport(name=name or f"d{s:g}", value=value, argsup=argsup, grid=grid)
 
 

@@ -1,8 +1,8 @@
 """Sweep execution: metrics and checks over (kernel, eps, t), CSV/JSONL output.
 
-Sweep points are independent pure computations and may run on a thread
-pool; results are merged by sorted key so the written bytes do not depend
-on scheduling.  Floats are serialized with 17 significant digits and the
+Each time is one task computing every eps at that t, and the tasks may run
+on a thread pool; results are merged by sorted key so the written bytes do
+not depend on scheduling.  Floats are serialized with 17 significant digits and the
 pipeline is seed-free, which makes reruns byte-identical.
 """
 
@@ -13,7 +13,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import analysis
@@ -84,16 +84,20 @@ def _input_file(cfg: ExperimentConfig, key: str):
         raise ConfigError(f"{key}: {exc}", cfg.lines.get(key)) from exc
 
 
-def _setup(cfg: ExperimentConfig, eps: float) -> Tuple[BackgroundKernel, SpectralField]:
-    """Kernel and initial-datum transform of one eps, on a grid that holds every time.
+def _setup(cfg: ExperimentConfig) -> Tuple[Dict[float, BackgroundKernel], SpectralField]:
+    """The kernel of each eps and the initial-datum transform they share, on a
+    grid that holds every time; no eps changes sigma_sq = lam gamma^2 / 2.
 
     The grid comes from the config alone: file: data keep their own grid,
     presets take [grid] L and N, sized by default from the datum's m2.
     """
-    times = sorted(cfg.times)
-    with _sweep_point(cfg, eps, times):
-        with _input_file(cfg, "kernel"):
-            kernel = kernel_by_name(cfg.kernel, eps, cfg.sigma)
+    times, eps0 = sorted(cfg.times), cfg.epsilons[0]
+    kernels = {}
+    for eps in cfg.epsilons:
+        with _sweep_point(cfg, eps, times), _input_file(cfg, "kernel"):
+            kernels[eps] = kernel_by_name(cfg.kernel, eps, cfg.sigma)
+    kernel = kernels[eps0]
+    with _sweep_point(cfg, eps0, times):
         if cfg.initial.startswith("file:"):
             with _input_file(cfg, "initial"):
                 dist = load_distribution(cfg.initial.split(":", 1)[1])
@@ -105,56 +109,59 @@ def _setup(cfg: ExperimentConfig, eps: float) -> Tuple[BackgroundKernel, Spectra
                     default_grid(math.sqrt(kernel.sigma_sq), times[-1], n=points, m2=m2))
             g0 = analysis.initial_by_name(cfg.initial, grid, kernel.sigma_sq)
     for t in times:
-        with _sweep_point(cfg, eps, [t]):
+        with _sweep_point(cfg, eps0, [t]):
             require_grid_contains(g0.grid, m2 + kernel.lam * kernel.gamma**2 * t)
-    return kernel, g0
+    return kernels, g0
 
 
-def _point_rows(cfg: ExperimentConfig, kernel: BackgroundKernel, g0: SpectralField,
-                eps: float, t: float) -> List[Row]:
-    point = analysis.SweepPoint(kernel, g0, t)
+def _point_rows(cfg: ExperimentConfig, point: analysis.SweepPoint, eps: float) -> List[Row]:
     rows = []
-    for quantity in sorted(cfg.metrics):
-        value, argsup = (float(x) for x in analysis.METRICS[quantity](point))
-        if not (math.isfinite(value) and math.isfinite(argsup)):
-            raise RosenauError(f"{quantity} is not finite: value {value!r}, argsup {argsup!r}")
-        rows.append(Row(cfg.kernel, eps, t, quantity, value, argsup, g0.grid))
+    with _sweep_point(cfg, eps, [point.t]):
+        for quantity in sorted(cfg.metrics):
+            value, argsup = (float(x) for x in analysis.METRICS[quantity](point))
+            if not (math.isfinite(value) and math.isfinite(argsup)):
+                raise RosenauError(f"{quantity} is not finite: value {value!r}, argsup {argsup!r}")
+            rows.append(Row(cfg.kernel, eps, point.t, quantity, value, argsup, point.g0.grid))
     return rows
 
 
 def compute_rows(cfg: ExperimentConfig, threads: int = 0) -> List[Row]:
-    """All metric rows of the sweep, sorted by (epsilon, t, quantity)."""
-    points: List[Tuple[float, float]] = [(e, t) for e in cfg.epsilons for t in cfg.times]
-    setups = {eps: _setup(cfg, eps) for eps in cfg.epsilons}
+    """All metric rows of the sweep, sorted by (epsilon, t, quantity).  The sweep
+    points of one time share its t-keyed fields; the pool maps over times, at
+    most one worker per time, so no memo is shared between threads."""
+    kernels, g0 = _setup(cfg)
+    times = sorted(cfg.times)
 
-    def work(point):
-        eps, t = point
-        with _sweep_point(cfg, eps, [t]):
-            return _point_rows(cfg, *setups[eps], eps, t)
+    def work(t):
+        shared: dict = {}
+        return [r for eps, k in kernels.items()
+                for r in _point_rows(cfg, analysis.SweepPoint(k, g0, k.sigma_sq, t, shared), eps)]
 
-    if threads == 1 or len(points) == 1:
-        chunks = [work(p) for p in points]
+    if threads == 1 or len(times) == 1:
+        chunks = [work(t) for t in times]
     else:
-        workers = threads if threads > 0 else min(len(points), os.cpu_count() or 1)
+        workers = min(threads if threads > 0 else os.cpu_count() or 1, len(times))
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(work, points))
+            chunks = list(pool.map(work, times))
     rows = [r for chunk in chunks for r in chunk]
     rows.sort(key=lambda r: (r.epsilon, r.t, r.quantity))
     return rows
 
 
 def compute_checks(cfg: ExperimentConfig) -> List[analysis.BoundCheck]:
-    """All requested bound checks over the sweep, in deterministic order."""
-    times = sorted(cfg.times)
-    setups = {eps: _setup(cfg, eps) for eps in cfg.epsilons}
-    names = sorted(cfg.checks)
+    """All requested bound checks in deterministic order.  Each lhs is the row of
+    its metric, computed by compute_rows on the same walk over the times."""
+    kernels, g0 = _setup(cfg)
+    times, names = sorted(cfg.times), sorted(cfg.checks)
     jobs = [(eps, n) for eps in sorted(cfg.epsilons) for n in names if analysis.CHECKS[n][0]]
     jobs += [(cfg.epsilons[0], n) for n in names if not analysis.CHECKS[n][0]]
+    lhs_metrics = replace(cfg, metrics=sorted({analysis.CHECKS[n][1] for n in names}), checks=[])
+    lhs = {(r.epsilon, r.t, r.quantity): r.value for r in compute_rows(lhs_metrics, threads=1)}
     checks: List[analysis.BoundCheck] = []
     for eps, name in jobs:
-        kernel, g0 = setups[eps]
         with _sweep_point(cfg, eps, times):
-            checks.extend(analysis.CHECKS[name][1](kernel, g0, times))
+            checks.extend(analysis.CHECKS[name][2](
+                kernels[eps], g0, times, [lhs[eps, t, analysis.CHECKS[name][1]] for t in times]))
     return checks
 
 
@@ -220,12 +227,12 @@ def simulate(cfg: ExperimentConfig, out_dir: Optional[str] = None,
     """Solve the kinetic equation at every sweep point and dump distributions."""
     out = out_dir or cfg.outputs
     os.makedirs(out, exist_ok=True)
-    setups = {eps: _setup(cfg, eps) for eps in sorted(cfg.epsilons)}
+    kernels, g0 = _setup(cfg)
     written = []
-    for eps, (kernel, g0) in setups.items():
+    for eps in sorted(cfg.epsilons):
         for t in sorted(cfg.times):
             with _sweep_point(cfg, eps, [t]):
-                dist = inverse_transform(rosenau_propagate(g0, kernel, t))
+                dist = inverse_transform(rosenau_propagate(g0, kernels[eps], t))
             path = os.path.join(out, f"dist_{cfg.kernel.replace(':', '_')}_eps{eps:g}_t{t:g}.txt")
             save_distribution(dist, path)
             written.append(path)

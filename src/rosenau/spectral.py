@@ -231,18 +231,26 @@ def _multiply(f: SpectralField, mult_fn: Callable[[Array], Array]) -> SpectralFi
     return SpectralField(grid=f.grid, values=values, analytic=analytic)
 
 
+def heat_multiplier(sigma_sq: float, t: float) -> Callable[[Array], Array]:
+    return lambda xi: np.exp(-sigma_sq * np.asarray(xi) ** 2 * t)
+
+
+def kinetic_multiplier(kernel: BackgroundKernel, t: float) -> Callable[[Array], Array]:
+    return lambda xi: np.exp(-generator_symbol(kernel, xi) * t)
+
+
 def heat_propagate(f: SpectralField, sigma_sq: float, t: float) -> SpectralField:
     """Multiply by the heat multiplier exp(-sigma_sq xi^2 t)."""
     if t < 0:
         raise InvalidParameterError(f"time must be nonnegative, got {t}")
-    return _multiply(f, lambda xi: np.exp(-sigma_sq * np.asarray(xi) ** 2 * t))
+    return _multiply(f, heat_multiplier(sigma_sq, t))
 
 
 def rosenau_propagate(f: SpectralField, kernel: BackgroundKernel, t: float) -> SpectralField:
     """Multiply by the kinetic multiplier exp(-A_eps(xi) t); its modulus is <= 1."""
     if t < 0:
         raise InvalidParameterError(f"time must be nonnegative, got {t}")
-    return _multiply(f, lambda xi: np.exp(-generator_symbol(kernel, xi) * t))
+    return _multiply(f, kinetic_multiplier(kernel, t))
 
 
 def singular_split(kernel: BackgroundKernel, t: float,

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -9,7 +10,9 @@ from rosenau.cli import main
 from rosenau.config import ExperimentConfig, load_config, parse_config
 from rosenau.errors import ConfigError
 from rosenau.kernels import kernel_by_name
-from rosenau.runner import CSV_HEADER, RunError, compute_rows, run
+from rosenau import runner
+from rosenau.analysis import d2_bound_check, d3_bound_check, exact_decay_check
+from rosenau.runner import CSV_HEADER, RunError, compute_checks, compute_rows, run
 from rosenau.spectral import load_distribution
 
 from conftest import write_atoms
@@ -110,6 +113,23 @@ class TestConfigParsing:
         assert "config error" in err and "line 4" in err and "checks" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("metric", ["l1_reg_gap", "entropy_reg"])
+    @pytest.mark.parametrize("kernel", ["central-diff", "custom"])
+    def test_regularized_metric_needs_rosenau_exit_2(self, tmp_path, capsys, kernel, metric):
+        # an atomic kernel's regularized solution keeps lattice atoms, so it has no density
+        if kernel == "custom":
+            kernel = "custom:" + write_atoms(tmp_path / "atoms.txt", [(-1.0, 0.5), (1.0, 0.5)])
+        text = f"kernel = {kernel}\nepsilons = 0.1\ntimes = 1\nmetrics = mass {metric}\n"
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        assert err.value.line == 4 and metric in str(err.value) and "rosenau" in str(err.value)
+        cfg = tmp_path / "reg.cfg"
+        cfg.write_text(text)
+        assert main(["metrics", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "line 4" in err and "metrics" in err
+        assert not (tmp_path / "out").exists()
+
     def test_grid_section_with_file_initial_rejected(self):
         with pytest.raises(ConfigError) as err:
             parse_config("metrics = mass\ninitial = file:dist.txt\n[grid]\nN = 1024\n")
@@ -130,12 +150,54 @@ class TestRunner:
         b = run(cfg, out_dir=str(tmp_path / "b"), make_plots=False)
         assert sha256(a["results"]) == sha256(b["results"])
 
-    def test_threaded_matches_serial(self, tmp_path):
+    def test_threaded_matches_serial(self, monkeypatch):
         cfg = ExperimentConfig(kernel="rosenau", epsilons=[0.2, 0.1],
-                               times=[1.0, 5.0], metrics=["d2_selfsim", "mass"])
-        serial = compute_rows(cfg, threads=1)
-        threaded = compute_rows(cfg, threads=4)
-        assert [r.csv() for r in serial] == [r.csv() for r in threaded]
+                               times=[1.0, 5.0, 2.0], metrics=["d2_selfsim", "d2_selfsim_heat",
+                                                                "l1_heat_gap", "mass"])
+        serial = [r.csv() for r in compute_rows(cfg, threads=1)]
+        started = []
+
+        class Pool(runner.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                started.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(runner, "ThreadPoolExecutor", Pool)
+        for threads in (2, 4, 64):
+            assert [r.csv() for r in compute_rows(cfg, threads=threads)] == serial
+        # the pool maps over times: never more workers than the config has times
+        assert started == [2, 3, 3]
+
+    def test_check_lhs_is_the_metric_row(self):
+        cfg = load_config(os.path.join(CONFIG_DIR, "decay_sweep.cfg"))
+        rows = {(r.epsilon, r.t, r.quantity): r.value for r in compute_rows(cfg, threads=1)}
+        checks = compute_checks(cfg)
+        assert len(checks) == (len(cfg.epsilons) + 1) * len(cfg.times)
+        for c in checks:
+            if c.name.startswith("d2-bound"):
+                assert c.lhs == rows[c.params["eps"], c.params["t"], "d2_selfsim"]
+            else:
+                assert c.name.startswith("heat-decay")
+                assert c.lhs == rows[cfg.epsilons[0], c.params["t"], "d2_selfsim_heat"]
+        # the public entry points give the same checks as the sweep
+        kernels, g0 = runner._setup(cfg)
+        public = [c for eps in sorted(cfg.epsilons)
+                  for c in d2_bound_check(kernels[eps], g0, sorted(cfg.times))]
+        public += exact_decay_check(g0, 2.0, kernels[0.5].sigma_sq, sorted(cfg.times))
+        assert public == checks
+
+    @pytest.mark.parametrize("kernel", ["central-diff", "rosenau"])
+    def test_d3_check_lhs_is_the_metric_row(self, kernel):
+        cfg = load_config(os.path.join(CONFIG_DIR, "decay_sweep.cfg"))
+        cfg = dataclasses.replace(cfg, kernel=kernel, initial="mixture-matched",
+                                  metrics=["d3_selfsim"], checks=["d3_bound"])
+        rows = {(r.epsilon, r.t): r.value for r in compute_rows(cfg, threads=1)}
+        checks = compute_checks(cfg)
+        assert len(checks) == len(rows) == len(cfg.epsilons) * len(cfg.times)
+        assert all(c.lhs == rows[c.params["eps"], c.params["t"]] for c in checks)
+        kernels, g0 = runner._setup(cfg)
+        assert checks == [c for eps in sorted(cfg.epsilons)
+                          for c in d3_bound_check(kernels[eps], g0, sorted(cfg.times))]
 
     def test_checks_jsonl_schema(self, tmp_path):
         cfg = ExperimentConfig(kernel="rosenau", epsilons=[0.2], times=[1.0, 10.0],
@@ -352,6 +414,16 @@ class TestCli:
         err = capsys.readouterr().err
         assert "eps=1e-05" in err and "t=1e+300" in err and "not finite" in err
         assert not os.path.exists(tmp_path / "results.csv")
+
+    @pytest.mark.parametrize("command", ["metrics", "check", "rates"])
+    def test_negative_threads_exit_2(self, tmp_path, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", os.path.join(CONFIG_DIR, "decay_sweep.cfg"),
+                  "--out", str(tmp_path / "out"), "--threads", "-5"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and "--threads" in err
+        assert not (tmp_path / "out").exists()
 
     def test_unknown_subcommand_exit_2(self):
         with pytest.raises(SystemExit) as exc:

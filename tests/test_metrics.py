@@ -31,6 +31,7 @@ from rosenau.errors import (
     UndefinedFunctionalError,
     UndefinedNormError,
 )
+from rosenau import metrics
 from rosenau.metrics import CONVEX_FUNCTIONALS, MetricReport
 from rosenau.spectral import SpectralField, field_from_symbol
 
@@ -94,6 +95,21 @@ class TestDsDistance:
         other = GridSpec(80.0, 1024)
         with pytest.raises(InvalidParameterError):
             ds_distance(gaussian_field(grid, 1.0), gaussian_field(other, 1.0), 2.0)
+
+    def test_layout_cache_keeps_grids_apart(self):
+        # equal N and different L: the cached frequency layouts must not mix,
+        # whatever order the (grid, s) calls come in
+        grids = [GridSpec(160.0, 4096), GridSpec(90.0, 4096)]
+        fields = {g: (symmetric_mixture_field(g, 1.0, 1.0), gaussian_field(g, 2.0)) for g in grids}
+        calls = [(g, s) for s in (2.0, 3.0) for g in grids]
+        fresh = {}
+        for g, s in calls:
+            metrics._ds_layout.cache_clear()
+            fresh[g, s] = ds_distance(*fields[g], s)
+        assert len({(r.value, r.argsup) for r in fresh.values()}) == len(calls)
+        metrics._ds_layout.cache_clear()
+        for g, s in calls + calls[::-1] + calls[1::2] + calls[::2]:
+            assert ds_distance(*fields[g], s) == fresh[g, s]
 
 
 class TestContractivity:
