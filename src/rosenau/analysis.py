@@ -403,6 +403,8 @@ CHECKS: Dict[str, Tuple[bool, str, Callable[..., List[BoundCheck]]]] = {
 # ----------------------------------------------------------------------
 
 _APPENDIX_XI_MAX = 1e8  # beyond this the bracket is zero to double precision
+# up to here t xi^2, (1+t)^(s+1/2) and I_s(t) all stay normal doubles
+APPENDIX_T_MAX = 1e200
 _GL_NODES = 16
 
 
@@ -446,7 +448,8 @@ def _i_s_integral(s: float, t: float, panels: int) -> Tuple[float, float]:
     integral = 2.0 * float(np.sum(weights[None, :] * jac * integrand))
     # remainder: bracket <= exp(-t) (t/xi^2) e^(t/xi^2) beyond the split
     xi_c = _APPENDIX_XI_MAX
-    tail = 2.0 * expt**2 * t**2 * math.exp(2.0 * t / xi_c**2) * xi_c ** (2.0 * s - 3.0) / (3.0 - 2.0 * s)
+    decay = t * math.exp(-t * (1.0 - 1.0 / xi_c**2))  # one exponent: no overflow at large t
+    tail = 2.0 * decay**2 * xi_c ** (2.0 * s - 3.0) / (3.0 - 2.0 * s)
     return integral, tail
 
 
@@ -461,8 +464,10 @@ def appendix_report(s: float, t: float, panels: int = 128) -> AppendixReport:
     if not (0.0 < s < 1.0):
         raise InvalidParameterError(f"order s must lie in (0, 1), got {s} (integral "
                                     "treated as divergent outside the contract range)")
-    if t < 0:
-        raise InvalidParameterError("time must be nonnegative")
+    if not (0.0 <= t <= APPENDIX_T_MAX):
+        raise InvalidParameterError(f"time must lie in [0, {APPENDIX_T_MAX:g}], got {t}")
+    if panels < 2:
+        raise InvalidParameterError(f"panels must be at least 2, got {panels}")
     integral, tail = _i_s_integral(s, t, panels)
     root = math.sqrt(max(integral, 0.0))
     value = (1.0 + t) ** (s + 0.5) * root

@@ -19,10 +19,25 @@ from .errors import ConfigError, RosenauError
 from .runner import RunError, compute_rows, run, simulate
 
 
+def _checked(convert, ok, what: str):
+    """argparse type: ``convert`` the text, then reject values failing ``ok``.
+
+    A rejected value is a usage error (exit 2) naming the flag.
+    """
+    def parse(text: str):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
+        return value
+    parse.__name__ = convert.__name__  # argparse names the type in "invalid int value"
+    return parse
+
+
 def _add_common(p: argparse.ArgumentParser, config_required: bool = True) -> None:
     p.add_argument("--config", required=config_required, help="experiment config file")
     p.add_argument("--out", default=None, help="output directory (overrides config)")
-    p.add_argument("--threads", type=int, default=0, help="worker threads, 0 = auto, 1 = serial")
+    p.add_argument("--threads", type=_checked(int, lambda v: v >= 0, "0 (auto) or positive"),
+                   default=0, help="worker threads, 0 = auto, 1 = serial")
     p.add_argument("--verbose", action="store_true")
 
 
@@ -44,10 +59,14 @@ def build_parser() -> argparse.ArgumentParser:
                          metavar=("T_LO", "T_HI"))
 
     p_app = sub.add_parser("appendix", help="growth table of the regularized-kernel norm")
-    p_app.add_argument("--s", type=float, default=0.9)
-    p_app.add_argument("--tmax", type=float, default=1000.0)
-    p_app.add_argument("--points", type=int, default=13)
-    p_app.add_argument("--panels", type=int, default=128)
+    p_app.add_argument("--s", type=_checked(float, lambda v: 0.0 < v < 1.0, "in (0, 1)"),
+                       default=0.9)
+    p_app.add_argument("--tmax", type=_checked(float, lambda v: 0.0 < v <= analysis.APPENDIX_T_MAX,
+                                               f"in (0, {analysis.APPENDIX_T_MAX:g}]"),
+                       default=1000.0)
+    p_app.add_argument("--points", type=_checked(int, lambda v: v >= 2, "at least 2"), default=13)
+    p_app.add_argument("--panels", type=_checked(int, lambda v: v >= 2, "at least 2"),
+                       default=128)
 
     p_plot = sub.add_parser("plot", help="render SVG decay plots from a results CSV")
     p_plot.add_argument("--csv", required=True, help="results.csv produced by `metrics`")
@@ -84,8 +103,7 @@ def _cmd_rates(args) -> int:
 
 
 def _cmd_appendix(args) -> int:
-    points = max(args.points, 2)
-    times = [0.0] + [args.tmax ** (k / (points - 1)) for k in range(points)]
+    times = [0.0] + [args.tmax ** (k / (args.points - 1)) for k in range(args.points)]
     print(f"{'t':>12} {'I_s':>14} {'B_s':>12} {'B_s/(1+t)^0.1':>14} {'balanced':>12}")
     for t in times:
         rep = analysis.appendix_report(args.s, t, panels=args.panels)
@@ -119,8 +137,6 @@ def _cmd_plot(args) -> int:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "threads", 0) < 0:
-        parser.error(f"--threads must be 0 (auto) or positive, got {args.threads}")
     try:
         if args.command == "simulate":
             cfg = _load(args)

@@ -66,8 +66,9 @@ def _small_xi_part(x: np.ndarray, delta: np.ndarray, s: float, scale: float) -> 
     # leading power from the innermost bins, where higher-order terms
     # distort it least; a window-wide fit is fooled by nearby sign dips
     p = np.polyfit(np.log(xg[:4]), np.log(dg[:4]), 1)[0]
-    inner = float(np.median(ratio[:3]))
-    outer = float(np.median(ratio[-3:]))
+    # medians of three by sorting: np.median would import numpy.ma on first use
+    inner = float(np.sort(ratio[:3])[1])
+    outer = float(np.sort(ratio[-3:])[1])
     if p < s - 0.35 and inner > 3.0 * outer:
         raise InfiniteDistanceError(
             f"|difference| ~ |xi|^{p:.2f} near 0 but s = {s}: distance diverges"

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.special import erfc
 
 from .errors import (
     GridTooSmallError,
@@ -358,7 +357,7 @@ def mass_leak_estimate(grid: GridSpec, variance: float) -> float:
     """Gaussian-tail estimate of the mass beyond |v| = L/2 for the given variance."""
     if variance <= 0:
         return 0.0
-    return float(erfc((grid.length / 2.0) / math.sqrt(2.0 * variance)))
+    return math.erfc((grid.length / 2.0) / math.sqrt(2.0 * variance))
 
 
 def require_grid_contains(grid: GridSpec, variance: float, tol: float = LEAK_TOL,

@@ -25,7 +25,7 @@ from rosenau import (
     rescale,
     rosenau_kernel,
 )
-from rosenau.analysis import initial_by_name, solve_mixture_params
+from rosenau.analysis import APPENDIX_T_MAX, initial_by_name, solve_mixture_params
 from rosenau.errors import (
     InfiniteDistanceError,
     InvalidDataError,
@@ -267,6 +267,18 @@ class TestAppendix:
             appendix_report(1.2, 1.0)
         with pytest.raises(InvalidParameterError):
             appendix_report(0.9, -1.0)
+
+    @pytest.mark.parametrize("t,panels", [(math.nan, 128), (math.inf, 128), (1e201, 128),
+                                          (1.0, 1), (1.0, 0)])
+    def test_rejects_bad_time_and_too_few_panels(self, t, panels):
+        with pytest.raises(InvalidParameterError):
+            appendix_report(0.9, t, panels=panels)
+
+    @pytest.mark.parametrize("s", [0.05, 0.9, 0.999])
+    def test_finite_up_to_the_time_limit(self, s):
+        rep = appendix_report(s, APPENDIX_T_MAX)
+        assert 0.0 < rep.integral and math.isfinite(rep.value)
+        assert rep.tail_bound == 0.0
 
     def test_kernel_normalization_enforced(self):
         with pytest.raises(InvalidParameterError):

@@ -3,6 +3,8 @@ import hashlib
 import json
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -18,6 +20,7 @@ from rosenau.spectral import load_distribution
 from conftest import write_atoms
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
+SRC_DIR = os.path.join(os.path.dirname(__file__), "..", "src")
 
 
 def sha256(path):
@@ -429,3 +432,43 @@ class TestCli:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--tmax", "nan"), ("--tmax", "inf"), ("--tmax", "-5"), ("--tmax", "0"),
+        ("--tmax", "1e300"),
+        ("--panels", "0"), ("--panels", "-3"), ("--panels", "1"), ("--points", "1"),
+        ("--s", "1.5"), ("--s", "0"), ("--s", "nan"),
+    ])
+    def test_appendix_bad_value_exit_2(self, capsys, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["appendix", flag, value])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "usage:" in captured.err and f"argument {flag}:" in captured.err
+        assert captured.out == ""
+
+
+class TestImportFootprint:
+    def test_no_scipy_loaded(self, tmp_path):
+        # a fresh interpreter: importing rosenau, a shipped-config metrics run
+        # and the appendix table must all leave scipy unloaded
+        script = (
+            "import sys\n"
+            "def scipy_mods():\n"
+            "    return sorted(k for k in sys.modules if k.split('.')[0] == 'scipy')\n"
+            "import rosenau\n"
+            "print('import', scipy_mods())\n"
+            "from rosenau.cli import main\n"
+            f"assert main(['metrics', '--config', {os.path.join(CONFIG_DIR, 'minimal.cfg')!r}, "
+            f"'--out', {str(tmp_path)!r}]) == 0\n"
+            "print('metrics', scipy_mods())\n"
+            "assert main(['appendix']) == 0\n"
+            "print('appendix', scipy_mods())\n"
+        )
+        env = dict(os.environ, PYTHONPATH=SRC_DIR)
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        stages = [line for line in proc.stdout.splitlines()
+                  if line.split(" ")[0] in ("import", "metrics", "appendix")]
+        assert stages == ["import []", "metrics []", "appendix []"]

@@ -216,3 +216,61 @@ class TestCdWildSolution:
         # mu = 4950 and 5000, on both sides of t = 25
         d = cd_wild_solution(bernoulli_kernel(0.1, 1.0), t, tol=1e-12)
         assert 1.0 - 1e-12 <= d.total_mass <= 1.0
+
+
+# scipy.special is a test-only oracle: the package itself never imports scipy
+LADDER_MU = [0.3, 7.0, 50.0, 200.0, 792.0, 1980.0, 4950.0, 5000.0, 20000.0]
+
+
+def gammainc_truncation_order(mu, tol):
+    """Independent oracle: doubling and bisection on scipy's incomplete gamma."""
+    from scipy.special import gammainc
+
+    hi = 8
+    while gammainc(hi + 1, mu) > tol:
+        hi *= 2
+    lo = 0
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if gammainc(mid + 1, mu) <= tol:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+class TestScipyOracles:
+    @pytest.mark.parametrize("mu", LADDER_MU)
+    def test_cd_weights_match_ive(self, mu):
+        from scipy.special import ive
+
+        k = bernoulli_kernel(0.1, 1.0)
+        t = mu * k.epsilon**2 / k.lam
+        mu = k.intensity(t)
+        d = cd_wild_solution(k, t)
+        a = k.epsilon * k.sigma
+        sites = np.array([round(loc / a) for loc, _ in d.atoms])
+        weights = np.array([w for _, w in d.atoms])
+        n_star = truncation_order(mu, 1e-12)
+        exact = ive(np.abs(sites), mu)
+        assert np.max(np.abs(weights - exact)) <= 1e-14
+        # relative accuracy down to the far tail, where the recurrence starts
+        far = exact >= 1e-290
+        assert np.max(np.abs(weights[far] / exact[far] - 1.0)) <= 1e-11
+        # every site whose weight is well inside the normal range is kept
+        normal = np.flatnonzero(ive(np.arange(n_star + 1), mu) >= 1e-300)
+        assert set(normal.tolist()) <= set(np.abs(sites).tolist())
+
+    @pytest.mark.parametrize("mu", [200.0, 792.0, 1980.0, 4950.0, 5000.0, 20000.0])
+    def test_poisson_tail_matches_gammainc(self, mu):
+        from scipy.special import gammainc
+
+        root = math.sqrt(mu)
+        for z in (-4.0, -1.0, 0.0, 1.0, 4.0, 7.0, 12.0):
+            n = int(mu + z * root)
+            assert poisson_tail(mu, n) == pytest.approx(gammainc(n + 1, mu), rel=1e-10)
+
+    @pytest.mark.parametrize("mu", LADDER_MU)
+    @pytest.mark.parametrize("tol", [1e-6, 1e-12])
+    def test_truncation_order_matches_gammainc_bisection(self, mu, tol):
+        assert truncation_order(mu, tol) == gammainc_truncation_order(mu, tol)
