@@ -56,8 +56,8 @@ def gaussian_initial(grid: GridSpec, second_moment: float = 1.0) -> SpectralFiel
 def solve_mixture_params(second_moment: float, fourth_moment: float) -> Tuple[float, float]:
     """Centers +-a and width s of the two-Gaussian mixture matching (m2, m4).
 
-    For the symmetric mixture (N(-a, s^2) + N(a, s^2))/2 the fourth moment
-    is a decreasing function of a^2 at fixed m2, so a bisection pins it.
+    The symmetric mixture (N(-a, s^2) + N(a, s^2))/2 has m2 = a^2 + s^2 and
+    m4 = 3 m2^2 - 2 a^4, so a^2 = sqrt((3 m2^2 - m4)/2) and s^2 = m2 - a^2.
     Attainable targets satisfy m2^2 <= m4 <= 3 m2^2 (pure atoms to pure
     Gaussian).
     """
@@ -68,18 +68,7 @@ def solve_mixture_params(second_moment: float, fourth_moment: float) -> Tuple[fl
         raise InvalidParameterError(
             f"fourth moment {fourth_moment:g} outside attainable [{e**2:g}, {3 * e**2:g}]"
         )
-
-    def m4_of(x):  # x = a^2
-        return 3.0 * e**2 - 2.0 * x**2
-
-    lo, hi = 0.0, e
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if m4_of(mid) > fourth_moment:
-            lo = mid
-        else:
-            hi = mid
-    a_sq = 0.5 * (lo + hi)
+    a_sq = math.sqrt(0.5 * (3.0 * e**2 - fourth_moment))
     s_sq = e - a_sq
     return math.sqrt(a_sq), math.sqrt(max(s_sq, 0.0))
 

@@ -55,6 +55,14 @@ class TestInitialData:
         with pytest.raises(InvalidParameterError):
             solve_mixture_params(2.0, 13.0)  # beyond the Gaussian extreme
 
+    def test_solver_closed_form(self):
+        # a^2 = sqrt((3 m2^2 - m4)/2): the unit mixture is the oracle's a^2 = 2^-1/2,
+        # and the extremes are pure atoms (s = 0) and a pure Gaussian (a = 0)
+        assert solve_mixture_params(1.0, 2.0) == (math.sqrt(math.sqrt(0.5)),
+                                                  math.sqrt(1.0 - math.sqrt(0.5)))
+        assert solve_mixture_params(2.0, 4.0) == (math.sqrt(2.0), 0.0)
+        assert solve_mixture_params(2.0, 12.0) == (0.0, math.sqrt(2.0))
+
     def test_registry(self, grid):
         for name in ("gaussian-unit", "mixture-unit", "mixture-matched"):
             f = initial_by_name(name, grid, sigma_sq=1.0)
