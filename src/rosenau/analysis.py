@@ -21,7 +21,8 @@ from .errors import (
     UnsupportedKernelError,
 )
 from .kernels import CENTRAL_DIFF, ROSENAU, BackgroundKernel, b_epsilon
-from .metrics import CONVEX_FUNCTIONALS, convex_functional, ds_distance, lp_norm, moment
+from .metrics import (CONVEX_FUNCTIONALS, MetricReport, convex_functional, ds_distance, lp_norm,
+                      moment)
 from .spectral import (
     GridSpec,
     SpectralField,
@@ -287,7 +288,7 @@ def l1_convergence_series(kernel: BackgroundKernel, g0: SpectralField,
     out = []
     for t in sorted(times):
         require_grid_contains(g0.grid, m2_0 + 2.0 * sigma_sq * t, context=f"{kernel.label()} t={t:g}")
-        gap, pgap = (METRICS["l1_reg_gap"](SweepPoint(kernel, f, sigma_sq, t))[0]
+        gap, pgap = (SweepPoint(kernel, f, sigma_sq, t).l1_reg_gap.value
                      for f in (g0, delta_field(g0.grid)))
         out.append(L1Record(t=float(t), gap=gap, propagator_gap=pgap))
     return out
@@ -300,7 +301,7 @@ def heat_l1_series(g0: SpectralField, sigma_sq: float,
     out = []
     for t in sorted(times):
         require_grid_contains(g0.grid, m2_0 + 2.0 * sigma_sq * t, context=f"heat t={t:g}")
-        out.append((float(t), SweepPoint(None, g0, sigma_sq, t).l1_heat_gap))
+        out.append((float(t), SweepPoint(None, g0, sigma_sq, t).l1_heat_gap.value))
     return out
 
 
@@ -309,13 +310,14 @@ def heat_l1_series(g0: SpectralField, sigma_sq: float,
 # ----------------------------------------------------------------------
 
 class SweepPoint:
-    """The fields one (eps, t) sweep point compares, each built at most once.
+    """Everything one (eps, t) sweep point computes, each entry built at most once.
 
-    Fields keyed by t alone (z = V(t) xi, ``datum`` = g0 at z, ``heat``,
-    ``h_heat``, ``ref``, ``l1_heat_gap``, ``d2_selfsim_heat``) live in
-    ``shared``, one memo for every eps at t; those keyed by (eps, t) (``sol``,
-    ``reg``, ``h_kin``, ``density``) live on the point.  Builders look names
-    up when they run, so tracers that rebind them see every call.
+    Entries of ``REGISTRY`` keyed by t alone (z = V(t) xi, ``datum`` = g0 at z,
+    ``heat``, ``h_heat``, ``ref``, ``l1_heat_gap``, ``d2_selfsim_heat``) live in
+    ``shared``, one memo for every eps at t; the others (``sol``, ``reg``,
+    ``h_kin``, ``density`` and the kinetic metrics) live on the point.
+    Builders look names up when they run, so tracers that rebind them see
+    every call.
     """
 
     def __init__(self, kernel: Optional[BackgroundKernel], g0: SpectralField,
@@ -323,10 +325,10 @@ class SweepPoint:
         self.kernel, self.g0, self.sigma_sq, self.t = kernel, g0, sigma_sq, t
         self.shared = {} if shared is None else shared
 
-    def __getattr__(self, name: str):  # only reached for fields not on the point yet
-        if name not in FIELDS:
+    def __getattr__(self, name: str):  # only reached for entries not on the point yet
+        if name not in REGISTRY:
             raise AttributeError(name)
-        by_t, build = FIELDS[name]
+        by_t, build = REGISTRY[name]
         store = self.shared if by_t else self.__dict__
         if name not in store:
             store[name] = build(self)
@@ -343,39 +345,32 @@ FIELDS: Dict[str, Tuple[bool, Callable[[SweepPoint], object]]] = {
     "heat": (True, lambda p: heat_propagate(p.g0, p.sigma_sq, p.t)),
     "h_heat": (True, lambda p: p.rescaled(heat_multiplier(p.sigma_sq, p.t))),
     "ref": (True, lambda p: gaussian_reference(p.g0.grid, p.sigma_sq)),
-    "l1_heat_gap": (True, lambda p: l1_distance(p.heat, heat_propagate(
-        delta_field(p.g0.grid), p.sigma_sq, p.t))),
-    "d2_selfsim_heat": (True, lambda p: _ds(p.h_heat, p.ref, 2.0)),
     "sol": (False, lambda p: rosenau_propagate(p.g0, p.kernel, p.t)),
     "reg": (False, lambda p: regularized_solution(p.g0, p.kernel, p.t)),
     "h_kin": (False, lambda p: p.rescaled(kinetic_multiplier(p.kernel, p.t))),
     "density": (False, lambda p: inverse_transform(p.sol)),
 }
 
-
-def _ds(f1: SpectralField, f2: SpectralField, s: float) -> Tuple[float, float]:
-    rep = ds_distance(f1, f2, s)
-    return rep.value, rep.argsup
-
+# metric a config may ask for -> (keyed by t alone, MetricReport of a SweepPoint)
+METRICS: Dict[str, Tuple[bool, Callable[[SweepPoint], MetricReport]]] = {
+    "mass": (False, lambda p: MetricReport(p.sol.mass, 0.0)),
+    "m2": (False, lambda p: MetricReport(moment(p.density, 2), 0.0)),
+    "m4": (False, lambda p: MetricReport(moment(p.density, 4), 0.0)),
+    "d2_selfsim": (False, lambda p: ds_distance(p.h_kin, p.ref, 2.0)),
+    "d3_selfsim": (False, lambda p: ds_distance(p.h_kin, p.ref, 3.0)),
+    "d2_gap": (False, lambda p: ds_distance(p.h_kin, p.h_heat, 2.0)),
+    "d2_selfsim_heat": (True, lambda p: ds_distance(p.h_heat, p.ref, 2.0)),
+    "l1_reg_gap": (False, lambda p: MetricReport(l1_distance(p.heat, p.reg), 0.0)),
+    "l1_heat_gap": (True, lambda p: MetricReport(l1_distance(p.heat, heat_propagate(
+        delta_field(p.g0.grid), p.sigma_sq, p.t)), 0.0)),
+    "entropy_reg": (False, lambda p: MetricReport(convex_functional(
+        inverse_transform(p.reg), CONVEX_FUNCTIONALS["rlogr"]), 0.0)),
+}
+REGISTRY = {**FIELDS, **METRICS}
 
 # the regularized solution has a density only for these kernel families
 REGULARIZED_FAMILIES = (ROSENAU,)
 REGULARIZED_METRICS = ("l1_reg_gap", "entropy_reg")
-
-# metric name -> (value, argsup) of one SweepPoint
-METRICS: Dict[str, Callable[[SweepPoint], Tuple[float, float]]] = {
-    "mass": lambda p: (p.sol.mass, 0.0),
-    "m2": lambda p: (moment(p.density, 2), 0.0),
-    "m4": lambda p: (moment(p.density, 4), 0.0),
-    "d2_selfsim": lambda p: _ds(p.h_kin, p.ref, 2.0),
-    "d3_selfsim": lambda p: _ds(p.h_kin, p.ref, 3.0),
-    "d2_gap": lambda p: _ds(p.h_kin, p.h_heat, 2.0),
-    "d2_selfsim_heat": lambda p: p.d2_selfsim_heat,
-    "l1_reg_gap": lambda p: (l1_distance(p.heat, p.reg), 0.0),
-    "l1_heat_gap": lambda p: (p.l1_heat_gap, 0.0),
-    "entropy_reg": lambda p: (convex_functional(inverse_transform(p.reg),
-                                                CONVEX_FUNCTIONALS["rlogr"]), 0.0),
-}
 
 # check name -> (runs at every eps, the metric that is its lhs, checks of (kernel, g0, times,
 # lhs values)); the heat flow does not depend on eps, so heat_decay runs at the first eps

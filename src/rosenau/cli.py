@@ -33,12 +33,14 @@ def _checked(convert, ok, what: str):
     return parse
 
 
-def _add_common(p: argparse.ArgumentParser, config_required: bool = True) -> None:
-    p.add_argument("--config", required=config_required, help="experiment config file")
+def _add_common(p: argparse.ArgumentParser, threads: bool = True) -> argparse.ArgumentParser:
+    p.add_argument("--config", required=True, help="experiment config file")
     p.add_argument("--out", default=None, help="output directory (overrides config)")
-    p.add_argument("--threads", type=_checked(int, lambda v: v >= 0, "0 (auto) or positive"),
-                   default=0, help="worker threads, 0 = auto, 1 = serial")
+    if threads:
+        p.add_argument("--threads", type=_checked(int, lambda v: v >= 0, "0 (auto) or positive"),
+                       default=0, help="worker threads, 0 = auto, 1 = serial")
     p.add_argument("--verbose", action="store_true")
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -47,16 +49,15 @@ def build_parser() -> argparse.ArgumentParser:
         description="Kinetic approximations to the heat equation: sweeps, metrics, decay checks.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    _add_common(sub.add_parser("simulate", help="solve and dump distributions"))
+    _add_common(sub.add_parser("simulate", help="solve and dump distributions"), threads=False)
     _add_common(sub.add_parser("metrics", help="compute metric series to CSV"))
     _add_common(sub.add_parser("check", help="run the decay bound checks"))
 
-    p_rates = sub.add_parser("rates", help="fit decay exponents from a metric series")
-    _add_common(p_rates)
+    p_rates = _add_common(sub.add_parser("rates", help="fit decay exponents from a metric series"))
     p_rates.add_argument("--quantity", default=None,
                          help="metric to fit (default: every metric in the config)")
     p_rates.add_argument("--window", nargs=2, type=float, default=(5.0, 100.0),
-                         metavar=("T_LO", "T_HI"))
+                         metavar=("T_LO", "T_HI"), help="fit window, T_LO < T_HI")
 
     p_app = sub.add_parser("appendix", help="growth table of the regularized-kernel norm")
     p_app.add_argument("--s", type=_checked(float, lambda v: 0.0 < v < 1.0, "in (0, 1)"),
@@ -115,7 +116,7 @@ def _cmd_appendix(args) -> int:
 def _cmd_plot(args) -> int:
     from .runner import Row
     from .spectral import GridSpec
-    from .svg import plot_rows
+    from .svg import write_plots
 
     rows: List[Row] = []
     with open(args.csv) as fh:
@@ -126,10 +127,7 @@ def _cmd_plot(args) -> int:
                 argsup=float(rec["argsup"]),
                 grid=GridSpec(float(rec["grid_L"]), int(rec["grid_N"]))))
     os.makedirs(args.out, exist_ok=True)
-    for quantity in sorted(set(r.quantity for r in rows)):
-        path = os.path.join(args.out, f"{quantity}.svg")
-        with open(path, "w") as fh:
-            fh.write(plot_rows([r for r in rows if r.quantity == quantity], quantity))
+    for path in write_plots(rows, args.out).values():
         print(f"wrote {path}")
     return 0
 
@@ -137,6 +135,9 @@ def _cmd_plot(args) -> int:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "rates" and not args.window[0] < args.window[1]:  # also rejects nan
+        parser.error(f"argument --window: must be T_LO < T_HI, got {args.window[0]!r} "
+                     f"{args.window[1]!r}")
     try:
         if args.command == "simulate":
             cfg = _load(args)

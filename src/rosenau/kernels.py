@@ -229,15 +229,14 @@ def b_epsilon(kernel: BackgroundKernel) -> float:
     return 2.0 * kernel_moment(kernel, 4, signed=True) / kernel.epsilon**2
 
 
-def symbol_deviation(kernel: BackgroundKernel, sigma_sq: float, R: float,
-                     num: int = 8193) -> float:
-    """sup over a dense grid of |xi| <= R of |A_eps(xi) - sigma_sq xi^2|.
+def symbol_deviation(kernel: BackgroundKernel, sigma_sq: float, R: float) -> float:
+    """sup over 8193 points of |xi| <= R of |A_eps(xi) - sigma_sq xi^2|.
 
     Measures how far the generator is from the heat multiplier; for the
     symmetric built-ins the deviation is O(eps^2) at fixed R.
     """
     if R <= 0:
         raise InvalidParameterError("R must be positive")
-    xi = np.linspace(-R, R, num)
+    xi = np.linspace(-R, R, 8193)
     dev = np.abs(generator_symbol(kernel, xi) - sigma_sq * xi**2)
     return float(np.max(dev))

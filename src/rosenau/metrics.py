@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
-from typing import Callable, Optional
+import threading
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -33,16 +33,15 @@ from .spectral import GridSpec, MixedDistribution, SpectralField
 SMALL_XI_BINS = 8
 # |delta| below this (relative to the field scale) is roundoff, not signal
 NOISE_FLOOR = 1e-13
+# sobolev_norm refuses fields whose TAIL_BINS outermost bins per side hold > TAIL_FRACTION
+TAIL_BINS, TAIL_FRACTION = 2, 1e-8
 
 
-@dataclass(frozen=True)
-class MetricReport:
-    """A metric value with the location where the extremum was attained."""
+class MetricReport(NamedTuple):
+    """A metric value and the frequency where its supremum was attained (0 if none)."""
 
-    name: str
     value: float
     argsup: float
-    grid: GridSpec
 
 
 def _small_xi_part(x: np.ndarray, delta: np.ndarray, s: float, scale: float) -> float:
@@ -80,6 +79,9 @@ def _small_xi_part(x: np.ndarray, delta: np.ndarray, s: float, scale: float) -> 
     return max(raw_sup, limit)
 
 
+_LAYOUT_LOCK = threading.Lock()  # pool threads missing the cache at once would each build
+
+
 @functools.lru_cache(maxsize=8)
 def _ds_layout(grid: GridSpec, s: float):
     """Masks, |xi| and |xi[outer]|^s of ds_distance, shared per (grid, s), read-only."""
@@ -93,8 +95,7 @@ def _ds_layout(grid: GridSpec, s: float):
     return layout
 
 
-def ds_distance(f1: SpectralField, f2: SpectralField, s: float,
-                name: Optional[str] = None) -> MetricReport:
+def ds_distance(f1: SpectralField, f2: SpectralField, s: float) -> MetricReport:
     """Fourier distance of order s between two fields on the same grid."""
     if s <= 0:
         raise InvalidParameterError("order s must be positive")
@@ -104,19 +105,19 @@ def ds_distance(f1: SpectralField, f2: SpectralField, s: float,
     delta = np.abs(f1.values - f2.values)
     scale = max(1.0, float(np.max(np.abs(f1.values))), float(np.max(np.abs(f2.values))))
 
-    outer, abs_outer, pow_outer, inner, abs_inner = _ds_layout(grid, s)
+    with _LAYOUT_LOCK:
+        outer, abs_outer, pow_outer, inner, abs_inner = _ds_layout(grid, s)
     ratio = delta[outer] / pow_outer
     k = int(np.argmax(ratio))
     grid_sup = float(ratio[k])
     limit = _small_xi_part(abs_inner, delta[inner], s, scale)
     value, argsup = (limit, 0.0) if limit > grid_sup else (grid_sup, float(abs_outer[k]))
-    return MetricReport(name=name or f"d{s:g}", value=value, argsup=argsup, grid=grid)
+    return MetricReport(value, argsup)
 
 
 def convolution_contractivity_check(f1: SpectralField, f2: SpectralField,
-                                    f3: SpectralField, s: float,
-                                    slack: float = 1e-12) -> bool:
-    """True when d_s(f1*f3, f2*f3) <= d_s(f1, f2) + slack on the grid.
+                                    f3: SpectralField, s: float) -> bool:
+    """True when d_s(f1*f3, f2*f3) <= d_s(f1, f2) + 1e-12 on the grid.
 
     Convolution is pointwise multiplication of the transforms; for a
     probability f3 the multiplier has modulus <= 1, so the inequality must
@@ -126,7 +127,7 @@ def convolution_contractivity_check(f1: SpectralField, f2: SpectralField,
         SpectralField(f1.grid, f1.values * f3.values),
         SpectralField(f2.grid, f2.values * f3.values), s).value
     right = ds_distance(f1, f2, s).value
-    return left <= right + slack
+    return left <= right + 1e-12
 
 
 def lp_norm(d: MixedDistribution, p: int) -> float:
@@ -141,13 +142,12 @@ def lp_norm(d: MixedDistribution, p: int) -> float:
     raise InvalidParameterError("p must be 1 or 2")
 
 
-def sobolev_norm(f: SpectralField, s: float, tail_bins: int = 2,
-                 tail_fraction: float = 1e-8) -> float:
+def sobolev_norm(f: SpectralField, s: float) -> float:
     """Homogeneous Sobolev seminorm sqrt(int |xi|^2s |fhat|^2 dxi) by trapezoid.
 
     Plancherel note: with this package's transform convention the physical
     L2 norm is sobolev_norm(f, 0) / sqrt(2 pi).  Raises TailDominatedError
-    when the outermost bins still carry more than ``tail_fraction`` of the
+    when the outermost bins still carry more than TAIL_FRACTION of the
     integral, signalling that s is too large for this field.
     """
     xi = f.grid.xi()
@@ -155,10 +155,10 @@ def sobolev_norm(f: SpectralField, s: float, tail_bins: int = 2,
     total = float(np.trapezoid(integrand, dx=f.grid.dxi))
     if total == 0.0:
         return 0.0
-    edge = (float(np.sum(integrand[:tail_bins])) + float(np.sum(integrand[-tail_bins:]))) * f.grid.dxi
-    if edge > tail_fraction * total:
+    edge = (float(np.sum(integrand[:TAIL_BINS])) + float(np.sum(integrand[-TAIL_BINS:]))) * f.grid.dxi
+    if edge > TAIL_FRACTION * total:
         raise TailDominatedError(
-            f"outermost bins hold {edge / total:.2e} of the integral (limit {tail_fraction:g}); "
+            f"outermost bins hold {edge / total:.2e} of the integral (limit {TAIL_FRACTION:g}); "
             f"s = {s} too large for this field"
         )
     return math.sqrt(total)

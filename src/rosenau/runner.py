@@ -27,10 +27,8 @@ from .spectral import (
     SpectralField,
     default_grid,
     forward_transform,
-    inverse_transform,
     load_distribution,
     require_grid_contains,
-    rosenau_propagate,
     save_distribution,
 )
 
@@ -118,7 +116,7 @@ def _point_rows(cfg: ExperimentConfig, point: analysis.SweepPoint, eps: float) -
     rows = []
     with _sweep_point(cfg, eps, [point.t]):
         for quantity in sorted(cfg.metrics):
-            value, argsup = (float(x) for x in analysis.METRICS[quantity](point))
+            value, argsup = (float(x) for x in getattr(point, quantity))
             if not (math.isfinite(value) and math.isfinite(argsup)):
                 raise RosenauError(f"{quantity} is not finite: value {value!r}, argsup {argsup!r}")
             rows.append(Row(cfg.kernel, eps, point.t, quantity, value, argsup, point.g0.grid))
@@ -148,15 +146,15 @@ def compute_rows(cfg: ExperimentConfig, threads: int = 0) -> List[Row]:
     return rows
 
 
-def compute_checks(cfg: ExperimentConfig) -> List[analysis.BoundCheck]:
+def compute_checks(cfg: ExperimentConfig, threads: int = 1) -> List[analysis.BoundCheck]:
     """All requested bound checks in deterministic order.  Each lhs is the row of
-    its metric, computed by compute_rows on the same walk over the times."""
+    its metric, computed by compute_rows on ``threads`` over the same times."""
     kernels, g0 = _setup(cfg)
     times, names = sorted(cfg.times), sorted(cfg.checks)
     jobs = [(eps, n) for eps in sorted(cfg.epsilons) for n in names if analysis.CHECKS[n][0]]
     jobs += [(cfg.epsilons[0], n) for n in names if not analysis.CHECKS[n][0]]
     lhs_metrics = replace(cfg, metrics=sorted({analysis.CHECKS[n][1] for n in names}), checks=[])
-    lhs = {(r.epsilon, r.t, r.quantity): r.value for r in compute_rows(lhs_metrics, threads=1)}
+    lhs = {(r.epsilon, r.t, r.quantity): r.value for r in compute_rows(lhs_metrics, threads=threads)}
     checks: List[analysis.BoundCheck] = []
     for eps, name in jobs:
         with _sweep_point(cfg, eps, times):
@@ -186,9 +184,9 @@ def write_checks(checks: Sequence[analysis.BoundCheck], path: str) -> None:
 
 
 def run(cfg: ExperimentConfig, out_dir: Optional[str] = None, threads: int = 0,
-        verbose: bool = False, make_plots: bool = True) -> Dict[str, str]:
+        verbose: bool = False) -> Dict[str, str]:
     """Execute a config: results.csv, checks.jsonl, one SVG per plotted quantity."""
-    from .svg import plot_rows
+    from .svg import write_plots
 
     out = out_dir or cfg.outputs
     os.makedirs(out, exist_ok=True)
@@ -201,15 +199,10 @@ def run(cfg: ExperimentConfig, out_dir: Optional[str] = None, threads: int = 0,
         artifacts["results"] = csv_path
         if verbose:
             print(f"wrote {len(rows)} rows to {csv_path}")
-        if make_plots:
-            for quantity in sorted(set(r.quantity for r in rows)):
-                svg_path = os.path.join(out, f"{quantity}.svg")
-                with open(svg_path, "w") as fh:
-                    fh.write(plot_rows([r for r in rows if r.quantity == quantity], quantity))
-                artifacts[f"plot:{quantity}"] = svg_path
+        artifacts.update((f"plot:{q}", path) for q, path in write_plots(rows, out).items())
 
     if cfg.checks:
-        checks = compute_checks(cfg)
+        checks = compute_checks(cfg, threads=threads)
         jsonl_path = os.path.join(out, "checks.jsonl")
         write_checks(checks, jsonl_path)
         artifacts["checks"] = jsonl_path
@@ -232,7 +225,7 @@ def simulate(cfg: ExperimentConfig, out_dir: Optional[str] = None,
     for eps in sorted(cfg.epsilons):
         for t in sorted(cfg.times):
             with _sweep_point(cfg, eps, [t]):
-                dist = inverse_transform(rosenau_propagate(g0, kernels[eps], t))
+                dist = analysis.SweepPoint(kernels[eps], g0, kernels[eps].sigma_sq, t).density
             path = os.path.join(out, f"dist_{cfg.kernel.replace(':', '_')}_eps{eps:g}_t{t:g}.txt")
             save_distribution(dist, path)
             written.append(path)

@@ -31,6 +31,8 @@ Array = np.ndarray
 
 DEFAULT_GRID_N = 4096
 LEAK_TOL = 1e-12
+SYM_TOL = 1e-9  # largest Hermitian defect, relative to the peak, that inverse_transform accepts
+BAND_REFINE = 16  # off-grid evaluation samples the transform at spacing dxi / BAND_REFINE
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -153,15 +155,14 @@ def delta_field(grid: GridSpec) -> SpectralField:
     return field_from_symbol(grid, lambda xi: np.ones_like(np.asarray(xi, dtype=float), dtype=complex))
 
 
-def gaussian_field(grid: GridSpec, variance: float, mean: float = 0.0) -> SpectralField:
-    """Transform of a normal density with the given mean and variance."""
+def gaussian_field(grid: GridSpec, variance: float) -> SpectralField:
+    """Transform of a centered normal density with the given variance."""
     if variance < 0:
         raise InvalidParameterError("variance must be nonnegative")
 
     def fn(xi):
         x = np.asarray(xi, dtype=float)
-        phase = np.exp(-1j * mean * x) if mean != 0.0 else 1.0
-        return phase * np.exp(-0.5 * variance * x * x)
+        return np.exp(-0.5 * variance * x * x)
 
     return field_from_symbol(grid, fn)
 
@@ -192,14 +193,14 @@ def _hermitian_defect(values: Array) -> float:
     return float(np.max(np.abs(values[1:] - flipped)))
 
 
-def inverse_transform(f: SpectralField, atoms: Sequence[Tuple[float, float]] = (),
-                      sym_tol: float = 1e-9) -> MixedDistribution:
+def inverse_transform(f: SpectralField,
+                      atoms: Sequence[Tuple[float, float]] = ()) -> MixedDistribution:
     """Invert to a density after removing the declared atoms exactly.
 
     The caller supplies the atom list; their transforms are subtracted
     before the inverse FFT so only the absolutely continuous part is
     inverted numerically.  Raises SymmetryError when the remaining field
-    is not Hermitian within ``sym_tol`` (relative to its peak).
+    is not Hermitian within SYM_TOL (relative to its peak).
     """
     grid = f.grid
     vals = f.values.copy()
@@ -209,7 +210,7 @@ def inverse_transform(f: SpectralField, atoms: Sequence[Tuple[float, float]] = (
             vals -= w * np.exp(-1j * xi * loc)
     scale = max(float(np.max(np.abs(vals))), 1e-300)
     defect = _hermitian_defect(vals)
-    if defect > sym_tol * scale:
+    if defect > SYM_TOL * scale:
         raise SymmetryError(
             f"field is not Hermitian-symmetric (defect {defect:.3e}, scale {scale:.3e})"
         )
@@ -298,24 +299,24 @@ def regularized_solution(f: SpectralField, kernel: BackgroundKernel, t: float) -
 # dilation (frequency-side rescaling)
 # ----------------------------------------------------------------------
 
-def _band_limited_eval(f: SpectralField, targets: Array, refine: int = 16) -> Array:
+def _band_limited_eval(f: SpectralField, targets: Array) -> Array:
     """Evaluate a sampled transform off-grid by zero-padded FFT refinement.
 
     The density behind the field is supported in [-L/2, L/2), so the
     transform is band-limited; padding the physical support with zeros
-    yields exact samples at spacing dxi/refine, and a local cubic fill-in
+    yields exact samples at spacing dxi/BAND_REFINE, and a local cubic fill-in
     covers arbitrary targets.
     """
     grid = f.grid
     if np.any(np.abs(targets) > grid.nyquist * (1.0 + 1e-12)):
         raise ResampleError("requested frequency outside the sampled band")
-    n, m = grid.points, grid.points * refine
+    n, m = grid.points, grid.points * BAND_REFINE
     dens = np.fft.ifftshift(np.fft.ifft(np.fft.fftshift(f.values)))
     padded = np.zeros(m, dtype=complex)
     lo = (m - n) // 2
     padded[lo:lo + n] = dens
     fine_vals = np.fft.fftshift(np.fft.fft(np.fft.ifftshift(padded)))
-    fine_dxi = grid.dxi / refine
+    fine_dxi = grid.dxi / BAND_REFINE
     fine_xi0 = -fine_dxi * (m // 2)
     # cubic Lagrange on the 4 refined samples around each target
     pos = (targets - fine_xi0) / fine_dxi
@@ -360,14 +361,13 @@ def mass_leak_estimate(grid: GridSpec, variance: float) -> float:
     return math.erfc((grid.length / 2.0) / math.sqrt(2.0 * variance))
 
 
-def require_grid_contains(grid: GridSpec, variance: float, tol: float = LEAK_TOL,
-                          context: str = "") -> None:
-    """Abort with GridTooSmallError when the tail estimate exceeds ``tol``."""
+def require_grid_contains(grid: GridSpec, variance: float, context: str = "") -> None:
+    """Abort with GridTooSmallError when the tail estimate exceeds LEAK_TOL."""
     leak = mass_leak_estimate(grid, variance)
-    if leak > tol:
+    if leak > LEAK_TOL:
         where = f" ({context})" if context else ""
         raise GridTooSmallError(
-            f"estimated mass {leak:.3e} beyond |v| = {grid.length / 2:g} exceeds {tol:g}{where}"
+            f"estimated mass {leak:.3e} beyond |v| = {grid.length / 2:g} exceeds {LEAK_TOL:g}{where}"
         )
 
 

@@ -7,7 +7,8 @@ anchored at the first point of the first series.
 from __future__ import annotations
 
 import math
-from typing import List, Sequence
+import os
+from typing import Dict, List, Sequence
 
 WIDTH, HEIGHT = 720, 520
 MARGIN = 60
@@ -90,3 +91,12 @@ def plot_rows(rows: Sequence, quantity: str) -> str:
                      f'fill="{color}">eps={eps:g}</text>')
     parts.append("</svg>")
     return "\n".join(parts)
+
+
+def write_plots(rows: Sequence, out_dir: str) -> Dict[str, str]:
+    """Write ``<quantity>.svg`` into out_dir for every quantity in rows; quantity -> path."""
+    paths = {q: os.path.join(out_dir, f"{q}.svg") for q in sorted({r.quantity for r in rows})}
+    for quantity, path in paths.items():
+        with open(path, "w") as fh:
+            fh.write(plot_rows([r for r in rows if r.quantity == quantity], quantity))
+    return paths

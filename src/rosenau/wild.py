@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -93,14 +93,14 @@ def poisson_tail(mu: float, n: int) -> float:
 
 @dataclass(frozen=True)
 class WildTruncation:
-    """Truncation certificate: N kept terms, intensity mu, discarded tail mass."""
+    """Truncation certificate: N kept terms (None: exact propagator), intensity mu, tail mass."""
 
-    terms: int
+    terms: Optional[int]
     mu: float
 
     @property
     def tail_mass(self) -> float:
-        return poisson_tail(self.mu, self.terms)
+        return 0.0 if self.terms is None else poisson_tail(self.mu, self.terms)
 
 
 def truncation_order(mu: float, tol: float) -> int:
@@ -163,7 +163,7 @@ def wild_solution(g0: SpectralField, kernel: BackgroundKernel, t: float,
     mu = kernel.intensity(t)
     if mu > DELEGATION_MU:
         field = rosenau_propagate(g0, kernel, t)
-        return WildResult(field=field, truncation=WildTruncation(terms=0, mu=mu), delegated=True)
+        return WildResult(field=field, truncation=WildTruncation(terms=None, mu=mu), delegated=True)
     n_star = truncation_order(mu, tol)
     field = wild_partial_sum(g0, kernel, t, n_star)
     return WildResult(field=field, truncation=WildTruncation(terms=n_star, mu=mu), delegated=False)

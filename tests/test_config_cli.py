@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -12,7 +13,7 @@ from rosenau.cli import main
 from rosenau.config import ExperimentConfig, load_config, parse_config
 from rosenau.errors import ConfigError
 from rosenau.kernels import kernel_by_name
-from rosenau import runner
+from rosenau import metrics, runner
 from rosenau.analysis import d2_bound_check, d3_bound_check, exact_decay_check
 from rosenau.runner import CSV_HEADER, RunError, compute_checks, compute_rows, run
 from rosenau.spectral import load_distribution
@@ -142,15 +143,15 @@ class TestConfigParsing:
 class TestRunner:
     def test_row_count_and_header(self, tmp_path):
         cfg = load_config(os.path.join(CONFIG_DIR, "minimal.cfg"))
-        out = run(cfg, out_dir=str(tmp_path), make_plots=False)
+        out = run(cfg, out_dir=str(tmp_path))
         lines = open(out["results"]).read().splitlines()
         assert lines[0] == CSV_HEADER
         assert len(lines) == 1 + len(cfg.epsilons) * len(cfg.times) * len(cfg.metrics)
 
     def test_rerun_is_byte_identical(self, tmp_path):
         cfg = load_config(os.path.join(CONFIG_DIR, "minimal.cfg"))
-        a = run(cfg, out_dir=str(tmp_path / "a"), make_plots=False)
-        b = run(cfg, out_dir=str(tmp_path / "b"), make_plots=False)
+        a = run(cfg, out_dir=str(tmp_path / "a"))
+        b = run(cfg, out_dir=str(tmp_path / "b"))
         assert sha256(a["results"]) == sha256(b["results"])
 
     def test_threaded_matches_serial(self, monkeypatch):
@@ -170,6 +171,23 @@ class TestRunner:
             assert [r.csv() for r in compute_rows(cfg, threads=threads)] == serial
         # the pool maps over times: never more workers than the config has times
         assert started == [2, 3, 3]
+
+    def test_layout_built_once_under_pool(self, monkeypatch):
+        # slow frequency grids keep the pool threads in step, so every thread
+        # reaches the d_s layout cache at once; each (grid, s) is still built once
+        xi = runner.GridSpec.xi
+
+        def slow_xi(grid):
+            time.sleep(0.01)
+            return xi(grid)
+
+        monkeypatch.setattr(runner.GridSpec, "xi", slow_xi)
+        cfg = ExperimentConfig(kernel="central-diff", epsilons=[0.2], times=[1.0, 2.0, 3.0, 4.0],
+                               metrics=["d2_selfsim", "d3_selfsim"], initial="mixture-matched",
+                               grid_points=256)
+        metrics._ds_layout.cache_clear()
+        rows = compute_rows(cfg, threads=4)
+        assert len(rows) == 8 and metrics._ds_layout.cache_info().misses == 2
 
     def test_check_lhs_is_the_metric_row(self):
         cfg = load_config(os.path.join(CONFIG_DIR, "decay_sweep.cfg"))
@@ -426,6 +444,43 @@ class TestCli:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert "usage:" in err and "--threads" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("window", [("nan", "5"), ("50", "5"), ("5", "5"), ("5", "nan")])
+    def test_rates_bad_window_exit_2(self, capsys, window):
+        with pytest.raises(SystemExit) as exc:
+            main(["rates", "--config", os.path.join(CONFIG_DIR, "decay_sweep.cfg"),
+                  "--window", *window])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "usage:" in captured.err and "argument --window:" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("threads", [2, 3])
+    def test_check_uses_threads(self, tmp_path, monkeypatch, threads):
+        started = []
+
+        class Pool(runner.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                started.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(runner, "ThreadPoolExecutor", Pool)
+        cfg = os.path.join(CONFIG_DIR, "decay_sweep.cfg")
+        assert main(["check", "--config", cfg, "--out", str(tmp_path), "--threads", str(threads)]) == 0
+        assert started == [threads]
+        serial = compute_checks(load_config(cfg))  # no threads argument: no pool
+        assert started == [threads]
+        assert [json.loads(line)["lhs"] for line in open(tmp_path / "checks.jsonl")] == \
+            [c.lhs for c in serial]
+
+    @pytest.mark.parametrize("threads", ["0", "2"])
+    def test_simulate_rejects_threads(self, tmp_path, capsys, threads):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--config", os.path.join(CONFIG_DIR, "minimal.cfg"),
+                  "--out", str(tmp_path / "out"), "--threads", threads])
+        assert exc.value.code == 2
+        assert "--threads" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_unknown_subcommand_exit_2(self):

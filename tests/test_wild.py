@@ -117,6 +117,9 @@ class TestWildSolution:
         assert res.delegated
         prop = rosenau_propagate(gauss_unit, k, 20.0)
         assert np.array_equal(res.field.values, prop.values)
+        # the exact propagator discards no mass, so its certificate must say so
+        assert res.truncation.terms is None and res.truncation.mu == pytest.approx(8000.0)
+        assert res.truncation.tail_mass == 0.0
 
 
 class TestCdFundamentalAtoms:
