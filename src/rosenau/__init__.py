@@ -52,18 +52,15 @@ from .metrics import (
 from .analysis import (
     AppendixReport,
     BoundCheck,
-    L1Record,
     RateFit,
     RescaledSolution,
-    appendix_bs,
+    SweepPoint,
     appendix_report,
     d2_bound_check,
     d3_bound_check,
     exact_decay_check,
     gaussian_initial,
-    heat_l1_series,
     initial_by_name,
-    l1_convergence_series,
     mixture_initial,
     rate_fit,
     rescale,

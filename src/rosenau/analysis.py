@@ -36,7 +36,6 @@ from .spectral import (
     inverse_transform,
     kinetic_multiplier,
     regularized_solution,
-    require_grid_contains,
     rosenau_propagate,
 )
 
@@ -158,25 +157,25 @@ class BoundCheck:
         return self.lhs <= self.rhs + BOUND_SLACK
 
 
-def _decay_checks(kernel: Optional[BackgroundKernel], g0: SpectralField, sigma_sq: float,
-                  field: str, s: float, times: Sequence[float], lhs: Optional[Sequence[float]],
+def _decay_checks(check: str, kernel: Optional[BackgroundKernel], g0: SpectralField,
+                  sigma_sq: float, s: float, times: Sequence[float], lhs: Optional[Sequence[float]],
                   rhs: Callable[[float, float], float], label: str,
                   params: Dict[str, float]) -> List[BoundCheck]:
-    """lhs = d_s(field, profile) at each time (given or computed) against rhs(d_s(g0, profile), t)."""
+    """lhs = the check's metric (``CHECKS``) at each time, given or read from a SweepPoint,
+    against rhs(d_s(g0, profile), t)."""
     d0 = ds_distance(g0, gaussian_reference(g0.grid, sigma_sq), s).value
     if lhs is None:
-        points = (SweepPoint(kernel, g0, sigma_sq, t) for t in times)
-        lhs = [ds_distance(getattr(p, field), p.ref, s).value for p in points]
+        lhs = [getattr(SweepPoint(kernel, g0, sigma_sq, t), CHECKS[check][1]).value for t in times]
     return [BoundCheck(name=f"{label} t={t:g}", lhs=value, rhs=rhs(d0, t),
                        params={**params, "t": t}) for t, value in zip(times, lhs)]
 
 
-def exact_decay_check(g0: SpectralField, s: float, sigma_sq: float, times: Sequence[float],
+def exact_decay_check(g0: SpectralField, sigma_sq: float, times: Sequence[float],
                       lhs: Optional[Sequence[float]] = None) -> List[BoundCheck]:
-    """Self-similar decay of the heat flow: d_s shrinks at least like (1+t)^-s/2."""
-    return _decay_checks(None, g0, sigma_sq, "h_heat", s, times, lhs,
-                         lambda d0, t: d0 / (1.0 + t) ** (0.5 * s),
-                         f"heat-decay s={s:g}", {"s": s, "sigma_sq": sigma_sq})
+    """Self-similar decay of the heat flow: d_2 shrinks at least like (1+t)^-1."""
+    return _decay_checks("heat_decay", None, g0, sigma_sq, 2.0, times, lhs,
+                         lambda d0, t: d0 / (1.0 + t), "heat-decay s=2",
+                         {"s": 2.0, "sigma_sq": sigma_sq})
 
 
 D2_CONSTANTS = {CENTRAL_DIFF: 1.5, ROSENAU: 0.5}
@@ -194,7 +193,7 @@ def d2_bound_check(kernel: BackgroundKernel, g0: SpectralField, times: Sequence[
         raise InvalidParameterError(f"no d2 bound constant for family {kernel.family!r}")
     c = math.sqrt(D2_CONSTANTS[kernel.family] * kernel.sigma_sq)
     eps = kernel.epsilon
-    return _decay_checks(kernel, g0, kernel.sigma_sq, "h_kin", 2.0, times, lhs,
+    return _decay_checks("d2_bound", kernel, g0, kernel.sigma_sq, 2.0, times, lhs,
                          lambda d0, t: d0 / (1.0 + t) + c * eps * math.sqrt(t) / (1.0 + t),
                          f"d2-bound {kernel.family} eps={eps:g}",
                          {"eps": eps, "sigma": kernel.sigma})
@@ -213,7 +212,7 @@ def d3_bound_check(kernel: BackgroundKernel, g0: SpectralField, times: Sequence[
     """
     b_eps = b_epsilon(kernel)
     return _decay_checks(
-        kernel, g0, kernel.sigma_sq, "h_kin", 3.0, times, lhs,
+        "d3_bound", kernel, g0, kernel.sigma_sq, 3.0, times, lhs,
         lambda d0, t: d0 / (1.0 + t) ** 1.5 + D3_PREFACTOR * b_eps**0.75 * (math.sqrt(t) / (1.0 + t)) ** 1.5,
         f"d3-bound {kernel.family} eps={kernel.epsilon:g}", {"eps": kernel.epsilon, "b_eps": b_eps})
 
@@ -256,58 +255,13 @@ def rate_fit(series: Sequence[Tuple[float, float]], window: Tuple[float, float] 
 
 
 # ----------------------------------------------------------------------
-# strong L1 convergence of the regularized solution
+# sweep-point metrics and checks
 # ----------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class L1Record:
-    t: float
-    gap: float              # ||g(t) - g_reg(t)||_L1
-    propagator_gap: float   # ||Omega(t) - P_reg(t)||_L1, the convolution bound
-
 
 def l1_distance(f1: SpectralField, f2: SpectralField) -> float:
     """||f1 - f2||_L1 of two fields on one grid, inverted as one difference."""
     return lp_norm(inverse_transform(SpectralField(f1.grid, f1.values - f2.values)), 1)
 
-
-def l1_convergence_series(kernel: BackgroundKernel, g0: SpectralField,
-                          times: Sequence[float]) -> List[L1Record]:
-    """L1 gap between the heat solution and the regularized kinetic solution.
-
-    Only the exponential family qualifies: its regularized propagator has a
-    density, while the central-difference one stays atomic.  Each record
-    carries the data-independent propagator gap, which dominates the data
-    gap by Young's inequality.
-    """
-    if kernel.family not in REGULARIZED_FAMILIES:
-        raise UnsupportedKernelError("the regularized solution has a density only "
-                                     "for the exponential family")
-    sigma_sq = kernel.sigma_sq
-    m2_0 = moment(inverse_transform(g0), 2)
-    out = []
-    for t in sorted(times):
-        require_grid_contains(g0.grid, m2_0 + 2.0 * sigma_sq * t, context=f"{kernel.label()} t={t:g}")
-        gap, pgap = (SweepPoint(kernel, f, sigma_sq, t).l1_reg_gap.value
-                     for f in (g0, delta_field(g0.grid)))
-        out.append(L1Record(t=float(t), gap=gap, propagator_gap=pgap))
-    return out
-
-
-def heat_l1_series(g0: SpectralField, sigma_sq: float,
-                   times: Sequence[float]) -> List[Tuple[float, float]]:
-    """||g(t) - Omega(t)||_L1 for the heat flow, the classical baseline."""
-    m2_0 = moment(inverse_transform(g0), 2)
-    out = []
-    for t in sorted(times):
-        require_grid_contains(g0.grid, m2_0 + 2.0 * sigma_sq * t, context=f"heat t={t:g}")
-        out.append((float(t), SweepPoint(None, g0, sigma_sq, t).l1_heat_gap.value))
-    return out
-
-
-# ----------------------------------------------------------------------
-# sweep-point metrics and checks
-# ----------------------------------------------------------------------
 
 class SweepPoint:
     """Everything one (eps, t) sweep point computes, each entry built at most once.
@@ -338,6 +292,13 @@ class SweepPoint:
         return SpectralField(self.g0.grid, self.datum * np.asarray(mult(self.z)))
 
 
+def _regularized(p: SweepPoint) -> SpectralField:
+    if p.kernel.family not in REGULARIZED_FAMILIES:
+        raise UnsupportedKernelError("the regularized solution has a density only "
+                                     "for the exponential family")
+    return regularized_solution(p.g0, p.kernel, p.t)
+
+
 # field -> (keyed by t alone, builder of a SweepPoint)
 FIELDS: Dict[str, Tuple[bool, Callable[[SweepPoint], object]]] = {
     "z": (True, lambda p: rescale(p.g0, p.t).scale * p.g0.grid.xi()),
@@ -346,7 +307,7 @@ FIELDS: Dict[str, Tuple[bool, Callable[[SweepPoint], object]]] = {
     "h_heat": (True, lambda p: p.rescaled(heat_multiplier(p.sigma_sq, p.t))),
     "ref": (True, lambda p: gaussian_reference(p.g0.grid, p.sigma_sq)),
     "sol": (False, lambda p: rosenau_propagate(p.g0, p.kernel, p.t)),
-    "reg": (False, lambda p: regularized_solution(p.g0, p.kernel, p.t)),
+    "reg": (False, _regularized),
     "h_kin": (False, lambda p: p.rescaled(kinetic_multiplier(p.kernel, p.t))),
     "density": (False, lambda p: inverse_transform(p.sol)),
 }
@@ -378,7 +339,7 @@ CHECKS: Dict[str, Tuple[bool, str, Callable[..., List[BoundCheck]]]] = {
     "d2_bound": (True, "d2_selfsim", lambda *args: d2_bound_check(*args)),
     "d3_bound": (True, "d3_selfsim", lambda *args: d3_bound_check(*args)),
     "heat_decay": (False, "d2_selfsim_heat", lambda kernel, g0, times, lhs: exact_decay_check(
-        g0, 2.0, kernel.sigma_sq, times, lhs)),
+        g0, kernel.sigma_sq, times, lhs)),
 }
 
 
@@ -462,11 +423,3 @@ def appendix_report(s: float, t: float, panels: int = 128) -> AppendixReport:
         value_balanced=balanced,
         tail_bound=tail, split_point=_APPENDIX_XI_MAX, panels=panels)
 
-
-def appendix_bs(kernel: BackgroundKernel, s: float, t: float, panels: int = 128) -> float:
-    """B_s(t) = (1+t)^(s+1/2) I_s(t)^(1/2) for the unit exponential kernel."""
-    if kernel.family != ROSENAU or abs(kernel.epsilon - 1.0) > 1e-12 or \
-            abs(kernel.sigma - 1.0) > 1e-12:
-        raise InvalidParameterError("the growth integral is normalized to the "
-                                    "exponential kernel with eps = sigma = 1")
-    return appendix_report(s, t, panels).value

@@ -33,13 +33,15 @@ def _checked(convert, ok, what: str):
     return parse
 
 
-def _add_common(p: argparse.ArgumentParser, threads: bool = True) -> argparse.ArgumentParser:
+def _add_common(p: argparse.ArgumentParser, threads: bool = True,
+                writes: bool = True) -> argparse.ArgumentParser:
     p.add_argument("--config", required=True, help="experiment config file")
-    p.add_argument("--out", default=None, help="output directory (overrides config)")
     if threads:
         p.add_argument("--threads", type=_checked(int, lambda v: v >= 0, "0 (auto) or positive"),
                        default=0, help="worker threads, 0 = auto, 1 = serial")
-    p.add_argument("--verbose", action="store_true")
+    if writes:
+        p.add_argument("--out", default=None, help="output directory (overrides config)")
+        p.add_argument("--verbose", action="store_true", help="print what was written")
     return p
 
 
@@ -53,7 +55,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sub.add_parser("metrics", help="compute metric series to CSV"))
     _add_common(sub.add_parser("check", help="run the decay bound checks"))
 
-    p_rates = _add_common(sub.add_parser("rates", help="fit decay exponents from a metric series"))
+    p_rates = _add_common(sub.add_parser("rates", help="fit decay exponents from a metric series"),
+                          writes=False)
     p_rates.add_argument("--quantity", default=None,
                          help="metric to fit (default: every metric in the config)")
     p_rates.add_argument("--window", nargs=2, type=float, default=(5.0, 100.0),

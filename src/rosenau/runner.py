@@ -102,6 +102,12 @@ def _setup(cfg: ExperimentConfig) -> Tuple[Dict[float, BackgroundKernel], Spectr
             m2, g0 = moment(dist, 2), forward_transform(dist)
         else:
             m2 = analysis.INITIAL_PRESETS[cfg.initial][1](kernel.sigma_sq)
+            profile_m2 = 2.0 * kernel.sigma_sq
+            for key, name in (("checks", "d3_bound"), ("metrics", "d3_selfsim")):
+                if name in getattr(cfg, key) and abs(m2 - profile_m2) > 1e-12 * profile_m2:
+                    raise ConfigError(f"{key}: {name} diverges unless the datum's m2 equals the "
+                                      f"profile's 2 sigma^2 = {profile_m2:g}; initial "
+                                      f"{cfg.initial!r} has m2 = {m2:g}", cfg.lines.get(key))
             points = cfg.grid_points or DEFAULT_GRID_N
             grid = (GridSpec(cfg.grid_length, points) if cfg.grid_length is not None else
                     default_grid(math.sqrt(kernel.sigma_sq), times[-1], n=points, m2=m2))

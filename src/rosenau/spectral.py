@@ -110,7 +110,7 @@ class SpectralField:
 
     def at(self, xi) -> Array:
         """Evaluate at arbitrary frequencies, exactly when analytic, else by
-        trigonometric refinement (see ``dilate``)."""
+        trigonometric refinement (see ``_band_limited_eval``)."""
         if self.analytic is not None:
             return np.asarray(self.analytic(xi), dtype=complex)
         return _band_limited_eval(self, np.asarray(xi, dtype=float))
@@ -335,19 +335,14 @@ def _band_limited_eval(f: SpectralField, targets: Array) -> Array:
 def dilate(f: SpectralField, factor: float) -> SpectralField:
     """Pure dilation of the frequency argument: result(xi) = f(factor * xi).
 
-    Exact when the field carries an analytic evaluator; otherwise uses
-    band-limited refinement.  Factors above 1 would need samples beyond
-    the stored band and raise ResampleError.
+    Evaluated through ``SpectralField.at``: exact when the field carries an
+    analytic evaluator, band-limited refinement otherwise, where a factor
+    above 1 would need samples beyond the stored band and raises
+    ResampleError.
     """
     if factor < 0:
         raise InvalidParameterError("dilation factor must be nonnegative")
-    if f.analytic is not None:
-        base = f.analytic
-        return field_from_symbol(f.grid, lambda z: base(factor * np.asarray(z)))
-    if factor > 1.0:
-        raise ResampleError(f"dilation factor {factor} exceeds the sampled band")
-    values = _band_limited_eval(f, factor * f.grid.xi())
-    return SpectralField(grid=f.grid, values=values)
+    return field_from_symbol(f.grid, lambda z: f.at(factor * np.asarray(z)))
 
 
 # ----------------------------------------------------------------------

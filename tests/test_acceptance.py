@@ -14,26 +14,21 @@ import numpy as np
 
 from rosenau import (
     GridSpec,
+    SweepPoint,
     appendix_report,
     b_epsilon,
     bernoulli_kernel,
     d2_bound_check,
     d3_bound_check,
     delta_field,
-    ds_distance,
     exact_decay_check,
     gaussian_initial,
-    gaussian_reference,
-    heat_l1_series,
-    heat_propagate,
     inverse_transform,
     kernel_by_name,
-    l1_convergence_series,
     mixture_initial,
     moment,
     rate_fit,
     regularized_propagator,
-    rescale,
     rosenau_kernel,
     rosenau_propagate,
     singular_split,
@@ -68,9 +63,7 @@ def make_kernel(family, eps, sigma=1.0):
 
 def d2_gap(family, eps, t, g0):
     kernel = make_kernel(family, eps)
-    h_kin = rescale(rosenau_propagate(g0, kernel, t), t).field
-    h_heat = rescale(heat_propagate(g0, kernel.sigma_sq, t), t).field
-    return ds_distance(h_kin, h_heat, 2.0).value
+    return SweepPoint(kernel, g0, kernel.sigma_sq, t).d2_gap.value
 
 
 class TestCriterion01RepresentationEquivalence:
@@ -128,14 +121,9 @@ class TestCriterion03Dissipation:
 class TestCriterion04OptimalHeatRate:
     def test_bound_and_fitted_exponent(self):
         g0 = mixture_initial(GRID, 1.0)
-        checks = exact_decay_check(g0, 2.0, 1.0, list(FIT_TIMES))
+        checks = exact_decay_check(g0, 1.0, list(FIT_TIMES))
         ok_bound = all(c.satisfied for c in checks)
-        ref = gaussian_reference(GRID, 1.0)
-        series = []
-        for t in FIT_TIMES:
-            h = rescale(heat_propagate(g0, 1.0, t), t).field
-            series.append((t, ds_distance(h, ref, 2.0).value))
-        fit = rate_fit(series, window=FIT_WINDOW)
+        fit = rate_fit(list(zip(FIT_TIMES, [c.lhs for c in checks])), window=FIT_WINDOW)
         ok_fit = abs(fit.exponent + 1.0) <= 0.1
         report(4, ok_bound and ok_fit,
                f"bound satisfied at all {len(checks)} times: {ok_bound}; "
@@ -246,10 +234,9 @@ class TestCriterion08L1Convergence:
         kernel = rosenau_kernel(0.2, 1.0)
         g0 = gaussian_initial(WIDE, 1.0)
         times = [1.0, 2.0, 5.0, 10.0, 20.0, 30.0, 50.0, 75.0, 100.0, 150.0, 200.0]
-        recs = l1_convergence_series(kernel, g0, times)
-        gaps = {r.t: r.gap for r in recs}
+        gaps = {t: SweepPoint(kernel, g0, kernel.sigma_sq, t).l1_reg_gap.value for t in times}
         ratio = gaps[200.0] / gaps[1.0]
-        tail = [r.gap for r in recs if r.t >= 20.0]
+        tail = [gaps[t] for t in times if t >= 20.0]
         monotone = all(b <= a + 1e-6 for a, b in zip(tail, tail[1:]))
         ok = ratio < 0.2 and monotone
         report(8, ok, f"gap(200)/gap(1) = {ratio:.4f} (< 0.2), "
@@ -281,8 +268,8 @@ class TestCriterion09AppendixBound:
 class TestCriterion10HeatL1Baseline:
     def test_scaled_gap_bounded(self):
         g0 = mixture_initial(WIDE, 1.0)
-        series = heat_l1_series(g0, 1.0, [1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0])
-        scaled = [v * math.sqrt(1.0 + 2.0 * t) for t, v in series]
+        scaled = [SweepPoint(None, g0, 1.0, t).l1_heat_gap.value * math.sqrt(1.0 + 2.0 * t)
+                  for t in (1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0)]
         ok = all(math.isfinite(x) for x in scaled) and \
             all(b <= a + 1e-9 for a, b in zip(scaled, scaled[1:]))
         report(10, ok,

@@ -6,24 +6,24 @@ import pytest
 from scipy.integrate import quad
 
 from rosenau import (
-    appendix_bs,
+    SweepPoint,
     appendix_report,
     bernoulli_kernel,
     d2_bound_check,
     d3_bound_check,
+    delta_field,
     exact_decay_check,
     gaussian_field,
     gaussian_initial,
-    heat_l1_series,
     heat_propagate,
     inverse_transform,
     kernel_by_name,
-    l1_convergence_series,
     mixture_initial,
     moment,
     rate_fit,
     rescale,
     rosenau_kernel,
+    rosenau_propagate,
 )
 from rosenau.analysis import APPENDIX_T_MAX, initial_by_name, solve_mixture_params
 from rosenau.errors import (
@@ -91,23 +91,38 @@ class TestRescale:
             expect = np.exp(-(sigma**2 / 2.0) * xi**2 * (2 * t + 1) / (t + 1))
             assert np.max(np.abs(h.values - expect)) <= 1e-12
 
+    @pytest.mark.parametrize("family", ["rosenau", "central-diff"])
+    @pytest.mark.parametrize("initial", ["gaussian-unit", "mixture-unit"])
+    def test_registry_fields_equal_the_rescale_path(self, grid, family, initial):
+        # the sweep registry rescales by multiplying the rescaled datum; rescale
+        # and dilate compose the propagators' closures instead: same bits
+        g0 = initial_by_name(initial, grid)
+        for eps in (0.2, 0.1, 0.05):
+            kernel = kernel_by_name(family, eps)
+            for t in (1.0, 10.0, 100.0):
+                point = SweepPoint(kernel, g0, kernel.sigma_sq, t)
+                kin = rescale(rosenau_propagate(g0, kernel, t), t).field
+                heat = rescale(heat_propagate(g0, kernel.sigma_sq, t), t).field
+                assert np.array_equal(point.h_kin.values, kin.values)
+                assert np.array_equal(point.h_heat.values, heat.values)
+
 
 class TestExactDecayCheck:
     def test_t0_is_equality(self, grid):
         g0 = mixture_initial(grid, 1.0)
-        chk = exact_decay_check(g0, 2.0, 1.0, [0.0])[0]
+        chk = exact_decay_check(g0, 1.0, [0.0])[0]
         assert chk.lhs == pytest.approx(chk.rhs, rel=1e-12)
         assert chk.satisfied
 
     def test_mixture_satisfied_at_all_times(self, grid):
         g0 = mixture_initial(grid, 1.0)
-        checks = exact_decay_check(g0, 2.0, 1.0, [1.0, 3.0, 10.0, 30.0, 100.0])
+        checks = exact_decay_check(g0, 1.0, [1.0, 3.0, 10.0, 30.0, 100.0])
         assert all(c.satisfied for c in checks)
 
     def test_sharp_for_narrow_data_at_large_t(self, grid):
         # nearly-degenerate datum probes sharpness: ratio tends to 1
         g0 = gaussian_initial(grid, 0.01)
-        chk = exact_decay_check(g0, 2.0, 1.0, [100.0])[0]
+        chk = exact_decay_check(g0, 1.0, [100.0])[0]
         assert chk.satisfied
         assert chk.rhs / chk.lhs <= 1.05
 
@@ -194,21 +209,23 @@ class TestRateFit:
 class TestL1Convergence:
     def test_requires_exponential_family(self, wide_grid, cd_kernel):
         g0 = gaussian_initial(wide_grid, 1.0)
-        with pytest.raises(UnsupportedKernelError):
-            l1_convergence_series(cd_kernel, g0, [1.0])
+        for metric in ("l1_reg_gap", "entropy_reg"):
+            with pytest.raises(UnsupportedKernelError):
+                getattr(SweepPoint(cd_kernel, g0, cd_kernel.sigma_sq, 1.0), metric)
 
     def test_gap_decreases_and_bound_dominates(self, wide_grid):
+        # the propagator gap ||Omega(t) - P_reg(t)||_L1 dominates the data gap by Young
         k = rosenau_kernel(0.2, 1.0)
         g0 = gaussian_initial(wide_grid, 1.0)
-        recs = l1_convergence_series(k, g0, [1.0, 10.0, 100.0])
-        assert recs[-1].gap < recs[0].gap
-        for r in recs:
-            assert r.gap <= r.propagator_gap + 1e-12
+        gaps = [SweepPoint(k, g0, k.sigma_sq, t).l1_reg_gap.value for t in (1.0, 10.0, 100.0)]
+        assert gaps[-1] < gaps[0]
+        for t, gap in zip((1.0, 10.0, 100.0), gaps):
+            assert gap <= SweepPoint(k, delta_field(wide_grid), k.sigma_sq, t).l1_reg_gap.value + 1e-12
 
     def test_heat_l1_baseline_decays(self, wide_grid):
         g0 = mixture_initial(wide_grid, 1.0)
-        series = heat_l1_series(g0, 1.0, [1.0, 10.0, 100.0])
-        scaled = [v * math.sqrt(1 + 2 * t) for t, v in series]
+        scaled = [SweepPoint(None, g0, 1.0, t).l1_heat_gap.value * math.sqrt(1 + 2 * t)
+                  for t in (1.0, 10.0, 100.0)]
         assert scaled[0] >= scaled[1] >= scaled[2]
 
     def test_interpolation_ladder_ratio_stable(self, wide_grid):
@@ -287,9 +304,3 @@ class TestAppendix:
         rep = appendix_report(s, APPENDIX_T_MAX)
         assert 0.0 < rep.integral and math.isfinite(rep.value)
         assert rep.tail_bound == 0.0
-
-    def test_kernel_normalization_enforced(self):
-        with pytest.raises(InvalidParameterError):
-            appendix_bs(rosenau_kernel(0.5, 1.0), 0.9, 1.0)
-        val = appendix_bs(rosenau_kernel(1.0, 1.0), 0.9, 10.0)
-        assert val == pytest.approx(appendix_report(0.9, 10.0).value, rel=1e-14)

@@ -22,6 +22,7 @@ from conftest import write_atoms
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 SRC_DIR = os.path.join(os.path.dirname(__file__), "..", "src")
+PERFBENCH_DIR = os.path.join(os.path.dirname(__file__), "..", "perfbench")
 
 
 def sha256(path):
@@ -204,7 +205,7 @@ class TestRunner:
         kernels, g0 = runner._setup(cfg)
         public = [c for eps in sorted(cfg.epsilons)
                   for c in d2_bound_check(kernels[eps], g0, sorted(cfg.times))]
-        public += exact_decay_check(g0, 2.0, kernels[0.5].sigma_sq, sorted(cfg.times))
+        public += exact_decay_check(g0, kernels[0.5].sigma_sq, sorted(cfg.times))
         assert public == checks
 
     @pytest.mark.parametrize("kernel", ["central-diff", "rosenau"])
@@ -483,6 +484,31 @@ class TestCli:
         assert "--threads" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("flag", ["--out", "--verbose"])
+    def test_rates_rejects_out_and_verbose(self, tmp_path, capsys, flag):
+        # rates prints its fits and writes no file, so it takes neither flag
+        args = [flag, str(tmp_path / "r")] if flag == "--out" else [flag]
+        with pytest.raises(SystemExit) as exc:
+            main(["rates", "--config", os.path.join(CONFIG_DIR, "regularized_l1.cfg"),
+                  "--quantity", "l1_heat_gap", "--window", "5", "200", *args])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "usage:" in captured.err and flag in captured.err and captured.out == ""
+        assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("command,key,name", [("check", "checks", "d3_bound"),
+                                                  ("metrics", "metrics", "d3_selfsim")])
+    def test_d3_on_mismatched_m2_exit_2(self, tmp_path, capsys, command, key, name):
+        # gaussian-unit has m2 = 1 and the profile 2 sigma^2 = 2, so d_3 diverges
+        cfg = tmp_path / "d3.cfg"
+        cfg.write_text("kernel = rosenau\nepsilons = 0.1\ntimes = 1 2\n"
+                       f"initial = gaussian-unit\n{key} = {name}\n")
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: line 5: {key}: {name}" in err and "m2 = 1" in err
+        assert not out.exists() or os.listdir(out) == []
+
     def test_unknown_subcommand_exit_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
@@ -501,6 +527,17 @@ class TestCli:
         captured = capsys.readouterr()
         assert "usage:" in captured.err and f"argument {flag}:" in captured.err
         assert captured.out == ""
+
+
+class TestBenchmarkHooks:
+    def test_tracer_installs(self):
+        # perfbench/tracing.py wraps package functions by name, so deleting or
+        # renaming one of them fails here, not only in a traced benchmark run
+        script = "import tracing\ntracing.install(tracing.Tracer('hooks'))\n"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC_DIR, PERFBENCH_DIR]))
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestImportFootprint:
