@@ -152,15 +152,20 @@ def compute_rows(cfg: ExperimentConfig, threads: int = 0) -> List[Row]:
     return rows
 
 
-def compute_checks(cfg: ExperimentConfig, threads: int = 1) -> List[analysis.BoundCheck]:
+def compute_checks(cfg: ExperimentConfig, threads: int = 1,
+                   rows: Sequence[Row] = ()) -> List[analysis.BoundCheck]:
     """All requested bound checks in deterministic order.  Each lhs is the row of
-    its metric, computed by compute_rows on ``threads`` over the same times."""
+    its metric: read from ``rows``, the compute_rows output of this cfg, where
+    they hold that metric, else computed by compute_rows on ``threads`` over the
+    same times."""
     kernels, g0 = _setup(cfg)
     times, names = sorted(cfg.times), sorted(cfg.checks)
     jobs = [(eps, n) for eps in sorted(cfg.epsilons) for n in names if analysis.CHECKS[n][0]]
     jobs += [(cfg.epsilons[0], n) for n in names if not analysis.CHECKS[n][0]]
-    lhs_metrics = replace(cfg, metrics=sorted({analysis.CHECKS[n][1] for n in names}), checks=[])
-    lhs = {(r.epsilon, r.t, r.quantity): r.value for r in compute_rows(lhs_metrics, threads=threads)}
+    missing = sorted({analysis.CHECKS[n][1] for n in names} - {r.quantity for r in rows})
+    if missing:
+        rows = [*rows, *compute_rows(replace(cfg, metrics=missing, checks=[]), threads=threads)]
+    lhs = {(r.epsilon, r.t, r.quantity): r.value for r in rows}
     checks: List[analysis.BoundCheck] = []
     for eps, name in jobs:
         with _sweep_point(cfg, eps, times):
@@ -197,6 +202,7 @@ def run(cfg: ExperimentConfig, out_dir: Optional[str] = None, threads: int = 0,
     out = out_dir or cfg.outputs
     os.makedirs(out, exist_ok=True)
     artifacts: Dict[str, str] = {}
+    rows: List[Row] = []
 
     if cfg.metrics:
         rows = compute_rows(cfg, threads=threads)
@@ -208,7 +214,7 @@ def run(cfg: ExperimentConfig, out_dir: Optional[str] = None, threads: int = 0,
         artifacts.update((f"plot:{q}", path) for q, path in write_plots(rows, out).items())
 
     if cfg.checks:
-        checks = compute_checks(cfg, threads=threads)
+        checks = compute_checks(cfg, threads=threads, rows=rows)
         jsonl_path = os.path.join(out, "checks.jsonl")
         write_checks(checks, jsonl_path)
         artifacts["checks"] = jsonl_path

@@ -4,18 +4,19 @@ The solution is the Poisson mixture
 
     g(t) = exp(-mu) * sum_n (mu^n / n!) M^(*n) * g0,     mu = lam t / eps^2,
 
-so truncating after N terms discards exactly the Poisson tail mass beyond N.
-Poisson weights are summed in log space outward from the mode (mu can exceed
-1e4 at small eps) and the polynomial in Mhat is summed by Horner's rule.  For
-the central-difference family the mixture has the closed form
-exp(-mu) I_|m|(mu) at lattice site m, evaluated by Miller's backward
-recurrence.  The module needs numpy and math only.
+so keeping the orders n_lo..N discards exactly the Poisson mass outside them.
+Only O(sqrt(mu)) orders carry mass: half of tol bounds each tail, Horner's
+rule sums the window in real arithmetic (every kernel is mirror-symmetric, so
+Mhat is real) and Mhat^n_lo is applied once.  For the central-difference
+family the mixture has the closed form exp(-mu) I_|m|(mu) at lattice site m,
+evaluated by Miller's backward recurrence.  The module needs numpy and math only.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 import numpy as np
@@ -24,9 +25,8 @@ from .errors import InvalidParameterError, UnsupportedKernelError
 from .kernels import CENTRAL_DIFF, BackgroundKernel
 from .spectral import GridSpec, MixedDistribution, SpectralField, rosenau_propagate
 
-# beyond this Poisson intensity direct summation is cross-checked no further;
-# the spectral propagator takes over
-DELEGATION_MU = 5000.0
+# above this Poisson intensity the spectral propagator replaces the window sum
+DELEGATION_MU = 1e5
 # exp(-800) lies below the smallest subnormal double: outside the window this
 # log-pmf floor spans the Poisson pmf is exactly zero in floating point
 _LOG_FLOOR = -800.0
@@ -55,29 +55,26 @@ def _pmf_window(mu: float) -> Tuple[int, int]:
     return lo, hi
 
 
-def _log_poisson_pmf(mu: float) -> Tuple[int, np.ndarray]:
-    """(lo, log P(X = n) for n = lo..hi) for X ~ Poisson(mu) on its pmf window.
+@functools.lru_cache(maxsize=1)
+def _poisson_tails(mu: float) -> Tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+    """(lo, P(X = n), P(X > n) for n = lo..hi, P(X < n) for n = lo..hi+1), X ~ Poisson(mu).
 
     The log ratios log(mu/k) are summed outward from the mode floor(mu) and
-    the window sum normalises the result, so no log-gamma enters and the
-    error stays at a few ulp wherever the pmf is not negligible, at any mu.
+    the window sum normalises the pmf, so no log-gamma enters and the error
+    stays at a few ulp wherever the pmf is not negligible, at any mu.  Each
+    tail is summed from its far end: one minus the other would cancel.
+    Read-only and memoised for the last mu alone: one pmf per Wild solution.
     """
     lo, hi = _pmf_window(mu)
     mode = math.floor(mu)
     down = np.log(np.arange(mode, lo, -1, dtype=float) / mu)   # log p(k-1)/p(k), k = mode..lo+1
     up = np.log(mu / np.arange(mode + 1, hi + 1, dtype=float))  # log p(k)/p(k-1), k = mode+1..hi
     logq = np.concatenate((np.cumsum(down)[::-1], [0.0], np.cumsum(up)))
-    return lo, logq - math.log(float(np.sum(np.exp(logq))))
-
-
-def _poisson_tails(mu: float) -> Tuple[int, np.ndarray]:
-    """(lo, P(X > n) for n = lo..hi): the pmf summed from the far end.
-
-    Below lo the tail is 1 and from hi on it is 0 to double precision.
-    """
-    lo, logp = _log_poisson_pmf(mu)
-    at_least = np.cumsum(np.exp(logp)[::-1])[::-1]
-    return lo, np.append(at_least[1:], 0.0)
+    pmf = np.exp(logq - math.log(float(np.sum(np.exp(logq)))))
+    tails = (pmf, np.append(np.cumsum(pmf[::-1])[::-1][1:], 0.0), np.append(0.0, np.cumsum(pmf)))
+    for arr in tails:
+        arr.flags.writeable = False
+    return (lo, *tails)
 
 
 def poisson_tail(mu: float, n: int) -> float:
@@ -85,22 +82,24 @@ def poisson_tail(mu: float, n: int) -> float:
     lo, hi = _pmf_window(mu)
     if n < lo:
         return 1.0
-    if n >= hi:
-        return 0.0
-    _, tails = _poisson_tails(mu)
-    return float(tails[n - lo])
+    return float(_poisson_tails(mu)[2][min(n, hi) - lo])
 
 
 @dataclass(frozen=True)
 class WildTruncation:
-    """Truncation certificate: N kept terms (None: exact propagator), intensity mu, tail mass."""
+    """Truncation certificate: orders lowest..terms kept at intensity mu (terms
+    None: exact propagator), tail_mass the Poisson mass discarded below and above."""
 
     terms: Optional[int]
     mu: float
+    lowest: int = 0
+    tail_mass: float = field(init=False, default=0.0)
 
-    @property
-    def tail_mass(self) -> float:
-        return 0.0 if self.terms is None else poisson_tail(self.mu, self.terms)
+    def __post_init__(self):
+        if self.terms is not None:
+            lo, _, _, below = _poisson_tails(self.mu)
+            lower = below[np.clip(self.lowest - lo, 0, below.size - 1)]
+            object.__setattr__(self, "tail_mass", float(lower) + poisson_tail(self.mu, self.terms))
 
 
 def truncation_order(mu: float, tol: float) -> int:
@@ -113,36 +112,35 @@ def truncation_order(mu: float, tol: float) -> int:
         raise InvalidParameterError("tol must lie in (0, 1)")
     n, _ = _pmf_window(mu)  # the tail is 1 below the window
     if n <= _MAX_ORDER:
-        _, tails = _poisson_tails(mu)
-        n += int(np.argmax(tails <= tol))
+        n += int(np.argmax(_poisson_tails(mu)[2] <= tol))
     if n > _MAX_ORDER:
         raise InvalidParameterError("truncation order exceeds 1e9; check mu and tol")
     return n
+
+
+def _window_sum(g0: SpectralField, kernel: BackgroundKernel, weights, lowest: int) -> SpectralField:
+    """sum_k weights[k] Mhat^(lowest+k) g0hat: real Horner, then Mhat^lowest g0hat once."""
+    mhat = np.asarray(kernel.symbol(g0.grid.xi()), dtype=float)
+    acc = np.full(mhat.shape, weights[-1] if weights.size else 0.0)
+    for w in weights[-2::-1]:
+        acc *= mhat
+        acc += w
+    return SpectralField(grid=g0.grid, values=acc * mhat**lowest * g0.values)
 
 
 def wild_partial_sum(g0: SpectralField, kernel: BackgroundKernel, t: float,
                      n_terms: int) -> SpectralField:
     """Partial sum exp(-mu) sum_{n<=N} (mu^n/n!) Mhat^n g0hat.
 
-    Total transmitted mass is the Poisson cdf at N, so partial sums increase
-    monotonically toward the full solution.
+    Its mass is the Poisson cdf at N, rising monotonically to the full
+    solution's.  Orders below the pmf window weigh exactly 0 and are skipped.
     """
     if t < 0:
         raise InvalidParameterError("time must be nonnegative")
     if n_terms < 0:
         raise InvalidParameterError("term count must be nonnegative")
-    mu = kernel.intensity(t)
-    mhat = np.asarray(kernel.symbol(g0.grid.xi()), dtype=complex)
-    weights = np.zeros(n_terms + 1)
-    lo, hi = _pmf_window(mu)
-    if n_terms >= lo:
-        _, logp = _log_poisson_pmf(mu)
-        weights[lo:hi + 1] = np.exp(logp[:n_terms + 1 - lo])
-    acc = np.full_like(g0.values, weights[-1])
-    for w in weights[-2::-1]:
-        acc *= mhat
-        acc += w
-    return SpectralField(grid=g0.grid, values=acc * g0.values)
+    lo, pmf, _, _ = _poisson_tails(kernel.intensity(t))
+    return _window_sum(g0, kernel, pmf[:max(n_terms + 1 - lo, 0)], lo)
 
 
 @dataclass(frozen=True)
@@ -154,19 +152,23 @@ class WildResult:
 
 def wild_solution(g0: SpectralField, kernel: BackgroundKernel, t: float,
                   tol: float = 1e-12) -> WildResult:
-    """Wild sum truncated at the certified order, delegating at extreme mu.
+    """Wild sum over the certified window of orders, delegating at extreme mu.
 
-    For mu > 5000 summing tens of thousands of terms adds cost without
-    insight, so the exact spectral propagator is used instead and the
-    result is flagged as delegated.
+    The window runs from n_lo, the largest order with P(X < n_lo) <= tol/2,
+    to N* = truncation_order(mu, tol/2).  For mu > 1e5 its thousands of orders
+    add cost without insight: the exact propagator is used, flagged delegated.
     """
+    if not (0.0 < tol < 1.0):
+        raise InvalidParameterError("tol must lie in (0, 1)")
     mu = kernel.intensity(t)
     if mu > DELEGATION_MU:
-        field = rosenau_propagate(g0, kernel, t)
-        return WildResult(field=field, truncation=WildTruncation(terms=None, mu=mu), delegated=True)
-    n_star = truncation_order(mu, tol)
-    field = wild_partial_sum(g0, kernel, t, n_star)
-    return WildResult(field=field, truncation=WildTruncation(terms=n_star, mu=mu), delegated=False)
+        return WildResult(field=rosenau_propagate(g0, kernel, t),
+                          truncation=WildTruncation(terms=None, mu=mu), delegated=True)
+    n_star = truncation_order(mu, tol / 2)
+    lo, pmf, _, below = _poisson_tails(mu)
+    n_lo = lo + int(np.argmax(below > tol / 2)) - 1
+    return WildResult(field=_window_sum(g0, kernel, pmf[n_lo - lo:n_star + 1 - lo], n_lo),
+                      truncation=WildTruncation(terms=n_star, mu=mu, lowest=n_lo), delegated=False)
 
 
 def cd_fundamental_atoms(kernel: BackgroundKernel, n: int) -> Tuple[Tuple[float, float], ...]:
@@ -229,7 +231,5 @@ def cd_wild_solution(kernel: BackgroundKernel, t: float, tol: float = 1e-12,
     keep = weights >= _TINY  # subnormal weights carry too few bits to keep
     atoms = tuple(zip((a * m[keep]).tolist(), weights[keep].tolist()))
     if grid is None:
-        span = 2.2 * max(a * (n_star + 1), 1.0)
-        points = 16
-        grid = GridSpec(length=span, points=points)
+        grid = GridSpec(length=2.2 * max(a * (n_star + 1), 1.0), points=16)
     return MixedDistribution(grid=grid, density=np.zeros(grid.points), atoms=atoms)

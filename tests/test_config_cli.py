@@ -208,6 +208,30 @@ class TestRunner:
         public += exact_decay_check(g0, kernels[0.5].sigma_sq, sorted(cfg.times))
         assert public == checks
 
+    def test_run_reads_check_lhs_off_the_metric_rows(self, tmp_path, monkeypatch):
+        # with both lists the checks take their lhs from the rows run() just wrote, so
+        # the sweep is walked once: the only extra d_s calls are the checks' own
+        cfg = load_config(os.path.join(CONFIG_DIR, "decay_sweep.cfg"))
+        calls = []
+        ds = runner.analysis.ds_distance
+        monkeypatch.setattr(runner.analysis, "ds_distance",
+                            lambda *args: calls.append(args) or ds(*args))
+
+        def count(fn, *args, **kwargs):
+            calls.clear()
+            fn(*args, **kwargs)
+            return len(calls)
+
+        lhs = sorted({runner.analysis.CHECKS[n][1] for n in cfg.checks})
+        n_rows = count(compute_rows, cfg, threads=1)
+        n_lhs = count(compute_rows, dataclasses.replace(cfg, metrics=lhs, checks=[]), threads=1)
+        n_checks = count(compute_checks, cfg)
+        n_run = count(run, cfg, out_dir=str(tmp_path), threads=1)
+        assert n_lhs > 0 and n_run == n_rows + n_checks - n_lhs
+        with open(os.path.join(os.path.dirname(__file__), "golden", "decay_sweep.checks.jsonl"),
+                  "rb") as fh:
+            assert (tmp_path / "checks.jsonl").read_bytes() == fh.read()
+
     @pytest.mark.parametrize("kernel", ["central-diff", "rosenau"])
     def test_d3_check_lhs_is_the_metric_row(self, kernel):
         cfg = load_config(os.path.join(CONFIG_DIR, "decay_sweep.cfg"))

@@ -97,7 +97,7 @@ class TestWildPartialSum:
         # even data and symmetric kernel keep the partial sums real and even
         g0 = gaussian_field(grid, 1.0)
         out = wild_partial_sum(g0, cd_kernel, 1.0, 25)
-        assert np.max(np.abs(out.values.imag)) <= 1e-14
+        assert np.max(np.abs(out.values.imag)) == 0.0  # the Horner loop is real
         vals = out.values.real
         assert np.max(np.abs(vals[1:] - vals[1:][::-1])) <= 1e-13
 
@@ -112,13 +112,13 @@ class TestWildSolution:
         assert np.max(np.abs(res.field.values - prop.values)) <= 1e-10
 
     def test_delegation_beyond_cutoff(self, grid, gauss_unit):
-        k = rosenau_kernel(0.05, 1.0)  # mu = t/eps^2 = 8000 at t = 20
+        k = rosenau_kernel(0.01, 1.0)  # mu = t/eps^2 = 2e5 at t = 20
         res = wild_solution(gauss_unit, k, 20.0)
         assert res.delegated
         prop = rosenau_propagate(gauss_unit, k, 20.0)
         assert np.array_equal(res.field.values, prop.values)
         # the exact propagator discards no mass, so its certificate must say so
-        assert res.truncation.terms is None and res.truncation.mu == pytest.approx(8000.0)
+        assert res.truncation.terms is None and res.truncation.mu == pytest.approx(2e5)
         assert res.truncation.tail_mass == 0.0
 
 
@@ -277,3 +277,33 @@ class TestScipyOracles:
     @pytest.mark.parametrize("tol", [1e-6, 1e-12])
     def test_truncation_order_matches_gammainc_bisection(self, mu, tol):
         assert truncation_order(mu, tol) == gammainc_truncation_order(mu, tol)
+
+    @pytest.mark.parametrize("mu", LADDER_MU)
+    def test_window_certificate_matches_gammainc(self, mu):
+        from scipy.special import gammainc, gammaincc
+
+        # P(X < n_lo) = Q(n_lo, mu) and P(X > N*) = P(N* + 1, mu); no spatial work is
+        # needed, so a coarse grid keeps the Horner loop short
+        k = rosenau_kernel(0.1, 1.0)
+        t = mu * k.epsilon**2 / k.lam
+        tr = wild_solution(gaussian_field(GridSpec(160.0, 64), 1.0), k, t).truncation
+        assert tr.terms == truncation_order(tr.mu, 0.5e-12)
+        exact = gammaincc(tr.lowest, tr.mu) + gammainc(tr.terms + 1, tr.mu)
+        assert tr.tail_mass == pytest.approx(exact, rel=1e-10)
+        assert tr.tail_mass <= 1e-12
+        # the lower cut is the largest order whose lower tail fits half of tol
+        assert gammaincc(tr.lowest, tr.mu) <= 0.5e-12 < gammaincc(tr.lowest + 1, tr.mu)
+
+    @pytest.mark.parametrize("family", ["rosenau", "central-diff"])
+    @pytest.mark.parametrize("mu", LADDER_MU)
+    def test_window_sum_matches_propagator(self, grid, gauss_unit, family, mu):
+        # the discarded Poisson mass bounds the gap at every xi, plus the
+        # conditioning of Mhat^n on the rounding of Mhat, about n ~ mu ulps
+        k = (rosenau_kernel if family == "rosenau" else bernoulli_kernel)(0.1, 1.0)
+        t = mu * k.epsilon**2 / k.lam
+        mu = k.intensity(t)
+        res = wild_solution(gauss_unit, k, t)
+        assert not res.delegated
+        exact = np.exp(-mu * k.one_minus_symbol(grid.xi())) * gauss_unit.values
+        bound = res.truncation.tail_mass * np.max(np.abs(gauss_unit.values)) + 8 * mu * 2.0**-53
+        assert np.max(np.abs(res.field.values - exact)) <= bound
