@@ -11,12 +11,13 @@ import argparse
 import csv
 import os
 import sys
+from contextlib import contextmanager
 from typing import List, Optional
 
 from . import analysis
 from .config import ExperimentConfig, load_config
 from .errors import ConfigError, RosenauError
-from .runner import RunError, compute_rows, run, simulate
+from .runner import CSV_HEADER, RunError, compute_rows, run, simulate
 
 
 def _checked(convert, ok, what: str):
@@ -78,10 +79,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@contextmanager
+def _file_of(flag: str, path: str):
+    """Re-raise a file error as a usage error (exit 2) naming the flag and its path."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"{flag}: {path}: {exc.strerror or exc}") from exc
+
+
 def _load(args) -> ExperimentConfig:
-    if not os.path.exists(args.config):
-        raise ConfigError(f"config file not found: {args.config}")
-    return load_config(args.config)
+    with _file_of("--config", args.config):
+        return load_config(args.config)
 
 
 def _cmd_rates(args) -> int:
@@ -122,15 +131,24 @@ def _cmd_plot(args) -> int:
     from .svg import write_plots
 
     rows: List[Row] = []
-    with open(args.csv) as fh:
-        for rec in csv.DictReader(fh):
-            rows.append(Row(
-                kernel=rec["kernel"], epsilon=float(rec["epsilon"]), t=float(rec["t"]),
-                quantity=rec["quantity"], value=float(rec["value"]),
-                argsup=float(rec["argsup"]),
-                grid=GridSpec(float(rec["grid_L"]), int(rec["grid_N"]))))
-    os.makedirs(args.out, exist_ok=True)
-    for path in write_plots(rows, args.out).values():
+    with _file_of("--csv", args.csv), open(args.csv) as fh:
+        reader = csv.DictReader(fh)
+        if missing := [c for c in CSV_HEADER.split(",") if c not in (reader.fieldnames or [])]:
+            raise ConfigError(f"--csv: {args.csv}: not a results CSV, "
+                              f"no column {' '.join(missing)}")
+        for rec in reader:
+            try:
+                rows.append(Row(
+                    kernel=rec["kernel"], epsilon=float(rec["epsilon"]), t=float(rec["t"]),
+                    quantity=rec["quantity"], value=float(rec["value"]),
+                    argsup=float(rec["argsup"]),
+                    grid=GridSpec(float(rec["grid_L"]), int(rec["grid_N"]))))
+            except ValueError as exc:  # also GridSpec's InvalidParameterError
+                raise ConfigError(f"--csv: {args.csv}: line {reader.line_num}: {exc}") from exc
+    with _file_of("--out", args.out):
+        os.makedirs(args.out, exist_ok=True)
+        paths = write_plots(rows, args.out).values()
+    for path in paths:
         print(f"wrote {path}")
     return 0
 
@@ -144,7 +162,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         if args.command == "simulate":
             cfg = _load(args)
-            simulate(cfg, out_dir=args.out, verbose=args.verbose)
+            with _file_of("--out" if args.out else "outputs", args.out or cfg.outputs):
+                simulate(cfg, out_dir=args.out, verbose=args.verbose)
             return 0
         if args.command in ("metrics", "check"):
             cfg = _load(args)
@@ -153,7 +172,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                 raise ConfigError(f"{key}: none configured; `rosenau {args.command}` needs a "
                                   f"`{key} = ...` line")
             setattr(cfg, other, [])
-            run(cfg, out_dir=args.out, threads=args.threads, verbose=args.verbose)
+            with _file_of("--out" if args.out else "outputs", args.out or cfg.outputs):
+                run(cfg, out_dir=args.out, threads=args.threads, verbose=args.verbose)
             return 0
         if args.command == "rates":
             return _cmd_rates(args)

@@ -34,8 +34,9 @@ class ExperimentConfig:
     outputs: str = "results"
     grid_length: Optional[float] = None
     grid_points: Optional[int] = None
-    # field name -> 1-based line that set it, so errors can point there
-    lines: Dict[str, int] = field(default_factory=dict, init=False, repr=False, compare=False)
+    # field name -> 1-based line that set it, so errors can point there; an init
+    # field, so dataclasses.replace() carries it over to the copy
+    lines: Dict[str, int] = field(default_factory=dict, repr=False, compare=False)
 
     def validate(self) -> None:
         """Reject every invalid value with a ConfigError naming its key and line."""
@@ -144,6 +145,8 @@ def parse_config(text: str, path: str = "<config>") -> ExperimentConfig:
         if key not in _KEYS[section]:
             raise ConfigError(f"unknown key {key!r} in [{section}]", i)
         name, convert = _KEYS[section][key]
+        if name in cfg.lines:
+            raise ConfigError(f"{key}: repeated; line {cfg.lines[name]} already sets {name}", i)
         try:
             setattr(cfg, name, convert(value.strip()))
         except ValueError as exc:

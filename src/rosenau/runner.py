@@ -118,10 +118,11 @@ def _setup(cfg: ExperimentConfig) -> Tuple[Dict[float, BackgroundKernel], Spectr
     return kernels, g0
 
 
-def _point_rows(cfg: ExperimentConfig, point: analysis.SweepPoint, eps: float) -> List[Row]:
+def _point_rows(cfg: ExperimentConfig, point: analysis.SweepPoint, eps: float,
+                quantities: Sequence[str]) -> List[Row]:
     rows = []
     with _sweep_point(cfg, eps, [point.t]):
-        for quantity in sorted(cfg.metrics):
+        for quantity in quantities:
             value, argsup = (float(x) for x in getattr(point, quantity))
             if not (math.isfinite(value) and math.isfinite(argsup)):
                 raise RosenauError(f"{quantity} is not finite: value {value!r}, argsup {argsup!r}")
@@ -129,17 +130,20 @@ def _point_rows(cfg: ExperimentConfig, point: analysis.SweepPoint, eps: float) -
     return rows
 
 
-def compute_rows(cfg: ExperimentConfig, threads: int = 0) -> List[Row]:
-    """All metric rows of the sweep, sorted by (epsilon, t, quantity).  The sweep
+def _sweep(cfg: ExperimentConfig, threads: int) -> Tuple[List[Row], List[analysis.BoundCheck]]:
+    """The metric rows, sorted by (epsilon, t, quantity), and the bound checks of
+    the sweep, from one setup and one walk.  The walk computes the metrics and
+    every check's lhs metric; each check reads its lhs off those rows.  The sweep
     points of one time share its t-keyed fields; the pool maps over times, at
     most one worker per time, so no memo is shared between threads."""
     kernels, g0 = _setup(cfg)
-    times = sorted(cfg.times)
+    times, names = sorted(cfg.times), sorted(cfg.checks)
+    quantities = sorted({*cfg.metrics, *(analysis.CHECKS[n][1] for n in names)})
 
     def work(t):
         shared: dict = {}
-        return [r for eps, k in kernels.items()
-                for r in _point_rows(cfg, analysis.SweepPoint(k, g0, k.sigma_sq, t, shared), eps)]
+        return [r for eps, k in kernels.items() for r in _point_rows(
+            cfg, analysis.SweepPoint(k, g0, k.sigma_sq, t, shared), eps, quantities)]
 
     if threads == 1 or len(times) == 1:
         chunks = [work(t) for t in times]
@@ -147,31 +151,27 @@ def compute_rows(cfg: ExperimentConfig, threads: int = 0) -> List[Row]:
         workers = min(threads if threads > 0 else os.cpu_count() or 1, len(times))
         with ThreadPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(work, times))
-    rows = [r for chunk in chunks for r in chunk]
-    rows.sort(key=lambda r: (r.epsilon, r.t, r.quantity))
-    return rows
-
-
-def compute_checks(cfg: ExperimentConfig, threads: int = 1,
-                   rows: Sequence[Row] = ()) -> List[analysis.BoundCheck]:
-    """All requested bound checks in deterministic order.  Each lhs is the row of
-    its metric: read from ``rows``, the compute_rows output of this cfg, where
-    they hold that metric, else computed by compute_rows on ``threads`` over the
-    same times."""
-    kernels, g0 = _setup(cfg)
-    times, names = sorted(cfg.times), sorted(cfg.checks)
+    rows = sorted((r for chunk in chunks for r in chunk),
+                  key=lambda r: (r.epsilon, r.t, r.quantity))
+    lhs = {(r.epsilon, r.t, r.quantity): r.value for r in rows}
     jobs = [(eps, n) for eps in sorted(cfg.epsilons) for n in names if analysis.CHECKS[n][0]]
     jobs += [(cfg.epsilons[0], n) for n in names if not analysis.CHECKS[n][0]]
-    missing = sorted({analysis.CHECKS[n][1] for n in names} - {r.quantity for r in rows})
-    if missing:
-        rows = [*rows, *compute_rows(replace(cfg, metrics=missing, checks=[]), threads=threads)]
-    lhs = {(r.epsilon, r.t, r.quantity): r.value for r in rows}
     checks: List[analysis.BoundCheck] = []
     for eps, name in jobs:
         with _sweep_point(cfg, eps, times):
             checks.extend(analysis.CHECKS[name][2](
                 kernels[eps], g0, times, [lhs[eps, t, analysis.CHECKS[name][1]] for t in times]))
-    return checks
+    return [r for r in rows if r.quantity in cfg.metrics], checks
+
+
+def compute_rows(cfg: ExperimentConfig, threads: int = 0) -> List[Row]:
+    """All metric rows of the sweep, sorted by (epsilon, t, quantity)."""
+    return _sweep(replace(cfg, checks=[]), threads)[0]
+
+
+def compute_checks(cfg: ExperimentConfig, threads: int = 1) -> List[analysis.BoundCheck]:
+    """All requested bound checks in deterministic order, each lhs the row of its metric."""
+    return _sweep(replace(cfg, metrics=[]), threads)[1]
 
 
 def write_csv(rows: Sequence[Row], path: str) -> None:
@@ -202,10 +202,9 @@ def run(cfg: ExperimentConfig, out_dir: Optional[str] = None, threads: int = 0,
     out = out_dir or cfg.outputs
     os.makedirs(out, exist_ok=True)
     artifacts: Dict[str, str] = {}
-    rows: List[Row] = []
+    rows, checks = _sweep(cfg, threads)
 
     if cfg.metrics:
-        rows = compute_rows(cfg, threads=threads)
         csv_path = os.path.join(out, "results.csv")
         write_csv(rows, csv_path)
         artifacts["results"] = csv_path
@@ -214,7 +213,6 @@ def run(cfg: ExperimentConfig, out_dir: Optional[str] = None, threads: int = 0,
         artifacts.update((f"plot:{q}", path) for q, path in write_plots(rows, out).items())
 
     if cfg.checks:
-        checks = compute_checks(cfg, threads=threads, rows=rows)
         jsonl_path = os.path.join(out, "checks.jsonl")
         write_checks(checks, jsonl_path)
         artifacts["checks"] = jsonl_path

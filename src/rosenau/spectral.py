@@ -356,14 +356,12 @@ def mass_leak_estimate(grid: GridSpec, variance: float) -> float:
     return math.erfc((grid.length / 2.0) / math.sqrt(2.0 * variance))
 
 
-def require_grid_contains(grid: GridSpec, variance: float, context: str = "") -> None:
+def require_grid_contains(grid: GridSpec, variance: float) -> None:
     """Abort with GridTooSmallError when the tail estimate exceeds LEAK_TOL."""
     leak = mass_leak_estimate(grid, variance)
     if leak > LEAK_TOL:
-        where = f" ({context})" if context else ""
         raise GridTooSmallError(
-            f"estimated mass {leak:.3e} beyond |v| = {grid.length / 2:g} exceeds {LEAK_TOL:g}{where}"
-        )
+            f"estimated mass {leak:.3e} beyond |v| = {grid.length / 2:g} exceeds {LEAK_TOL:g}")
 
 
 # ----------------------------------------------------------------------

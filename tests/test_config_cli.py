@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -49,6 +50,20 @@ class TestConfigParsing:
         with pytest.raises(ConfigError) as err:
             parse_config(text)
         assert err.value.line == 3
+
+    @pytest.mark.parametrize("first,again", [
+        ("times = 1 2", "times = 3"),
+        ("out = a", "outputs = b"),
+        ("[grid]\nN = 256", "points = 512"),
+    ], ids=["same-key", "out-outputs", "N-points"])
+    def test_repeated_key_names_both_lines(self, first, again):
+        text = f"metrics = mass\n{first}\n{again}\n"
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        line = text.count("\n")
+        key = again.split(" =")[0]
+        assert err.value.line == line
+        assert str(err.value).startswith(f"line {line}: {key}: repeated; line {line - 1} ")
 
     def test_unknown_metric_rejected(self):
         with pytest.raises(ConfigError):
@@ -145,7 +160,7 @@ class TestRunner:
     def test_row_count_and_header(self, tmp_path):
         cfg = load_config(os.path.join(CONFIG_DIR, "minimal.cfg"))
         out = run(cfg, out_dir=str(tmp_path))
-        lines = open(out["results"]).read().splitlines()
+        lines = Path(out["results"]).read_text().splitlines()
         assert lines[0] == CSV_HEADER
         assert len(lines) == 1 + len(cfg.epsilons) * len(cfg.times) * len(cfg.metrics)
 
@@ -228,9 +243,53 @@ class TestRunner:
         n_checks = count(compute_checks, cfg)
         n_run = count(run, cfg, out_dir=str(tmp_path), threads=1)
         assert n_lhs > 0 and n_run == n_rows + n_checks - n_lhs
-        with open(os.path.join(os.path.dirname(__file__), "golden", "decay_sweep.checks.jsonl"),
-                  "rb") as fh:
-            assert (tmp_path / "checks.jsonl").read_bytes() == fh.read()
+        golden = Path(os.path.dirname(__file__), "golden")
+        for name in ("checks.jsonl", "results.csv"):
+            assert (tmp_path / name).read_bytes() == (golden / f"decay_sweep.{name}").read_bytes()
+        assert sorted(p.name for p in tmp_path.glob("*.svg")) == \
+            sorted(f"{q}.svg" for q in cfg.metrics)
+
+    def test_check_lhs_outside_the_metrics_is_not_written(self, tmp_path):
+        # the walk computes d2_selfsim for d2_bound, but the rows and plots hold d2_gap only
+        cfg = dataclasses.replace(load_config(os.path.join(CONFIG_DIR, "decay_sweep.cfg")),
+                                  metrics=["d2_gap"], checks=["d2_bound"])
+        out = run(cfg, out_dir=str(tmp_path), threads=1)
+        assert sorted(out) == ["checks", "plot:d2_gap", "results"]
+        rows = Path(out["results"]).read_text().splitlines()[1:]
+        assert len(rows) == len(cfg.epsilons) * len(cfg.times)
+        assert {line.split(",")[3] for line in rows} == {"d2_gap"}
+        assert [p.name for p in tmp_path.glob("*.svg")] == ["d2_gap.svg"]
+        runner.write_checks(compute_checks(cfg), str(tmp_path / "alone.jsonl"))
+        assert Path(out["checks"]).read_bytes() == (tmp_path / "alone.jsonl").read_bytes()
+
+    @pytest.mark.parametrize("view", [compute_rows, compute_checks])
+    def test_views_keep_the_config_lines(self, tmp_path, view):
+        # both run on a copy of the config with one list cleared; its errors cite the lines
+        cfg = parse_config(f"metrics = mass\nkernel = custom:{tmp_path / 'missing.txt'}\n")
+        with pytest.raises(ConfigError) as err:
+            view(cfg)
+        assert err.value.line == 2 and "kernel" in str(err.value)
+
+    @pytest.mark.parametrize("entry", ["run", "run-checks-only", "compute_rows",
+                                       "compute_checks", "simulate"])
+    def test_one_setup_per_call(self, tmp_path, monkeypatch, entry):
+        # one setup builds the kernels, the grid and the initial datum that
+        # every metric row and every check of the call shares
+        cfg = load_config(os.path.join(CONFIG_DIR, "decay_sweep.cfg"))
+        calls = []
+        initial = runner.analysis.initial_by_name
+        monkeypatch.setattr(runner.analysis, "initial_by_name",
+                            lambda *args: calls.append(args) or initial(*args))
+        {
+            "run": lambda: run(cfg, out_dir=str(tmp_path), threads=1),
+            "run-checks-only": lambda: run(dataclasses.replace(cfg, metrics=[]),
+                                           out_dir=str(tmp_path), threads=1),
+            "compute_rows": lambda: compute_rows(cfg, threads=1),
+            "compute_checks": lambda: compute_checks(cfg),
+            "simulate": lambda: runner.simulate(dataclasses.replace(cfg, times=[1.0]),
+                                                out_dir=str(tmp_path)),
+        }[entry]()
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("kernel", ["central-diff", "rosenau"])
     def test_d3_check_lhs_is_the_metric_row(self, kernel):
@@ -250,7 +309,7 @@ class TestRunner:
                                metrics=[], checks=["heat_decay", "d2_bound"],
                                initial="mixture-unit")
         out = run(cfg, out_dir=str(tmp_path))
-        records = [json.loads(line) for line in open(out["checks"])]
+        records = [json.loads(line) for line in Path(out["checks"]).read_text().splitlines()]
         assert records
         for rec in records:
             assert set(rec) == {"name", "lhs", "rhs", "margin", "satisfied", "params"}
@@ -277,7 +336,7 @@ class TestCli:
         rc = main(["check", "--config", os.path.join(CONFIG_DIR, "decay_sweep.cfg"),
                    "--out", str(tmp_path), "--threads", "1"])
         assert rc == 0
-        records = [json.loads(l) for l in open(tmp_path / "checks.jsonl")]
+        records = [json.loads(l) for l in (tmp_path / "checks.jsonl").read_text().splitlines()]
         assert all(r["satisfied"] for r in records)
 
     def test_simulate_writes_loadable_distributions(self, tmp_path):
@@ -381,7 +440,7 @@ class TestCli:
 
     def test_custom_two_atoms_reproduce_central_diff(self, tmp_path):
         table = write_atoms(tmp_path / "atoms.txt", [(-1.0, 0.5), (1.0, 0.5)])
-        shipped = open(os.path.join(CONFIG_DIR, "decay_sweep.cfg")).read()
+        shipped = Path(CONFIG_DIR, "decay_sweep.cfg").read_text()
         assert "kernel = central-diff\n" in shipped
         cfg = tmp_path / "custom.cfg"
         # d2_bound has no constant for custom kernels; the metrics ignore checks
@@ -405,7 +464,7 @@ class TestCli:
                        "initial = mixture-matched\nchecks = d3_bound\n")
         out = tmp_path / "out"
         assert main(["check", "--config", str(cfg), "--out", str(out)]) == 0
-        records = [json.loads(line) for line in open(out / "checks.jsonl")]
+        records = [json.loads(line) for line in (out / "checks.jsonl").read_text().splitlines()]
         assert len(records) == 6 and all(r["satisfied"] for r in records)
         # unit-scale m4 = 2 (0.1 * 16 + 0.2) = 3.6, so B_eps = 2 * 3.6 eps^2
         b_eps = {r["params"]["eps"]: r["params"]["b_eps"] for r in records}
@@ -426,6 +485,35 @@ class TestCli:
 
     def test_missing_config_exit_2(self, capsys):
         assert main(["metrics", "--config", "/nonexistent.cfg"]) == 2
+
+    def test_config_directory_exit_2(self, tmp_path, capsys):
+        assert main(["metrics", "--config", str(tmp_path), "--out", str(tmp_path / "out")]) == 2
+        assert f"config error: --config: {tmp_path}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["metrics", "simulate"])
+    def test_out_under_a_file_exit_2(self, tmp_path, capsys, command):
+        (tmp_path / "file").write_text("")
+        out = tmp_path / "file" / "x"
+        assert main([command, "--config", os.path.join(CONFIG_DIR, "minimal.cfg"),
+                     "--out", str(out)]) == 2
+        assert f"config error: --out: {out}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text,message", [
+        (None, "No such file or directory"),
+        ("kernel,epsilon,t,value\nrosenau,0.1,1,0.5\n",
+         "not a results CSV, no column quantity argsup grid_L grid_N"),
+        (CSV_HEADER + "\nrosenau,0.1,1,mass,abc,0,40,4096\n",
+         "line 2: could not convert string to float: 'abc'"),
+        (CSV_HEADER + "\nrosenau,0.1,1,mass,1,0,40,100\n",
+         "line 2: grid points must be a power of two"),
+    ], ids=["missing", "columns", "value", "grid_N"])
+    def test_plot_bad_csv_exit_2(self, tmp_path, capsys, text, message):
+        csv_path = tmp_path / "results.csv"
+        if text is not None:
+            csv_path.write_text(text)
+        assert main(["plot", "--csv", str(csv_path), "--out", str(tmp_path / "svg")]) == 2
+        assert f"config error: --csv: {csv_path}: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "svg").exists()
 
     @pytest.mark.parametrize("command", ["metrics", "check", "simulate"])
     def test_numerical_failure_exit_1(self, tmp_path, capsys, command):
@@ -496,8 +584,8 @@ class TestCli:
         assert started == [threads]
         serial = compute_checks(load_config(cfg))  # no threads argument: no pool
         assert started == [threads]
-        assert [json.loads(line)["lhs"] for line in open(tmp_path / "checks.jsonl")] == \
-            [c.lhs for c in serial]
+        written = (tmp_path / "checks.jsonl").read_text().splitlines()
+        assert [json.loads(line)["lhs"] for line in written] == [c.lhs for c in serial]
 
     @pytest.mark.parametrize("threads", ["0", "2"])
     def test_simulate_rejects_threads(self, tmp_path, capsys, threads):

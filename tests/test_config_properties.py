@@ -2,8 +2,8 @@
 
 A valid config either exits 0 with only finite values in results.csv, or
 exits 1 naming the failing sweep point and writes no CSV.  The same config
-with one key corrupted exits 2 with a config error naming that key and
-writes nothing.
+with one key corrupted or repeated exits 2 with a config error naming that
+key and writes nothing.
 """
 
 import contextlib
@@ -42,14 +42,22 @@ def valid_configs(draw):
     return config
 
 
-# key -> corruptions of its value text: NaN, negative, repeated or an unknown name
+def repeat(key):
+    """The key set again, to the same value, on the next line."""
+    return lambda v: f"{v}\n{key} = {v}"
+
+
+# key -> corruptions of its value text: NaN, negative, repeated, an unknown name,
+# or the whole key repeated
 CORRUPTIONS = {
-    "sigma": [lambda v: "nan", lambda v: "-" + v],
-    "epsilons": [lambda v: v + " nan", lambda v: "-" + v, lambda v: v + " " + v.split()[0]],
-    "times": [lambda v: v + " nan", lambda v: "-" + v, lambda v: v + " " + v.split()[0]],
-    "metrics": [lambda v: v + " " + v.split()[0], lambda v: v + " bogus"],
-    "kernel": [lambda v: "bogus"],
-    "initial": [lambda v: "bogus"],
+    "sigma": [lambda v: "nan", lambda v: "-" + v, repeat("sigma")],
+    "epsilons": [lambda v: v + " nan", lambda v: "-" + v, lambda v: v + " " + v.split()[0],
+                 repeat("epsilons")],
+    "times": [lambda v: v + " nan", lambda v: "-" + v, lambda v: v + " " + v.split()[0],
+              repeat("times")],
+    "metrics": [lambda v: v + " " + v.split()[0], lambda v: v + " bogus", repeat("metrics")],
+    "kernel": [lambda v: "bogus", repeat("kernel")],
+    "initial": [lambda v: "bogus", repeat("initial")],
 }
 
 
@@ -92,6 +100,6 @@ def test_corrupted_key_is_config_error_naming_it(config, data):
     corrupt = data.draw(st.sampled_from(CORRUPTIONS[key]))
     config = {**config, key: corrupt(config[key])}
     code, err, written, _ = run_metrics(config)
-    line = list(config).index(key) + 1
+    line = list(config).index(key) + 1 + config[key].count("\n")  # a repeat errs on its own line
     assert code == 2 and f"config error: line {line}: {key}:" in err, err
     assert written == []

@@ -23,8 +23,7 @@ GOLDEN_DIR = os.path.join(HERE, "golden")
     ("metrics", "regularized_l1", "results.csv"),
     ("check", "decay_sweep", "checks.jsonl"),
 ])
-def test_shipped_config_bytes(tmp_path, monkeypatch, command, config, output):
-    monkeypatch.delenv("ROSENAU_GRID_N", raising=False)
+def test_shipped_config_bytes(tmp_path, command, config, output):
     rc = main([command, "--config", os.path.join(CONFIG_DIR, f"{config}.cfg"),
                "--out", str(tmp_path), "--threads", "1"])
     assert rc == 0
@@ -38,8 +37,7 @@ SIMULATE_MINIMAL_SHA256 = {
 }
 
 
-def test_simulate_minimal_bytes(tmp_path, monkeypatch):
-    monkeypatch.delenv("ROSENAU_GRID_N", raising=False)
+def test_simulate_minimal_bytes(tmp_path):
     rc = main(["simulate", "--config", os.path.join(CONFIG_DIR, "minimal.cfg"),
                "--out", str(tmp_path)])
     assert rc == 0

@@ -296,7 +296,7 @@ class TestSerialization:
         d = cd_wild_solution(bernoulli_kernel(0.5, 1.0), 0.8)
         path = tmp_path / "wild_atoms.txt"
         save_distribution(d, str(path), atoms_only=True)
-        assert open(path).readline().split()[1] == "0"
+        assert path.read_text().split()[1] == "0"  # header "L N n_atoms"
         back = load_distribution(str(path))
         assert back.atoms == d.atoms
         assert back.total_mass == pytest.approx(d.total_mass, rel=1e-15)
