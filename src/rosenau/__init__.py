@@ -53,12 +53,12 @@ from .analysis import (
     AppendixReport,
     BoundCheck,
     RateFit,
-    RescaledSolution,
     SweepPoint,
     appendix_report,
     d2_bound_check,
     d3_bound_check,
     exact_decay_check,
+    frame_scale,
     gaussian_initial,
     initial_by_name,
     mixture_initial,

@@ -115,26 +115,16 @@ def initial_by_name(name: str, grid: GridSpec, sigma_sq: float = 1.0) -> Spectra
 # rescaling
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RescaledSolution:
-    """Solution field viewed in the self-similar frame at time t."""
-
-    base: SpectralField
-    t: float
-
-    @property
-    def scale(self) -> float:
-        return 1.0 / math.sqrt(1.0 + self.t)
-
-    @property
-    def field(self) -> SpectralField:
-        return dilate(self.base, self.scale)
-
-
-def rescale(f: SpectralField, t: float) -> RescaledSolution:
+def frame_scale(t: float) -> float:
+    """V(t) = (1+t)^-1/2, the frequency dilation of the self-similar frame at time t."""
     if t < 0:
         raise InvalidParameterError("time must be nonnegative")
-    return RescaledSolution(base=f, t=t)
+    return 1.0 / math.sqrt(1.0 + t)
+
+
+def rescale(f: SpectralField, t: float) -> SpectralField:
+    """f in the self-similar frame at time t: hhat(xi) = fhat(V(t) xi)."""
+    return dilate(f, frame_scale(t))
 
 
 # ----------------------------------------------------------------------
@@ -158,22 +148,21 @@ class BoundCheck:
 
 
 def _decay_checks(check: str, kernel: Optional[BackgroundKernel], g0: SpectralField,
-                  sigma_sq: float, s: float, times: Sequence[float], lhs: Optional[Sequence[float]],
+                  sigma_sq: float, times: Sequence[float], lhs: Optional[Sequence[float]],
                   rhs: Callable[[float, float], float], label: str,
                   params: Dict[str, float]) -> List[BoundCheck]:
     """lhs = the check's metric (``CHECKS``) at each time, given or read from a SweepPoint,
-    against rhs(d_s(g0, profile), t)."""
-    d0 = ds_distance(g0, gaussian_reference(g0.grid, sigma_sq), s).value
-    if lhs is None:
-        lhs = [getattr(SweepPoint(kernel, g0, sigma_sq, t), CHECKS[check][1]).value for t in times]
-    return [BoundCheck(name=f"{label} t={t:g}", lhs=value, rhs=rhs(d0, t),
-                       params={**params, "t": t}) for t, value in zip(times, lhs)]
+    against rhs(d0, t), d0 the same metric at t = 0."""
+    d0, *read = (getattr(SweepPoint(kernel, g0, sigma_sq, t), CHECKS[check][0]).value
+                 for t in [0.0, *(times if lhs is None else ())])
+    return [BoundCheck(name=f"{label} t={t:g}", lhs=value, rhs=rhs(d0, t), params={**params, "t": t})
+            for t, value in zip(times, read if lhs is None else lhs)]
 
 
 def exact_decay_check(g0: SpectralField, sigma_sq: float, times: Sequence[float],
                       lhs: Optional[Sequence[float]] = None) -> List[BoundCheck]:
     """Self-similar decay of the heat flow: d_2 shrinks at least like (1+t)^-1."""
-    return _decay_checks("heat_decay", None, g0, sigma_sq, 2.0, times, lhs,
+    return _decay_checks("heat_decay", None, g0, sigma_sq, times, lhs,
                          lambda d0, t: d0 / (1.0 + t), "heat-decay s=2",
                          {"s": 2.0, "sigma_sq": sigma_sq})
 
@@ -193,7 +182,7 @@ def d2_bound_check(kernel: BackgroundKernel, g0: SpectralField, times: Sequence[
         raise InvalidParameterError(f"no d2 bound constant for family {kernel.family!r}")
     c = math.sqrt(D2_CONSTANTS[kernel.family] * kernel.sigma_sq)
     eps = kernel.epsilon
-    return _decay_checks("d2_bound", kernel, g0, kernel.sigma_sq, 2.0, times, lhs,
+    return _decay_checks("d2_bound", kernel, g0, kernel.sigma_sq, times, lhs,
                          lambda d0, t: d0 / (1.0 + t) + c * eps * math.sqrt(t) / (1.0 + t),
                          f"d2-bound {kernel.family} eps={eps:g}",
                          {"eps": eps, "sigma": kernel.sigma})
@@ -212,7 +201,7 @@ def d3_bound_check(kernel: BackgroundKernel, g0: SpectralField, times: Sequence[
     """
     b_eps = b_epsilon(kernel)
     return _decay_checks(
-        "d3_bound", kernel, g0, kernel.sigma_sq, 3.0, times, lhs,
+        "d3_bound", kernel, g0, kernel.sigma_sq, times, lhs,
         lambda d0, t: d0 / (1.0 + t) ** 1.5 + D3_PREFACTOR * b_eps**0.75 * (math.sqrt(t) / (1.0 + t)) ** 1.5,
         f"d3-bound {kernel.family} eps={kernel.epsilon:g}", {"eps": kernel.epsilon, "b_eps": b_eps})
 
@@ -301,7 +290,7 @@ def _regularized(p: SweepPoint) -> SpectralField:
 
 # field -> (keyed by t alone, builder of a SweepPoint)
 FIELDS: Dict[str, Tuple[bool, Callable[[SweepPoint], object]]] = {
-    "z": (True, lambda p: rescale(p.g0, p.t).scale * p.g0.grid.xi()),
+    "z": (True, lambda p: frame_scale(p.t) * p.g0.grid.xi()),
     "datum": (True, lambda p: p.g0.at(p.z)),
     "heat": (True, lambda p: heat_propagate(p.g0, p.sigma_sq, p.t)),
     "h_heat": (True, lambda p: p.rescaled(heat_multiplier(p.sigma_sq, p.t))),
@@ -333,12 +322,12 @@ REGISTRY = {**FIELDS, **METRICS}
 REGULARIZED_FAMILIES = (ROSENAU,)
 REGULARIZED_METRICS = ("l1_reg_gap", "entropy_reg")
 
-# check name -> (runs at every eps, the metric that is its lhs, checks of (kernel, g0, times,
-# lhs values)); the heat flow does not depend on eps, so heat_decay runs at the first eps
-CHECKS: Dict[str, Tuple[bool, str, Callable[..., List[BoundCheck]]]] = {
-    "d2_bound": (True, "d2_selfsim", lambda *args: d2_bound_check(*args)),
-    "d3_bound": (True, "d3_selfsim", lambda *args: d3_bound_check(*args)),
-    "heat_decay": (False, "d2_selfsim_heat", lambda kernel, g0, times, lhs: exact_decay_check(
+# check name -> (the metric that is its lhs, and at t = 0 its d0; checks of (kernel, g0,
+# times, lhs values)); a check whose metric is keyed by t alone runs once, at the first eps
+CHECKS: Dict[str, Tuple[str, Callable[..., List[BoundCheck]]]] = {
+    "d2_bound": ("d2_selfsim", lambda *args: d2_bound_check(*args)),
+    "d3_bound": ("d3_selfsim", lambda *args: d3_bound_check(*args)),
+    "heat_decay": ("d2_selfsim_heat", lambda kernel, g0, times, lhs: exact_decay_check(
         g0, kernel.sigma_sq, times, lhs)),
 }
 
@@ -362,8 +351,6 @@ class AppendixReport:
     normalized: float        # value / (1+t)^0.1
     value_balanced: float    # (1+t)^((2s+1)/4) sqrt(I_s); stays bounded in t
     tail_bound: float
-    split_point: float
-    panels: int
 
 
 def _i_s_integral(s: float, t: float, panels: int) -> Tuple[float, float]:
@@ -421,5 +408,5 @@ def appendix_report(s: float, t: float, panels: int = 128) -> AppendixReport:
         s=s, t=t, integral=integral, value=value,
         normalized=value / (1.0 + t) ** 0.1,
         value_balanced=balanced,
-        tail_bound=tail, split_point=_APPENDIX_XI_MAX, panels=panels)
+        tail_bound=tail)
 

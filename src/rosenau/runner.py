@@ -138,7 +138,7 @@ def _sweep(cfg: ExperimentConfig, threads: int) -> Tuple[List[Row], List[analysi
     most one worker per time, so no memo is shared between threads."""
     kernels, g0 = _setup(cfg)
     times, names = sorted(cfg.times), sorted(cfg.checks)
-    quantities = sorted({*cfg.metrics, *(analysis.CHECKS[n][1] for n in names)})
+    quantities = sorted({*cfg.metrics, *(analysis.CHECKS[n][0] for n in names)})
 
     def work(t):
         shared: dict = {}
@@ -154,13 +154,15 @@ def _sweep(cfg: ExperimentConfig, threads: int) -> Tuple[List[Row], List[analysi
     rows = sorted((r for chunk in chunks for r in chunk),
                   key=lambda r: (r.epsilon, r.t, r.quantity))
     lhs = {(r.epsilon, r.t, r.quantity): r.value for r in rows}
-    jobs = [(eps, n) for eps in sorted(cfg.epsilons) for n in names if analysis.CHECKS[n][0]]
-    jobs += [(cfg.epsilons[0], n) for n in names if not analysis.CHECKS[n][0]]
+    # a check whose metric is keyed by t alone gives one result for every eps: run it once
+    once = [n for n in names if analysis.REGISTRY[analysis.CHECKS[n][0]][0]]
+    jobs = [(eps, n) for eps in sorted(cfg.epsilons) for n in names if n not in once]
+    jobs += [(cfg.epsilons[0], n) for n in once]
     checks: List[analysis.BoundCheck] = []
     for eps, name in jobs:
+        metric, build = analysis.CHECKS[name]
         with _sweep_point(cfg, eps, times):
-            checks.extend(analysis.CHECKS[name][2](
-                kernels[eps], g0, times, [lhs[eps, t, analysis.CHECKS[name][1]] for t in times]))
+            checks.extend(build(kernels[eps], g0, times, [lhs[eps, t, metric] for t in times]))
     return [r for r in rows if r.quantity in cfg.metrics], checks
 
 

@@ -203,11 +203,11 @@ def inverse_transform(f: SpectralField,
     is not Hermitian within SYM_TOL (relative to its peak).
     """
     grid = f.grid
-    vals = f.values.copy()
+    vals = f.values
     if atoms:
         xi = grid.xi()
         for loc, w in atoms:
-            vals -= w * np.exp(-1j * xi * loc)
+            vals = vals - w * np.exp(-1j * xi * loc)
     scale = max(float(np.max(np.abs(vals))), 1e-300)
     defect = _hermitian_defect(vals)
     if defect > SYM_TOL * scale:

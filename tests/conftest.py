@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -52,28 +54,24 @@ def simpson_moment(density_fn, k, half, n=400_001, signed=False):
     return float(simpson(w * density_fn(v), x=v))
 
 
-def selfsim_gap_oracle(family, eps, t, sigma=1.0):
-    """Independent oracle for d2(h_eps(t), h(t)) from the unit two-Gaussian mixture.
+# the preset data as two-Gaussian mixtures (N(-a, s^2) + N(a, s^2))/2, transform
+# cos(a xi) exp(-s^2 xi^2 / 2), by (a, s^2); both have m2 = a^2 + s^2 = 1, and the
+# unit mixture has m4 = 2, i.e. a^2 = 2^-1/2
+ORACLE_DATA = {"gaussian-unit": (0.0, 1.0), "mixture-unit": ((2.0**-0.5) ** 0.5, 1.0 - 2.0**-0.5)}
 
-    Both rescaled solutions are dilations by V = (1+t)^-1/2 of the same
-    datum, so the distance is
 
-        (1+t)^-1 sup_xi |g0hat(xi)| |exp(-A_eps(xi) t) - exp(-D xi^2 t)| / xi^2,
+def _generator_oracle(family, eps, xi, sigma=1.0):
+    """(A_eps(xi), D xi^2): the kinetic exponent rate and its heat limit, in closed form.
 
-    taken here on a dense xi grid from closed forms alone.  The datum is
-    (N(-a, s^2) + N(a, s^2))/2 with m2 = 1, m4 = 2, i.e. a^2 = 2^-1/2 and
-    s^2 = 1 - 2^-1/2, whose transform is cos(a xi) exp(-s^2 xi^2 / 2).  The
-    backgrounds have scale a_eps = eps sigma:
+    The backgrounds have scale a_eps = eps sigma:
 
     - central-diff: atoms at +-a_eps, lam = 2, 1 - Mhat = 2 sin^2(a_eps xi / 2);
     - rosenau: density exp(-|v|/a_eps)/(2 a_eps), lam = sigma^2,
       1 - Mhat = (a_eps xi)^2 / (1 + (a_eps xi)^2);
 
-    and D = lam Var(M_eps) / (2 eps^2) is the limiting diffusivity.  The
-    Gaussian factor of g0hat makes xi = 20 a cutoff below 1e-25; the grid
-    step 1e-4 resolves the peak, near xi ~ t^-1/2, to ~1e-6 relative at t = 100.
+    A_eps = lam (1 - Mhat) / eps^2, and D = lam Var(M_eps) / (2 eps^2) is the
+    limiting diffusivity.
     """
-    xi = np.linspace(0.0, 20.0, 200_001)[1:]
     a_eps = eps * sigma
     if family == "central-diff":
         lam, var = 2.0, a_eps**2
@@ -83,11 +81,75 @@ def selfsim_gap_oracle(family, eps, t, sigma=1.0):
         one_minus = (a_eps * xi) ** 2 / (1.0 + (a_eps * xi) ** 2)
     else:
         raise ValueError(f"unknown family {family!r}")
-    kinetic = lam * one_minus / eps**2
-    heat = 0.5 * lam * var / eps**2 * xi**2
+    return lam * one_minus / eps**2, 0.5 * lam * var / eps**2 * xi**2
+
+
+def selfsim_gap_oracle(family, eps, t, sigma=1.0, initial="mixture-unit"):
+    """Independent oracle for d2(h_eps(t), h(t)) from a preset datum, by default the
+    unit two-Gaussian mixture.
+
+    Both rescaled solutions are dilations by V = (1+t)^-1/2 of the same
+    datum, so the distance is
+
+        (1+t)^-1 sup_xi |g0hat(xi)| |exp(-A_eps(xi) t) - exp(-D xi^2 t)| / xi^2,
+
+    taken here on a dense xi grid from closed forms alone (``ORACLE_DATA``,
+    ``_generator_oracle``).  The Gaussian factor of g0hat makes xi = 20 a
+    cutoff below 1e-25; the grid step 1e-4 resolves the peak, near
+    xi ~ t^-1/2, to ~1e-6 relative at t = 100.
+    """
+    xi = np.linspace(0.0, 20.0, 200_001)[1:]
+    kinetic, heat = _generator_oracle(family, eps, xi, sigma)
     # |exp(-x) - exp(-y)| = exp(-min(x, y)) (1 - exp(-|x - y|)), free of
     # the cancellation near xi = 0 where both exponentials are close to 1
     gap = np.exp(-np.minimum(kinetic, heat) * t) * -np.expm1(-np.abs(heat - kinetic) * t)
-    a_sq = 2.0**-0.5
-    g0hat = np.cos(a_sq**0.5 * xi) * np.exp(-0.5 * (1.0 - a_sq) * xi**2)
+    a, s_sq = ORACLE_DATA[initial]
+    g0hat = np.cos(a * xi) * np.exp(-0.5 * s_sq * xi**2)
     return float(np.max(np.abs(g0hat) * gap / xi**2)) / (1.0 + t)
+
+
+def selfsim_profile_oracle(initial, family, eps, t, heat=False, sigma=1.0):
+    """Independent oracle for d2 of the rescaled kinetic solution (the heat solution
+    with ``heat``) from a preset datum to the profile exp(-sigma^2 xi^2).
+
+    At z = V xi, V = (1+t)^-1/2, the rescaled transform is cos(a z) exp(-x) with
+    x = s^2 z^2 / 2 + A_eps(z) t (D z^2 t for the heat flow), and its difference
+    to exp(-y), y = sigma^2 xi^2, is exp(-x) (-2 sin^2(a z / 2) - expm1(x - y)):
+    two terms free of cancellation near xi = 0, where the sup of these data sits
+    (the limit |m2(t) V^2 - 2 sigma^2| / 2).  The scan is log-spaced on
+    [1e-6, 1] and uniform with step 2e-4 on [1, 40]; beyond 40 the ratio is
+    below 2 / 40^2.
+    """
+    xi = np.concatenate((np.geomspace(1e-6, 1.0, 20_000, endpoint=False),
+                         np.linspace(1.0, 40.0, 195_001)))
+    z = xi / math.sqrt(1.0 + t)
+    kinetic, diffusive = _generator_oracle(family, eps, z, sigma)
+    a, s_sq = ORACLE_DATA[initial]
+    x = 0.5 * s_sq * z**2 + (diffusive if heat else kinetic) * t
+    delta = np.exp(-x) * np.abs(2.0 * np.sin(0.5 * a * z) ** 2 + np.expm1(x - sigma**2 * xi**2))
+    return float(np.max(delta / xi**2))
+
+
+def l1_heat_gap_oracle(t, sigma=1.0):
+    """||N(0, s1^2) - N(0, s2^2)||_L1, the heat flow of gaussian-unit against the heat
+    kernel: s1^2 = 1 + 2 sigma^2 t, s2^2 = 2 sigma^2 t.  The densities cross at
+    +-x*, x*^2 = 2 ln(s1/s2) s1^2 s2^2 / (s1^2 - s2^2), and the narrower one is
+    above inside, so the distance is 2 (erf(x*/(sqrt2 s2)) - erf(x*/(sqrt2 s1)))."""
+    s1_sq, s2_sq = 1.0 + 2.0 * sigma**2 * t, 2.0 * sigma**2 * t
+    x = math.sqrt(math.log(s1_sq / s2_sq) * s1_sq * s2_sq / (s1_sq - s2_sq))
+    return 2.0 * (math.erf(x / math.sqrt(2.0 * s2_sq)) - math.erf(x / math.sqrt(2.0 * s1_sq)))
+
+
+# c sigma_d^2 / 2 of the d2 bound's constant, c = 3 (central-diff) and 1 (rosenau)
+D2_HALF_C = {"central-diff": 1.5, "rosenau": 0.5}
+
+
+def check_rhs_oracle(check, family, params, d0):
+    """The rhs of a heat_decay or d2_bound record, recomputed from its formula."""
+    t = params["t"]
+    if check == "heat-decay":
+        return d0 / (1.0 + t)
+    if check == "d2-bound":
+        c = math.sqrt(D2_HALF_C[family] * params["sigma"] ** 2)
+        return d0 / (1.0 + t) + c * params["eps"] * math.sqrt(t) / (1.0 + t)
+    raise ValueError(f"no rhs oracle for {check!r}")

@@ -13,11 +13,14 @@ from rosenau import (
     d3_bound_check,
     delta_field,
     exact_decay_check,
+    forward_transform,
+    frame_scale,
     gaussian_field,
     gaussian_initial,
     heat_propagate,
     inverse_transform,
     kernel_by_name,
+    load_distribution,
     mixture_initial,
     moment,
     rate_fit,
@@ -26,12 +29,14 @@ from rosenau import (
     rosenau_propagate,
 )
 from rosenau.analysis import APPENDIX_T_MAX, initial_by_name, solve_mixture_params
+from rosenau.config import parse_config
 from rosenau.errors import (
     InfiniteDistanceError,
     InvalidDataError,
     InvalidParameterError,
     UnsupportedKernelError,
 )
+from rosenau.runner import simulate
 
 
 class TestInitialData:
@@ -74,11 +79,22 @@ class TestInitialData:
 class TestRescale:
     def test_identity_at_t0(self, gauss_unit):
         r = rescale(gauss_unit, 0.0)
-        assert r.scale == 1.0
-        assert np.max(np.abs(r.field.values - gauss_unit.values)) <= 1e-15
+        assert frame_scale(0.0) == 1.0
+        assert np.max(np.abs(r.values - gauss_unit.values)) <= 1e-15
+
+    def test_negative_time_rejected(self, gauss_unit):
+        with pytest.raises(InvalidParameterError):
+            frame_scale(-1e-9)
+        with pytest.raises(InvalidParameterError):
+            SweepPoint(None, gauss_unit, 1.0, -1e-9).z
+
+    def test_no_wrapper_exported(self):
+        import rosenau
+
+        assert not hasattr(rosenau, "RescaledSolution")
 
     def test_mass_invariant(self, gauss_unit):
-        assert rescale(gauss_unit, 7.0).field.mass == pytest.approx(gauss_unit.mass, abs=1e-13)
+        assert rescale(gauss_unit, 7.0).mass == pytest.approx(gauss_unit.mass, abs=1e-13)
 
     def test_heat_flow_composition_closed_form(self, grid):
         # variance-sigma^2 Gaussian datum: rescaled transform is
@@ -86,7 +102,7 @@ class TestRescale:
         sigma = 1.0
         g0 = gaussian_field(grid, sigma**2)
         for t in (0.5, 3.0, 40.0):
-            h = rescale(heat_propagate(g0, sigma**2, t), t).field
+            h = rescale(heat_propagate(g0, sigma**2, t), t)
             xi = grid.xi()
             expect = np.exp(-(sigma**2 / 2.0) * xi**2 * (2 * t + 1) / (t + 1))
             assert np.max(np.abs(h.values - expect)) <= 1e-12
@@ -101,8 +117,8 @@ class TestRescale:
             kernel = kernel_by_name(family, eps)
             for t in (1.0, 10.0, 100.0):
                 point = SweepPoint(kernel, g0, kernel.sigma_sq, t)
-                kin = rescale(rosenau_propagate(g0, kernel, t), t).field
-                heat = rescale(heat_propagate(g0, kernel.sigma_sq, t), t).field
+                kin = rescale(rosenau_propagate(g0, kernel, t), t)
+                heat = rescale(heat_propagate(g0, kernel.sigma_sq, t), t)
                 assert np.array_equal(point.h_kin.values, kin.values)
                 assert np.array_equal(point.h_heat.values, heat.values)
 
@@ -179,6 +195,27 @@ class TestD3BoundCheck:
         g0 = gaussian_initial(grid, 1.0)  # m2 = 1 != 2 sigma^2
         with pytest.raises(InfiniteDistanceError):
             d3_bound_check(k, g0, [1.0])
+
+
+class TestChecksAtTimeZero:
+    """d0 is the check's own metric at t = 0, so every check there is an equality."""
+
+    @pytest.fixture(scope="class")
+    def file_datum(self, tmp_path_factory):
+        # m2 = 1 + 2 sigma^2 t = 2 sigma^2 at t = 0.5: finite d3 to the profile
+        cfg = parse_config("kernel = rosenau\nepsilons = 0.1\ntimes = 0.5\n"
+                           "initial = gaussian-unit\nmetrics = mass\n[grid]\nL = 200\nN = 4096\n")
+        (path,) = simulate(cfg, out_dir=str(tmp_path_factory.mktemp("sim")))
+        return forward_transform(load_distribution(path))
+
+    @pytest.mark.parametrize("family", ["rosenau", "central-diff"])
+    @pytest.mark.parametrize("datum", ["preset", "file"])
+    def test_margin_is_exactly_zero(self, grid, file_datum, family, datum):
+        g0 = initial_by_name("mixture-matched", grid) if datum == "preset" else file_datum
+        k = kernel_by_name(family, 0.1)
+        checks = (d2_bound_check(k, g0, [0.0]) + d3_bound_check(k, g0, [0.0])
+                  + exact_decay_check(g0, k.sigma_sq, [0.0]))
+        assert [c.margin for c in checks] == [0.0, 0.0, 0.0]
 
 
 class TestRateFit:

@@ -237,7 +237,7 @@ class TestRunner:
             fn(*args, **kwargs)
             return len(calls)
 
-        lhs = sorted({runner.analysis.CHECKS[n][1] for n in cfg.checks})
+        lhs = sorted({runner.analysis.CHECKS[n][0] for n in cfg.checks})
         n_rows = count(compute_rows, cfg, threads=1)
         n_lhs = count(compute_rows, dataclasses.replace(cfg, metrics=lhs, checks=[]), threads=1)
         n_checks = count(compute_checks, cfg)

@@ -214,6 +214,13 @@ class TestInverseTransform:
         assert np.max(np.abs(d.density)) <= 1e-12
         assert d.atoms == ((0.0, 1.0),)
 
+    def test_atoms_leave_the_input_unchanged(self):
+        g = GridSpec(20.0, 64)
+        f = field_from_symbol(g, lambda z: 0.5 + 0.5 * np.cos(np.asarray(z)))
+        before = f.values.copy()
+        inverse_transform(f, atoms=((-1.0, 0.25), (1.0, 0.25)))
+        assert np.array_equal(f.values, before)
+
     def test_heat_field_inverts_to_heat_kernel(self):
         # L >= 40 sigma sqrt(1+t) keeps the L1 error below 1e-8
         sigma, t = 1.0, 3.0
