@@ -21,8 +21,8 @@ from .errors import (
     UnsupportedKernelError,
 )
 from .kernels import CENTRAL_DIFF, ROSENAU, BackgroundKernel, b_epsilon
-from .metrics import (CONVEX_FUNCTIONALS, MetricReport, convex_functional, ds_distance, lp_norm,
-                      moment)
+from .metrics import (CONVEX_FUNCTIONALS, HalfLine, MetricReport, convex_functional, ds_distance,
+                      half_frame, lp_norm, moment)
 from .spectral import (
     GridSpec,
     SpectralField,
@@ -30,7 +30,6 @@ from .spectral import (
     dilate,
     field_from_symbol,
     gaussian_field,
-    gaussian_reference,
     heat_multiplier,
     heat_propagate,
     inverse_transform,
@@ -88,7 +87,7 @@ def mixture_initial(grid: GridSpec, second_moment: float = 1.0,
 
     def fn(xi):
         x = np.asarray(xi, dtype=float)
-        return (np.cos(a * x) * np.exp(-0.5 * s_var * x * x)).astype(complex)
+        return np.cos(a * x) * np.exp(-0.5 * s_var * x * x)
 
     return field_from_symbol(grid, fn)
 
@@ -277,8 +276,8 @@ class SweepPoint:
             store[name] = build(self)
         return store[name]
 
-    def rescaled(self, mult: Callable[[np.ndarray], np.ndarray]) -> SpectralField:
-        return SpectralField(self.g0.grid, self.datum * np.asarray(mult(self.z)))
+    def rescaled(self, mult: Callable[[np.ndarray], np.ndarray]) -> HalfLine:
+        return HalfLine(self.g0.grid, self.datum * np.asarray(mult(self.z)))
 
 
 def _regularized(p: SweepPoint) -> SpectralField:
@@ -288,13 +287,13 @@ def _regularized(p: SweepPoint) -> SpectralField:
     return regularized_solution(p.g0, p.kernel, p.t)
 
 
-# field -> (keyed by t alone, builder of a SweepPoint)
+# field -> (keyed by t alone, builder of a SweepPoint); z, datum, h_heat, ref, h_kin: xi <= 0
 FIELDS: Dict[str, Tuple[bool, Callable[[SweepPoint], object]]] = {
-    "z": (True, lambda p: frame_scale(p.t) * p.g0.grid.xi()),
+    "z": (True, lambda p: frame_scale(p.t) * half_frame(p.g0.grid, p.sigma_sq)[0]),
     "datum": (True, lambda p: p.g0.at(p.z)),
     "heat": (True, lambda p: heat_propagate(p.g0, p.sigma_sq, p.t)),
     "h_heat": (True, lambda p: p.rescaled(heat_multiplier(p.sigma_sq, p.t))),
-    "ref": (True, lambda p: gaussian_reference(p.g0.grid, p.sigma_sq)),
+    "ref": (True, lambda p: half_frame(p.g0.grid, p.sigma_sq)[1]),
     "sol": (False, lambda p: rosenau_propagate(p.g0, p.kernel, p.t)),
     "reg": (False, _regularized),
     "h_kin": (False, lambda p: p.rescaled(kinetic_multiplier(p.kernel, p.t))),

@@ -4,11 +4,11 @@ The d_s distance between probability distributions is
 
     d_s(f1, f2) = sup over xi != 0 of |f1hat(xi) - f2hat(xi)| / |xi|^s,
 
-finite when moments agree up to the order determined by s.  On a grid the
-supremum often sits at xi -> 0 where the discrete ratio is noise-dominated,
-so the bins below 8 grid spacings are excluded from the raw scan and an
-extrapolated small-frequency limit (driven by the first mismatched moment)
-is taken into the reported maximum instead.
+finite when moments agree up to the order determined by s.  |f1hat - f2hat| is even in
+xi for real measures, so the sup is taken over the grid's xi <= 0.  On a grid it often
+sits at xi -> 0 where the ratio is noise-dominated, so the bins below 8 grid spacings
+are excluded from the raw scan and an extrapolated small-frequency limit (driven by the
+first mismatched moment) is taken into the reported maximum instead.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from __future__ import annotations
 import functools
 import math
 import threading
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Tuple
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from .errors import (
     UndefinedFunctionalError,
     UndefinedNormError,
 )
-from .spectral import GridSpec, MixedDistribution, SpectralField
+from .spectral import GridSpec, MixedDistribution, SpectralField, gaussian_reference
 
 # bins below this multiple of dxi are handled by extrapolation, not raw ratio
 SMALL_XI_BINS = 8
@@ -79,31 +79,52 @@ def _small_xi_part(x: np.ndarray, delta: np.ndarray, s: float, scale: float) -> 
     return max(raw_sup, limit)
 
 
-_LAYOUT_LOCK = threading.Lock()  # pool threads missing the cache at once would each build
+class HalfLine(NamedTuple):  # a transform at the grid's xi <= 0: indices 0..N/2 of grid.xi()
+    grid: GridSpec
+    values: np.ndarray
+
+
+_LAYOUT_LOCK = threading.Lock()  # pool threads missing a cache at once would each build
+
+
+@functools.lru_cache(maxsize=8)
+def _half_frame(grid: GridSpec, sigma_sq: float) -> Tuple[np.ndarray, HalfLine]:
+    xi = grid.xi()[: grid.points // 2 + 1]
+    ref = HalfLine(grid, gaussian_reference(grid, sigma_sq).at(xi))
+    xi.flags.writeable = ref.values.flags.writeable = False
+    return xi, ref
+
+
+def half_frame(grid: GridSpec, sigma_sq: float) -> Tuple[np.ndarray, HalfLine]:
+    """The grid's xi <= 0 and exp(-sigma_sq xi^2) on them, built once per (grid, sigma_sq)."""
+    with _LAYOUT_LOCK:
+        return _half_frame(grid, sigma_sq)
 
 
 @functools.lru_cache(maxsize=8)
 def _ds_layout(grid: GridSpec, s: float):
-    """Masks, |xi| and |xi[outer]|^s of ds_distance, shared per (grid, s), read-only."""
-    absxi = np.abs(grid.xi())
+    """Masks, |xi| and |xi[outer]|^s of ds_distance on xi <= 0, shared per (grid, s), read-only."""
+    absxi = np.abs(grid.xi()[: grid.points // 2 + 1])
     cutoff = SMALL_XI_BINS * grid.dxi
     outer = absxi >= cutoff
-    inner = (absxi > 0.5 * grid.dxi) & (absxi < cutoff)
+    inner = np.flatnonzero((absxi > 0.5 * grid.dxi) & (absxi < cutoff))
+    inner = np.concatenate((inner, inner[::-1]))  # |xi| = 7..1, 1..7 dxi: the full line's order
     layout = (outer, absxi[outer], absxi[outer] ** s, inner, absxi[inner])
     for a in layout:
         a.flags.writeable = False
     return layout
 
 
-def ds_distance(f1: SpectralField, f2: SpectralField, s: float) -> MetricReport:
-    """Fourier distance of order s between two fields on the same grid."""
+def ds_distance(f1: SpectralField | HalfLine, f2: SpectralField | HalfLine, s: float) -> MetricReport:
+    """Fourier distance of order s of two fields on one grid, the sup taken over xi <= 0, since
+    |f1hat - f2hat| is even for real measures: the first N/2 + 1 values of each field."""
     if s <= 0:
         raise InvalidParameterError("order s must be positive")
     if f1.grid != f2.grid:
         raise InvalidParameterError("fields must share one grid")
-    grid = f1.grid
-    delta = np.abs(f1.values - f2.values)
-    scale = max(1.0, float(np.max(np.abs(f1.values))), float(np.max(np.abs(f2.values))))
+    grid, half = f1.grid, f1.grid.points // 2 + 1
+    delta = np.abs(f1.values[:half] - f2.values[:half])
+    scale = max(1.0, float(np.max(np.abs(f1.values[:half]))), float(np.max(np.abs(f2.values[:half]))))
 
     with _LAYOUT_LOCK:
         outer, abs_outer, pow_outer, inner, abs_inner = _ds_layout(grid, s)

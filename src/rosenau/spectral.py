@@ -13,6 +13,7 @@ All operations are pure (input -> new output) and thread-safe.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple
@@ -109,11 +110,17 @@ class SpectralField:
         return float(self.values[self.grid.points // 2].real)
 
     def at(self, xi) -> Array:
-        """Evaluate at arbitrary frequencies, exactly when analytic, else by
-        trigonometric refinement (see ``_band_limited_eval``)."""
+        """Evaluate at arbitrary frequencies, exactly (in the closure's dtype) when
+        analytic, else by trigonometric refinement (see ``_band_limited_eval``)."""
         if self.analytic is not None:
-            return np.asarray(self.analytic(xi), dtype=complex)
+            return np.asarray(self.analytic(xi))
         return _band_limited_eval(self, np.asarray(xi, dtype=float))
+
+    @functools.cached_property  # built once per field, read by _band_limited_eval
+    def _refined(self) -> Array:
+        dens = np.fft.ifftshift(np.fft.ifft(np.fft.fftshift(self.values)))
+        padded = np.pad(dens, (BAND_REFINE - 1) * self.grid.points // 2)
+        return np.fft.fftshift(np.fft.fft(np.fft.ifftshift(padded)))
 
 
 @dataclass(frozen=True)
@@ -304,32 +311,25 @@ def _band_limited_eval(f: SpectralField, targets: Array) -> Array:
 
     The density behind the field is supported in [-L/2, L/2), so the
     transform is band-limited; padding the physical support with zeros
-    yields exact samples at spacing dxi/BAND_REFINE, and a local cubic fill-in
-    covers arbitrary targets.
+    yields exact samples at spacing dxi/BAND_REFINE (``SpectralField._refined``,
+    built once per field), and a local cubic fill-in covers arbitrary targets.
     """
     grid = f.grid
     if np.any(np.abs(targets) > grid.nyquist * (1.0 + 1e-12)):
         raise ResampleError("requested frequency outside the sampled band")
-    n, m = grid.points, grid.points * BAND_REFINE
-    dens = np.fft.ifftshift(np.fft.ifft(np.fft.fftshift(f.values)))
-    padded = np.zeros(m, dtype=complex)
-    lo = (m - n) // 2
-    padded[lo:lo + n] = dens
-    fine_vals = np.fft.fftshift(np.fft.fft(np.fft.ifftshift(padded)))
-    fine_dxi = grid.dxi / BAND_REFINE
-    fine_xi0 = -fine_dxi * (m // 2)
+    m, fine_dxi = grid.points * BAND_REFINE, grid.dxi / BAND_REFINE
+    fine_vals, fine_xi0 = f._refined, -fine_dxi * (m // 2)
     # cubic Lagrange on the 4 refined samples around each target
     pos = (targets - fine_xi0) / fine_dxi
     i1 = np.clip(np.floor(pos).astype(int), 1, m - 3)
     s = pos - i1
     ym1, y0, y1, y2 = (fine_vals[i1 - 1], fine_vals[i1], fine_vals[i1 + 1], fine_vals[i1 + 2])
-    out = (
+    return (
         ym1 * (-s * (s - 1.0) * (s - 2.0) / 6.0)
         + y0 * ((s + 1.0) * (s - 1.0) * (s - 2.0) / 2.0)
         + y1 * (-(s + 1.0) * s * (s - 2.0) / 2.0)
         + y2 * ((s + 1.0) * s * (s - 1.0) / 6.0)
     )
-    return out
 
 
 def dilate(f: SpectralField, factor: float) -> SpectralField:

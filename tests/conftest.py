@@ -153,3 +153,23 @@ def check_rhs_oracle(check, family, params, d0):
         c = math.sqrt(D2_HALF_C[family] * params["sigma"] ** 2)
         return d0 / (1.0 + t) + c * params["eps"] * math.sqrt(t) / (1.0 + t)
     raise ValueError(f"no rhs oracle for {check!r}")
+
+
+def full_grid_ds_distance(f1, f2, s):
+    """d_s over every node of the grid, both signs of xi: a copy of the N-point
+    ``ds_distance`` that the half-line one replaced, kept as its oracle."""
+    from rosenau.metrics import SMALL_XI_BINS, MetricReport, _small_xi_part
+
+    grid = f1.grid
+    absxi = np.abs(grid.xi())
+    cutoff = SMALL_XI_BINS * grid.dxi
+    outer = absxi >= cutoff
+    inner = (absxi > 0.5 * grid.dxi) & (absxi < cutoff)
+    delta = np.abs(f1.values - f2.values)
+    scale = max(1.0, float(np.max(np.abs(f1.values))), float(np.max(np.abs(f2.values))))
+    ratio = delta[outer] / absxi[outer] ** s
+    k = int(np.argmax(ratio))
+    grid_sup = float(ratio[k])
+    limit = _small_xi_part(absxi[inner], delta[inner], s, scale)
+    value, argsup = (limit, 0.0) if limit > grid_sup else (grid_sup, float(absxi[outer][k]))
+    return MetricReport(value, argsup)

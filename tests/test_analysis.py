@@ -1,22 +1,30 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from rosenau import (
+    GridSpec,
+    SpectralField,
     SweepPoint,
     appendix_report,
     bernoulli_kernel,
     d2_bound_check,
     d3_bound_check,
+    default_grid,
     delta_field,
+    ds_distance,
     exact_decay_check,
     forward_transform,
     frame_scale,
     gaussian_field,
     gaussian_initial,
+    gaussian_reference,
     heat_propagate,
     inverse_transform,
     kernel_by_name,
@@ -28,7 +36,8 @@ from rosenau import (
     rosenau_kernel,
     rosenau_propagate,
 )
-from rosenau.analysis import APPENDIX_T_MAX, initial_by_name, solve_mixture_params
+from rosenau import metrics
+from rosenau.analysis import APPENDIX_T_MAX, INITIAL_PRESETS, initial_by_name, solve_mixture_params
 from rosenau.config import parse_config
 from rosenau.errors import (
     InfiniteDistanceError,
@@ -37,6 +46,9 @@ from rosenau.errors import (
     UnsupportedKernelError,
 )
 from rosenau.runner import simulate
+from rosenau.spectral import heat_multiplier, kinetic_multiplier
+
+from conftest import full_grid_ds_distance, write_atoms
 
 
 class TestInitialData:
@@ -110,17 +122,19 @@ class TestRescale:
     @pytest.mark.parametrize("family", ["rosenau", "central-diff"])
     @pytest.mark.parametrize("initial", ["gaussian-unit", "mixture-unit"])
     def test_registry_fields_equal_the_rescale_path(self, grid, family, initial):
-        # the sweep registry rescales by multiplying the rescaled datum; rescale
-        # and dilate compose the propagators' closures instead: same bits
+        # the sweep registry rescales by multiplying the rescaled datum, on the xi <= 0
+        # nodes; rescale and dilate compose the propagators' closures instead: same bits
         g0 = initial_by_name(initial, grid)
+        half = grid.points // 2 + 1
         for eps in (0.2, 0.1, 0.05):
             kernel = kernel_by_name(family, eps)
             for t in (1.0, 10.0, 100.0):
                 point = SweepPoint(kernel, g0, kernel.sigma_sq, t)
                 kin = rescale(rosenau_propagate(g0, kernel, t), t)
                 heat = rescale(heat_propagate(g0, kernel.sigma_sq, t), t)
-                assert np.array_equal(point.h_kin.values, kin.values)
-                assert np.array_equal(point.h_heat.values, heat.values)
+                assert point.h_kin.values.shape == point.h_heat.values.shape == (half,)
+                assert np.array_equal(point.h_kin.values, kin.values[:half])
+                assert np.array_equal(point.h_heat.values, heat.values[:half])
 
 
 class TestExactDecayCheck:
@@ -216,6 +230,90 @@ class TestChecksAtTimeZero:
         checks = (d2_bound_check(k, g0, [0.0]) + d3_bound_check(k, g0, [0.0])
                   + exact_decay_check(g0, k.sigma_sq, [0.0]))
         assert [c.margin for c in checks] == [0.0, 0.0, 0.0]
+
+
+class TestHalfLineFrame:
+    """The registry's d_s fields live on xi <= 0; every d_s it reports equals the
+    full-grid d_s (``full_grid_ds_distance``) of the full-grid fields."""
+
+    CUSTOM_ATOMS = [(-2.0, 0.1), (-0.5, 0.2), (0.0, 0.4), (0.5, 0.2), (2.0, 0.1)]
+    PAIRS = (("h_kin", "ref"), ("h_kin", "h_heat"), ("h_heat", "ref"))
+
+    @pytest.fixture(scope="class")
+    def custom_kernel(self, tmp_path_factory):
+        return "custom:" + write_atoms(tmp_path_factory.mktemp("atoms") / "five.txt",
+                                       self.CUSTOM_ATOMS)
+
+    @staticmethod
+    def outcome(d_s):
+        try:
+            return d_s()
+        except InfiniteDistanceError:
+            return "infinite"
+
+    @given(initial=st.sampled_from(sorted(INITIAL_PRESETS)),
+           family=st.sampled_from(["rosenau", "central-diff", "custom"]),
+           points=st.sampled_from([16, 256, 4096]),
+           eps=st.sampled_from([0.5, 0.2, 0.1, 0.05]),
+           t=st.sampled_from([0.0, 0.5, 1.0, 3.7, 10.0, 100.0]))
+    @settings(max_examples=60, deadline=None, database=None, derandomize=True)
+    def test_preset_d_s_equal_the_full_grid_oracle(self, custom_kernel, initial, family,
+                                                    points, eps, t):
+        kernel = kernel_by_name(custom_kernel if family == "custom" else family, eps)
+        sigma_sq = kernel.sigma_sq
+        grid = default_grid(math.sqrt(sigma_sq), 100.0, n=points,
+                            m2=INITIAL_PRESETS[initial][1](sigma_sq))
+        g0 = initial_by_name(initial, grid, sigma_sq)
+        point = SweepPoint(kernel, g0, sigma_sq, t)
+        full = {"h_kin": rescale(rosenau_propagate(g0, kernel, t), t),
+                "h_heat": rescale(heat_propagate(g0, sigma_sq, t), t),
+                "ref": gaussian_reference(grid, sigma_sq)}
+        for name, f in full.items():
+            assert np.array_equal(f.values[1:], f.values[:0:-1]) and not np.any(f.values.imag)
+            assert getattr(point, name).values.dtype == np.float64
+        for (a, b), s in itertools.product(self.PAIRS, (2.0, 3.0)):
+            assert (self.outcome(lambda: ds_distance(getattr(point, a), getattr(point, b), s))
+                    == self.outcome(lambda: full_grid_ds_distance(full[a], full[b], s)))
+        for metric, (a, b, s) in {"d2_selfsim": ("h_kin", "ref", 2.0),
+                                  "d3_selfsim": ("h_kin", "ref", 3.0),
+                                  "d2_gap": ("h_kin", "h_heat", 2.0),
+                                  "d2_selfsim_heat": ("h_heat", "ref", 2.0)}.items():
+            assert (self.outcome(lambda: getattr(point, metric))
+                    == self.outcome(lambda: full_grid_ds_distance(full[a], full[b], s)))
+
+    def test_file_datum_within_roundoff_of_the_full_grid(self):
+        # a sampled datum is not mirror-symmetric to the bit: the half line moves the
+        # d_s values by roundoff only, against the full-grid fields built the same way
+        grid = GridSpec(40.0 * math.sqrt(11.0), 4096)
+        g0 = forward_transform(inverse_transform(rosenau_propagate(
+            initial_by_name("gaussian-unit", grid), rosenau_kernel(0.1, 1.0), 1.0)))
+        for eps, t in itertools.product((0.5, 0.1), (0.5, 2.0, 10.0)):
+            kernel = rosenau_kernel(eps, 1.0)
+            point = SweepPoint(kernel, g0, kernel.sigma_sq, t)
+            z = frame_scale(t) * grid.xi()
+            datum = g0.at(z)
+            full = {"h_kin": SpectralField(grid, datum * kinetic_multiplier(kernel, t)(z)),
+                    "h_heat": SpectralField(grid, datum * heat_multiplier(kernel.sigma_sq, t)(z)),
+                    "ref": gaussian_reference(grid, kernel.sigma_sq)}
+            assert point.h_kin.values.dtype == np.complex128
+            for a, b in self.PAIRS:
+                got = ds_distance(getattr(point, a), getattr(point, b), 2.0)
+                want = full_grid_ds_distance(full[a], full[b], 2.0)
+                assert got.value == pytest.approx(want.value, rel=1e-11, abs=0.0)
+                assert got.argsup == want.argsup
+
+    def test_reference_and_half_line_built_once_per_grid_and_variance(self, grid):
+        metrics._half_frame.cache_clear()
+        g0 = initial_by_name("mixture-unit", grid)
+        k = rosenau_kernel(0.1, 1.0)
+        refs = [SweepPoint(k, g0, 1.0, t).ref for t in (0.0, 1.0, 10.0)]
+        assert all(r is refs[0] for r in refs) and metrics._half_frame.cache_info().misses == 1
+        xi, ref = metrics.half_frame(grid, 1.0)
+        assert not (xi.flags.writeable or ref.values.flags.writeable)
+        assert np.array_equal(xi, grid.xi()[:grid.points // 2 + 1])
+        # sigma^2 keys the profile: exp(-2 dxi^2) < exp(-dxi^2) at xi = -dxi
+        assert metrics.half_frame(grid, 2.0)[1].values[-2] < ref.values[-2]
+        assert metrics._half_frame.cache_info().misses == 2
 
 
 class TestRateFit:

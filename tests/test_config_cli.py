@@ -14,7 +14,7 @@ from rosenau.cli import main
 from rosenau.config import ExperimentConfig, load_config, parse_config
 from rosenau.errors import ConfigError
 from rosenau.kernels import kernel_by_name
-from rosenau import metrics, runner
+from rosenau import analysis, metrics, runner
 from rosenau.analysis import d2_bound_check, d3_bound_check, exact_decay_check
 from rosenau.runner import CSV_HEADER, RunError, compute_checks, compute_rows, run
 from rosenau.spectral import load_distribution
@@ -189,8 +189,8 @@ class TestRunner:
         assert started == [2, 3, 3]
 
     def test_layout_built_once_under_pool(self, monkeypatch):
-        # slow frequency grids keep the pool threads in step, so every thread
-        # reaches the d_s layout cache at once; each (grid, s) is still built once
+        # slow frequency grids keep the pool threads in step, so every thread reaches
+        # the d_s layout and half-frame caches at once; each key is still built once
         xi = runner.GridSpec.xi
 
         def slow_xi(grid):
@@ -202,8 +202,11 @@ class TestRunner:
                                metrics=["d2_selfsim", "d3_selfsim"], initial="mixture-matched",
                                grid_points=256)
         metrics._ds_layout.cache_clear()
+        metrics._half_frame.cache_clear()
         rows = compute_rows(cfg, threads=4)
         assert len(rows) == 8 and metrics._ds_layout.cache_info().misses == 2
+        # the half-line xi and the profile: once per (grid, sigma^2), not once per thread
+        assert metrics._half_frame.cache_info().misses == 1
 
     def test_check_lhs_is_the_metric_row(self):
         cfg = load_config(os.path.join(CONFIG_DIR, "decay_sweep.cfg"))
@@ -650,6 +653,39 @@ class TestBenchmarkHooks:
         proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                               text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
+
+    def test_traced_sweep_counts_every_d_s(self):
+        # decay_sweep under the installed tracer: every d_s the sweep computes, each
+        # distinct metric row and each check's d0 at t = 0, passes through the wrapped
+        # ds_distance, and every kinetic symbol is evaluated on the N/2 + 1 nodes xi <= 0
+        script = (
+            "import json, tracing\n"
+            "tracer = tracing.Tracer('hooks')\n"
+            "tracing.install(tracer)\n"
+            "from rosenau import config, runner\n"
+            f"cfg = config.load_config({os.path.join(CONFIG_DIR, 'decay_sweep.cfg')!r})\n"
+            "rows, checks = runner._sweep(cfg, 2)\n"
+            "print(json.dumps({'counts': dict(tracer.counts), 'checks': len(checks),\n"
+            "                  'rows': [(r.epsilon, r.t, r.quantity) for r in rows]}))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC_DIR, PERFBENCH_DIR]))
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        out = json.loads(proc.stdout.splitlines()[-1])
+        cfg = load_config(os.path.join(CONFIG_DIR, "decay_sweep.cfg"))
+        ds_metrics = {"d2_selfsim", "d3_selfsim", "d2_gap", "d2_selfsim_heat"}
+        assert ds_metrics >= set(cfg.metrics) >= {analysis.CHECKS[n][0] for n in cfg.checks}
+        # a metric keyed by t alone is computed once per t and read by every eps
+        ds_rows = {(None if analysis.REGISTRY[q][0] else eps, t, q)
+                   for eps, t, q in out["rows"] if q in ds_metrics}
+        d0_points = out["checks"] // len(cfg.times)
+        assert (len(ds_rows), d0_points) == (4 * 7 * 2 + 7, 4 + 1)
+        assert out["counts"]["metrics.ds_calls"] == len(ds_rows) + d0_points
+        # h_kin at every (eps, t) and at t = 0 for each eps's d2_bound d0
+        n_eps = len(cfg.epsilons)
+        assert out["counts"]["kernels.symbol_elems"] == (
+            (cfg.grid_points // 2 + 1) * n_eps * (len(cfg.times) + 1))
 
 
 class TestImportFootprint:

@@ -110,6 +110,13 @@ class TestDsDistance:
         metrics._ds_layout.cache_clear()
         for g, s in calls + calls[::-1] + calls[1::2] + calls[::2]:
             assert ds_distance(*fields[g], s) == fresh[g, s]
+        # the registry's half-line frame is cached per (grid, sigma^2) and keeps them apart too
+        metrics._half_frame.cache_clear()
+        for g in grids + grids[::-1]:
+            xi, ref = metrics.half_frame(g, 1.0)
+            assert np.array_equal(xi, g.xi()[:g.points // 2 + 1])
+            assert np.array_equal(ref.values, gaussian_reference(g, 1.0).values[:g.points // 2 + 1])
+        assert metrics._half_frame.cache_info().misses == len(grids)
 
 
 class TestContractivity:

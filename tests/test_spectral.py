@@ -29,7 +29,8 @@ from rosenau.errors import (
     ResampleError,
     SymmetryError,
 )
-from rosenau.spectral import field_from_symbol, mass_leak_estimate, require_grid_contains
+from rosenau.spectral import (BAND_REFINE, field_from_symbol, mass_leak_estimate,
+                              require_grid_contains)
 
 
 class TestGridSpec:
@@ -263,6 +264,36 @@ class TestDilate:
         sampled = SpectralField(grid=g, values=gaussian_field(g, 1.0).values)
         with pytest.raises(ResampleError):
             dilate(sampled, 1.5)
+
+
+    def test_refinement_built_once_per_field(self, monkeypatch):
+        # off-grid evaluation of a sampled field refines it to spacing dxi / BAND_REFINE
+        # on the first call only; every later call reuses the same refined samples
+        g = GridSpec(40.0, 256)
+        sampled = SpectralField(grid=g, values=gaussian_field(g, 1.0).values)
+        calls, fft = [], np.fft.fft
+
+        def counted_fft(a, *args, **kwargs):
+            calls.append(a.size)
+            return fft(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "fft", counted_fft)
+        first = [sampled.at(0.3 * g.xi()), dilate(sampled, 0.7).values]
+        again = [sampled.at(0.3 * g.xi()), dilate(sampled, 0.7).values]
+        assert calls == [BAND_REFINE * g.points]
+        assert all(np.array_equal(a, b) for a, b in zip(first, again))
+        # the refined samples: the density zero-padded to BAND_REFINE times its support
+        m = BAND_REFINE * g.points
+        padded = np.zeros(m, dtype=complex)
+        lo = (m - g.points) // 2
+        padded[lo:lo + g.points] = np.fft.ifftshift(np.fft.ifft(np.fft.fftshift(sampled.values)))
+        assert np.array_equal(sampled._refined, np.fft.fftshift(fft(np.fft.ifftshift(padded))))
+
+    def test_at_keeps_the_closure_dtype(self, grid):
+        # a preset's closure is real; fields built from it still hold complex samples
+        assert gaussian_field(grid, 1.0).at(grid.xi()).dtype == np.float64
+        assert gaussian_field(grid, 1.0).values.dtype == np.complex128
+        assert dilate(gaussian_field(grid, 1.0), 0.5).values.dtype == np.complex128
 
 
 class TestGridMonitor:
