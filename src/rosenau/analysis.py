@@ -26,7 +26,6 @@ from .metrics import (CONVEX_FUNCTIONALS, HalfLine, MetricReport, convex_functio
 from .spectral import (
     GridSpec,
     SpectralField,
-    delta_field,
     dilate,
     field_from_symbol,
     gaussian_field,
@@ -310,8 +309,8 @@ METRICS: Dict[str, Tuple[bool, Callable[[SweepPoint], MetricReport]]] = {
     "d2_gap": (False, lambda p: ds_distance(p.h_kin, p.h_heat, 2.0)),
     "d2_selfsim_heat": (True, lambda p: ds_distance(p.h_heat, p.ref, 2.0)),
     "l1_reg_gap": (False, lambda p: MetricReport(l1_distance(p.heat, p.reg), 0.0)),
-    "l1_heat_gap": (True, lambda p: MetricReport(l1_distance(p.heat, heat_propagate(
-        delta_field(p.g0.grid), p.sigma_sq, p.t)), 0.0)),
+    "l1_heat_gap": (True, lambda p: MetricReport(l1_distance(p.heat, field_from_symbol(
+        p.g0.grid, heat_multiplier(p.sigma_sq, p.t))), 0.0)),
     "entropy_reg": (False, lambda p: MetricReport(convex_functional(
         inverse_transform(p.reg), CONVEX_FUNCTIONALS["rlogr"]), 0.0)),
 }

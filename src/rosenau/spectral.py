@@ -68,10 +68,20 @@ class GridSpec:
         return math.pi / self.dv
 
     def v(self) -> Array:
-        return self.dv * (np.arange(self.points) - self.points // 2)
+        """Velocity nodes, shared and read-only: copy before writing."""
+        return _nodes(self, "v")
 
     def xi(self) -> Array:
-        return self.dxi * (np.arange(self.points) - self.points // 2)
+        """Frequency nodes, shared and read-only: copy before writing."""
+        return _nodes(self, "xi")
+
+
+@functools.lru_cache(maxsize=16)
+def _nodes(grid: GridSpec, axis: str) -> Array:
+    step = grid.dv if axis == "v" else grid.dxi
+    nodes = step * (np.arange(grid.points) - grid.points // 2)
+    nodes.flags.writeable = False
+    return nodes
 
 
 def default_grid(sigma: float, t_max: float, n: Optional[int] = None,
@@ -195,9 +205,12 @@ def forward_transform(d: MixedDistribution) -> SpectralField:
 
 
 def _hermitian_defect(values: Array) -> float:
-    # bin 0 holds -Nyquist and has no positive partner; compare the rest
-    flipped = np.conj(values[1:][::-1])
-    return float(np.max(np.abs(values[1:] - flipped)))
+    # bin 0 holds -Nyquist and has no positive partner; |v_k - conj(v_N-k)| is symmetric
+    # in (k, N - k), so compare each pair once, for k = 1 .. N/2 (xi = 0 included)
+    half = values.size // 2
+    diff = np.conj(values[:half - 1:-1])
+    np.subtract(values[1:half + 1], diff, out=diff)
+    return float(np.max(np.abs(diff)))
 
 
 def inverse_transform(f: SpectralField,
@@ -215,14 +228,21 @@ def inverse_transform(f: SpectralField,
         xi = grid.xi()
         for loc, w in atoms:
             vals = vals - w * np.exp(-1j * xi * loc)
-    scale = max(float(np.max(np.abs(vals))), 1e-300)
+    dens = np.abs(vals)  # the result's buffer, |vals| until the density overwrites it
+    scale = max(float(np.max(dens)), 1e-300)
     defect = _hermitian_defect(vals)
     if defect > SYM_TOL * scale:
         raise SymmetryError(
             f"field is not Hermitian-symmetric (defect {defect:.3e}, scale {scale:.3e})"
         )
-    dens = np.fft.ifftshift(np.fft.ifft(np.fft.fftshift(vals))) / grid.dv
-    return MixedDistribution(grid=grid, density=dens.real, atoms=tuple(atoms))
+    # fftshift, ifft, / dv and ifftshift in one FFT-order work array; N is even,
+    # so both shifts swap the halves
+    half = grid.points // 2
+    work = np.concatenate((vals[half:], vals[:half]))
+    np.fft.ifft(work, out=work)
+    np.divide(work, grid.dv, out=work)
+    dens[:half], dens[half:] = work.real[half:], work.real[:half]
+    return MixedDistribution(grid=grid, density=dens, atoms=tuple(atoms))
 
 
 # ----------------------------------------------------------------------

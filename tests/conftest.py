@@ -173,3 +173,30 @@ def full_grid_ds_distance(f1, f2, s):
     limit = _small_xi_part(absxi[inner], delta[inner], s, scale)
     value, argsup = (limit, 0.0) if limit > grid_sup else (grid_sup, float(absxi[outer][k]))
     return MetricReport(value, argsup)
+
+
+def hermitian_defect_oracle(values):
+    """max |v_k - conj(v_N-k)| over k = 1 .. N-1, each pair compared twice: the
+    full-length ``_hermitian_defect`` that the half-length one replaced."""
+    flipped = np.conj(values[1:][::-1])
+    return float(np.max(np.abs(values[1:] - flipped)))
+
+
+def inverse_transform_oracle(f, atoms=()):
+    """Density of ``inverse_transform`` by fftshift, ifft, ifftshift and / dv, each
+    into a fresh array: the body that the one-work-array inverse replaced."""
+    from rosenau.errors import SymmetryError
+    from rosenau.spectral import SYM_TOL
+
+    grid = f.grid
+    vals = f.values
+    if atoms:
+        xi = grid.dxi * (np.arange(grid.points) - grid.points // 2)
+        for loc, w in atoms:
+            vals = vals - w * np.exp(-1j * xi * loc)
+    scale = max(float(np.max(np.abs(vals))), 1e-300)
+    defect = hermitian_defect_oracle(vals)
+    if defect > SYM_TOL * scale:
+        raise SymmetryError(f"defect {defect:.3e}, scale {scale:.3e}")
+    dens = np.fft.ifftshift(np.fft.ifft(np.fft.fftshift(vals))) / grid.dv
+    return dens.real

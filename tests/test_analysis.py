@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from rosenau import (
     inverse_transform,
     kernel_by_name,
     load_distribution,
+    lp_norm,
     mixture_initial,
     moment,
     rate_fit,
@@ -38,15 +40,16 @@ from rosenau import (
 )
 from rosenau import metrics
 from rosenau.analysis import APPENDIX_T_MAX, INITIAL_PRESETS, initial_by_name, solve_mixture_params
-from rosenau.config import parse_config
+from rosenau.config import ExperimentConfig, parse_config
 from rosenau.errors import (
     InfiniteDistanceError,
     InvalidDataError,
     InvalidParameterError,
     UnsupportedKernelError,
 )
-from rosenau.runner import simulate
-from rosenau.spectral import heat_multiplier, kinetic_multiplier
+from rosenau.kernels import b_epsilon
+from rosenau.runner import compute_rows, simulate
+from rosenau.spectral import field_from_symbol, heat_multiplier, kinetic_multiplier
 
 from conftest import full_grid_ds_distance, write_atoms
 
@@ -363,6 +366,19 @@ class TestL1Convergence:
                   for t in (1.0, 10.0, 100.0)]
         assert scaled[0] >= scaled[1] >= scaled[2]
 
+    def test_heat_kernel_needs_no_ones_field(self, wide_grid):
+        # the heat kernel's samples are (1 + 0j) m = m + 0j, so l1_heat_gap is the same
+        # double as against heat_propagate(delta_field(grid), sigma^2, t)
+        g0 = mixture_initial(wide_grid, 1.0)
+        for t in (1.0, 10.0, 100.0):
+            kernel = heat_propagate(delta_field(wide_grid), 1.0, t)
+            assert np.array_equal(field_from_symbol(wide_grid, heat_multiplier(1.0, t)).values,
+                                  kernel.values)
+            point = SweepPoint(None, g0, 1.0, t)
+            want = lp_norm(inverse_transform(SpectralField(
+                wide_grid, point.heat.values - kernel.values)), 1)
+            assert struct.pack("<d", point.l1_heat_gap.value) == struct.pack("<d", want)
+
     def test_interpolation_ladder_ratio_stable(self, wide_grid):
         # ||f||_1 <= C ||f||_2^(4/5) (int v^2 |f|)^(1/5): the measured ratio
         # stays finite and essentially constant (~1.52) along the series;
@@ -382,6 +398,27 @@ class TestL1Convergence:
             ratios.append(lp_norm(d, 1) / (lp_norm(d, 2) ** 0.8 * moment(d, 2) ** 0.2))
         assert all(math.isfinite(r) for r in ratios)
         assert max(ratios) / min(ratios) <= 1.05
+
+
+class TestMomentTransport:
+    M4_RTOL = 5e-8
+
+    def test_m4_rows_follow_the_cumulant_law(self):
+        # a zero-mean datum on a compound-Poisson background: the cumulants add, so
+        # m4(t) = m4(0) + 6 m2(0) k2 + 3 k2^2 + k4 with k2 = 2 sigma^2 t and
+        # k4 = lam t b_eps / 2, and gaussian-unit has m2(0) = 1, m4(0) = 3.  The rows
+        # meet it to 3.9e-9 relative (FFT round-off weighted by v^4, worst at t = 1),
+        # 13x inside M4_RTOL; dropping k4 moves every row by >= 9.9e-5 relative
+        cfg = ExperimentConfig(kernel="rosenau", epsilons=[0.2, 0.1],
+                               times=list(np.geomspace(1.0, 200.0, 9)), metrics=["m4"],
+                               initial="gaussian-unit", grid_points=4096)
+        rows = compute_rows(cfg, threads=1)
+        assert len(rows) == 18
+        for r in rows:
+            k = rosenau_kernel(r.epsilon, cfg.sigma)
+            k2 = 2.0 * cfg.sigma**2 * r.t
+            law = 3.0 + 6.0 * k2 + 3.0 * k2**2 + k.lam * r.t * b_epsilon(k) / 2.0
+            assert abs(r.value - law) <= self.M4_RTOL * law
 
 
 class TestAppendix:

@@ -687,6 +687,30 @@ class TestBenchmarkHooks:
         assert out["counts"]["kernels.symbol_elems"] == (
             (cfg.grid_points // 2 + 1) * n_eps * (len(cfg.times) + 1))
 
+    def test_traced_l1_sweep_sees_every_inverse(self):
+        # regularized_l1 under the installed tracer: every inverse transform the sweep
+        # runs passes through the wrapped inverse_transform, so a batched inverse path
+        # beside the registry would show here as missing calls
+        script = (
+            "import json, tracing\n"
+            "tracer = tracing.Tracer('hooks')\n"
+            "tracing.install(tracer)\n"
+            "from rosenau import config, runner\n"
+            f"cfg = config.load_config({os.path.join(CONFIG_DIR, 'regularized_l1.cfg')!r})\n"
+            "rows, checks = runner._sweep(cfg, 2)\n"
+            "print(json.dumps(dict(tracer.counts)))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC_DIR, PERFBENCH_DIR]))
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        counts = json.loads(proc.stdout.splitlines()[-1])
+        cfg = load_config(os.path.join(CONFIG_DIR, "regularized_l1.cfg"))
+        # l1_reg_gap and m2's density: one inverse each per (eps, t); l1_heat_gap: one per t
+        assert sorted(cfg.metrics) == ["l1_heat_gap", "l1_reg_gap", "m2", "mass"]
+        n_eps, n_times = len(cfg.epsilons), len(cfg.times)
+        assert counts["spectral.inverse_calls"] == (2 * n_eps + 1) * n_times == 27
+
 
 class TestImportFootprint:
     def test_no_scipy_loaded(self, tmp_path):

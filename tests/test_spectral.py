@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -29,8 +30,41 @@ from rosenau.errors import (
     ResampleError,
     SymmetryError,
 )
-from rosenau.spectral import (BAND_REFINE, field_from_symbol, mass_leak_estimate,
-                              require_grid_contains)
+from rosenau.spectral import (BAND_REFINE, SYM_TOL, _hermitian_defect, field_from_symbol,
+                              mass_leak_estimate, require_grid_contains)
+
+from conftest import hermitian_defect_oracle, inverse_transform_oracle
+
+
+def bits(x):
+    """The float64 bit patterns of x: equal bits mean equal values, signed zeros and NaN too."""
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+def oracle_fields(grid):
+    """(values, atoms) pairs: Hermitian, near-Hermitian on both sides of SYM_TOL,
+    with declared atoms, with zeros of both signs and with NaN."""
+    n, rng = grid.points, np.random.default_rng(grid.points)
+    herm = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    herm[1:] = 0.5 * (herm[1:] + np.conj(herm[1:][::-1]))  # v_N-k = conj(v_k) exactly
+    peak = np.max(np.abs(herm))
+    fields = [(herm, ())]
+    for rel in (1e-12, 2e-10, 1e-9, 3e-9, 1e-6):
+        noise = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        fields.append((herm + rel * peak * noise / np.max(np.abs(noise)), ()))
+    xi, atoms = grid.xi(), ((-2.0 * grid.dv, 0.25), (2.0 * grid.dv, 0.25))
+    gauss = np.exp(-0.5 * xi**2) + sum(w * np.exp(-1j * xi * loc) for loc, w in atoms)
+    fields += [(gauss, atoms), (gauss, atoms[:1])]
+    zeros = herm.copy()
+    zeros[[1, n - 1]] = 0.0
+    zeros[[2, n - 2]] = complex(-0.0, -0.0)
+    zeros[[3, n - 3]] = complex(-0.0, 0.0), complex(0.0, -0.0)
+    fields += [(zeros, ()), (np.full(n, complex(-0.0, -0.0)), ()), (np.zeros(n, complex), ())]
+    for at, value in ((5, np.nan), (n // 2, complex(np.nan, 1.0)), (n // 2, complex(0.0, np.nan))):
+        nan = herm.copy()
+        nan[at] = value
+        fields.append((nan, ()))
+    return fields
 
 
 class TestGridSpec:
@@ -49,6 +83,21 @@ class TestGridSpec:
         assert g.nyquist == pytest.approx(math.pi / g.dv)
         assert g.xi()[g.points // 2] == 0.0
         assert g.v()[g.points // 2] == 0.0
+
+    def test_nodes_are_shared_and_read_only(self):
+        g = GridSpec(40.0, 1024)
+        assert g.xi() is g.xi() and g.v() is g.v()
+        for nodes in (g.xi(), g.v()):
+            with pytest.raises(ValueError):
+                nodes[0] = 1.0
+            with pytest.raises(ValueError):
+                nodes *= 2.0
+        # the last grid's v() equals g.xi() value for value, and still has its own array
+        grids = (g, GridSpec(40.0, 2048), GridSpec(41.0, 1024), GridSpec(1024 * g.dxi, 1024))
+        assert np.array_equal(grids[-1].v(), g.xi())
+        arrays = [nodes for h in grids for nodes in (h.xi(), h.v())]
+        for a, b in itertools.combinations(arrays, 2):
+            assert not np.shares_memory(a, b)
 
 
 class TestForwardTransform:
@@ -238,6 +287,46 @@ class TestInverseTransform:
         vals[40] = 2.0 + 1.0j
         with pytest.raises(SymmetryError):
             inverse_transform(SpectralField(grid=g, values=vals))
+
+    @pytest.mark.parametrize("n", [16, 4096, 65536])
+    def test_matches_the_full_length_oracle_bit_for_bit(self, n):
+        g = GridSpec(10.0 + 0.01 * n, n)
+        raised = []
+        for vals, atoms in oracle_fields(g):
+            assert bits(_hermitian_defect(vals)) == bits(hermitian_defect_oracle(vals))
+            f = SpectralField(grid=g, values=vals)
+            try:
+                want = inverse_transform_oracle(f, atoms)
+            except SymmetryError:
+                raised.append(True)
+                with pytest.raises(SymmetryError):
+                    inverse_transform(f, atoms)
+                continue
+            raised.append(False)
+            got = inverse_transform(f, atoms)
+            assert np.array_equal(bits(got.density), bits(want)) and got.atoms == tuple(atoms)
+            assert got.density.flags.c_contiguous and got.density.base is None
+        assert any(raised) and not all(raised)
+
+    @pytest.mark.parametrize("n", [16, 4096, 65536])
+    def test_symmetry_threshold_is_the_oracles(self, n):
+        # |v_k - conj(v_N-k)| = d off xi = 0 and 2 d at xi = 0, against a peak of exactly
+        # 1: a defect of SYM_TOL passes, the next double above it raises
+        g = GridSpec(20.0, n)
+        for k, limit in ((1, SYM_TOL), (n // 4, SYM_TOL), (n // 2, SYM_TOL / 2)):
+            for d in (limit, np.nextafter(limit, 1.0)):
+                vals = np.ones(n, dtype=complex)
+                vals[k] += 1j * d
+                f = SpectralField(grid=g, values=vals)
+                try:
+                    inverse_transform_oracle(f)
+                except SymmetryError:
+                    assert d > limit
+                    with pytest.raises(SymmetryError):
+                        inverse_transform(f)
+                else:
+                    assert d == limit
+                    inverse_transform(f)
 
     def test_positivity_of_regular_part(self, grid, gauss_unit, ros_kernel):
         for t in (0.5, 2.0):
