@@ -26,6 +26,8 @@ from .metrics import (CONVEX_FUNCTIONALS, HalfLine, MetricReport, convex_functio
 from .spectral import (
     GridSpec,
     SpectralField,
+    _live,
+    _multiply_live,
     dilate,
     field_from_symbol,
     gaussian_field,
@@ -148,28 +150,29 @@ class BoundCheck:
 def _decay_checks(check: str, kernel: Optional[BackgroundKernel], g0: SpectralField,
                   sigma_sq: float, times: Sequence[float], lhs: Optional[Sequence[float]],
                   rhs: Callable[[float, float], float], label: str,
-                  params: Dict[str, float]) -> List[BoundCheck]:
+                  params: Dict[str, float], shared: Optional[dict]) -> List[BoundCheck]:
     """lhs = the check's metric (``CHECKS``) at each time, given or read from a SweepPoint,
-    against rhs(d0, t), d0 the same metric at t = 0."""
-    d0, *read = (getattr(SweepPoint(kernel, g0, sigma_sq, t), CHECKS[check][0]).value
-                 for t in [0.0, *(times if lhs is None else ())])
+    against rhs(d0, t), d0 the same metric at t = 0 on a point whose t-keyed memo is ``shared``."""
+    metric = CHECKS[check][0]
+    d0 = getattr(SweepPoint(kernel, g0, sigma_sq, 0.0, shared), metric).value
+    read = (getattr(SweepPoint(kernel, g0, sigma_sq, t), metric).value for t in times)
     return [BoundCheck(name=f"{label} t={t:g}", lhs=value, rhs=rhs(d0, t), params={**params, "t": t})
             for t, value in zip(times, read if lhs is None else lhs)]
 
 
 def exact_decay_check(g0: SpectralField, sigma_sq: float, times: Sequence[float],
-                      lhs: Optional[Sequence[float]] = None) -> List[BoundCheck]:
+                      lhs: Optional[Sequence[float]] = None, shared: Optional[dict] = None) -> List[BoundCheck]:
     """Self-similar decay of the heat flow: d_2 shrinks at least like (1+t)^-1."""
     return _decay_checks("heat_decay", None, g0, sigma_sq, times, lhs,
                          lambda d0, t: d0 / (1.0 + t), "heat-decay s=2",
-                         {"s": 2.0, "sigma_sq": sigma_sq})
+                         {"s": 2.0, "sigma_sq": sigma_sq}, shared)
 
 
 D2_CONSTANTS = {CENTRAL_DIFF: 1.5, ROSENAU: 0.5}
 
 
 def d2_bound_check(kernel: BackgroundKernel, g0: SpectralField, times: Sequence[float],
-                   lhs: Optional[Sequence[float]] = None) -> List[BoundCheck]:
+                   lhs: Optional[Sequence[float]] = None, shared: Optional[dict] = None) -> List[BoundCheck]:
     """Energy-level decay bound for the rescaled kinetic solution.
 
     rhs combines the exact-decay term (1+t)^-1 d2(g0, omega) with the
@@ -183,14 +186,14 @@ def d2_bound_check(kernel: BackgroundKernel, g0: SpectralField, times: Sequence[
     return _decay_checks("d2_bound", kernel, g0, kernel.sigma_sq, times, lhs,
                          lambda d0, t: d0 / (1.0 + t) + c * eps * math.sqrt(t) / (1.0 + t),
                          f"d2-bound {kernel.family} eps={eps:g}",
-                         {"eps": eps, "sigma": kernel.sigma})
+                         {"eps": eps, "sigma": kernel.sigma}, shared)
 
 
 D3_PREFACTOR = 13.0 * math.sqrt(2.0) / 24.0
 
 
 def d3_bound_check(kernel: BackgroundKernel, g0: SpectralField, times: Sequence[float],
-                   lhs: Optional[Sequence[float]] = None) -> List[BoundCheck]:
+                   lhs: Optional[Sequence[float]] = None, shared: Optional[dict] = None) -> List[BoundCheck]:
     """Fourth-moment-level decay bound with the B_eps^(3/4) suboptimal term.
 
     B_eps = 2 m4(M_eps)/eps^2 is the kernel's exact fourth moment (an atom
@@ -201,7 +204,7 @@ def d3_bound_check(kernel: BackgroundKernel, g0: SpectralField, times: Sequence[
     return _decay_checks(
         "d3_bound", kernel, g0, kernel.sigma_sq, times, lhs,
         lambda d0, t: d0 / (1.0 + t) ** 1.5 + D3_PREFACTOR * b_eps**0.75 * (math.sqrt(t) / (1.0 + t)) ** 1.5,
-        f"d3-bound {kernel.family} eps={kernel.epsilon:g}", {"eps": kernel.epsilon, "b_eps": b_eps})
+        f"d3-bound {kernel.family} eps={kernel.epsilon:g}", {"eps": kernel.epsilon, "b_eps": b_eps}, shared)
 
 
 # ----------------------------------------------------------------------
@@ -253,8 +256,8 @@ def l1_distance(f1: SpectralField, f2: SpectralField) -> float:
 class SweepPoint:
     """Everything one (eps, t) sweep point computes, each entry built at most once.
 
-    Entries of ``REGISTRY`` keyed by t alone (z = V(t) xi, ``datum`` = g0 at z,
-    ``heat``, ``h_heat``, ``ref``, ``l1_heat_gap``, ``d2_selfsim_heat``) live in
+    Entries of ``REGISTRY`` keyed by t alone (z = V(t) xi, ``datum`` = g0 at z, its
+    ``live`` span, ``heat``, ``h_heat``, ``ref``, ``l1_heat_gap``, ``d2_selfsim_heat``) live in
     ``shared``, one memo for every eps at t; the others (``sol``, ``reg``,
     ``h_kin``, ``density`` and the kinetic metrics) live on the point.
     Builders look names up when they run, so tracers that rebind them see
@@ -276,7 +279,7 @@ class SweepPoint:
         return store[name]
 
     def rescaled(self, mult: Callable[[np.ndarray], np.ndarray]) -> HalfLine:
-        return HalfLine(self.g0.grid, self.datum * np.asarray(mult(self.z)))
+        return HalfLine(self.g0.grid, _multiply_live(self.datum, self.z, self.live, mult))
 
 
 def _regularized(p: SweepPoint) -> SpectralField:
@@ -286,10 +289,11 @@ def _regularized(p: SweepPoint) -> SpectralField:
     return regularized_solution(p.g0, p.kernel, p.t)
 
 
-# field -> (keyed by t alone, builder of a SweepPoint); z, datum, h_heat, ref, h_kin: xi <= 0
+# field -> (keyed by t alone, builder of a SweepPoint); z, datum, live, h_heat, ref, h_kin: xi <= 0
 FIELDS: Dict[str, Tuple[bool, Callable[[SweepPoint], object]]] = {
     "z": (True, lambda p: frame_scale(p.t) * half_frame(p.g0.grid, p.sigma_sq)[0]),
     "datum": (True, lambda p: p.g0.at(p.z)),
+    "live": (True, lambda p: _live(p.datum)),
     "heat": (True, lambda p: heat_propagate(p.g0, p.sigma_sq, p.t)),
     "h_heat": (True, lambda p: p.rescaled(heat_multiplier(p.sigma_sq, p.t))),
     "ref": (True, lambda p: half_frame(p.g0.grid, p.sigma_sq)[1]),
@@ -320,13 +324,13 @@ REGISTRY = {**FIELDS, **METRICS}
 REGULARIZED_FAMILIES = (ROSENAU,)
 REGULARIZED_METRICS = ("l1_reg_gap", "entropy_reg")
 
-# check name -> (the metric that is its lhs, and at t = 0 its d0; checks of (kernel, g0,
-# times, lhs values)); a check whose metric is keyed by t alone runs once, at the first eps
+# check name -> (the metric that is its lhs, and at t = 0 its d0; checks of (kernel, g0, times,
+# lhs values, t = 0 memo)); a check whose metric is keyed by t alone runs once, at the first eps
 CHECKS: Dict[str, Tuple[str, Callable[..., List[BoundCheck]]]] = {
     "d2_bound": ("d2_selfsim", lambda *args: d2_bound_check(*args)),
     "d3_bound": ("d3_selfsim", lambda *args: d3_bound_check(*args)),
-    "heat_decay": ("d2_selfsim_heat", lambda kernel, g0, times, lhs: exact_decay_check(
-        g0, kernel.sigma_sq, times, lhs)),
+    "heat_decay": ("d2_selfsim_heat", lambda kernel, g0, times, lhs, shared: exact_decay_check(
+        g0, kernel.sigma_sq, times, lhs, shared)),
 }
 
 

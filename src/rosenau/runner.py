@@ -159,10 +159,11 @@ def _sweep(cfg: ExperimentConfig, threads: int) -> Tuple[List[Row], List[analysi
     jobs = [(eps, n) for eps in sorted(cfg.epsilons) for n in names if n not in once]
     jobs += [(cfg.epsilons[0], n) for n in once]
     checks: List[analysis.BoundCheck] = []
+    zero: dict = {}  # one t = 0 memo: every check's d0 reads the same datum at t = 0
     for eps, name in jobs:
         metric, build = analysis.CHECKS[name]
         with _sweep_point(cfg, eps, times):
-            checks.extend(build(kernels[eps], g0, times, [lhs[eps, t, metric] for t in times]))
+            checks.extend(build(kernels[eps], g0, times, [lhs[eps, t, metric] for t in times], zero))
     return [r for r in rows if r.quantity in cfg.metrics], checks
 
 

@@ -132,6 +132,10 @@ class SpectralField:
         padded = np.pad(dens, (BAND_REFINE - 1) * self.grid.points // 2)
         return np.fft.fftshift(np.fft.fft(np.fft.ifftshift(padded)))
 
+    @functools.cached_property  # found once per field, read by every _multiply of it
+    def _span(self) -> slice:
+        return _live(self.values)
+
 
 @dataclass(frozen=True)
 class MixedDistribution:
@@ -249,8 +253,24 @@ def inverse_transform(f: SpectralField,
 # propagators
 # ----------------------------------------------------------------------
 
+def _live(values: Array) -> slice:
+    """Live span of values: first to last nonzero sample, empty when all are 0."""
+    nonzero = values != 0
+    first, end = int(nonzero.argmax()), values.size - int(nonzero[::-1].argmax())
+    return slice(first, end) if nonzero[first] else slice(0, 0)
+
+
+def _multiply_live(values: Array, nodes: Array, live: slice, mult_fn: Callable[[Array], Array]) -> Array:
+    """values * mult_fn(nodes), mult_fn evaluated on the live span of values alone.  Multipliers are
+    finite, so outside it values * m is a zero: the one values * 1 gives when m >= 0, complex too."""
+    mult = np.asarray(mult_fn(nodes[live]))
+    out = values * np.ones((), mult.dtype)
+    np.multiply(values[live], mult, out=out[live])
+    return out
+
+
 def _multiply(f: SpectralField, mult_fn: Callable[[Array], Array]) -> SpectralField:
-    values = f.values * np.asarray(mult_fn(f.grid.xi()))
+    values = _multiply_live(f.values, f.grid.xi(), f._span, mult_fn)
     analytic = None
     if f.analytic is not None:
         base = f.analytic

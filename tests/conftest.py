@@ -200,3 +200,15 @@ def inverse_transform_oracle(f, atoms=()):
         raise SymmetryError(f"defect {defect:.3e}, scale {scale:.3e}")
     dens = np.fft.ifftshift(np.fft.ifft(np.fft.fftshift(vals))) / grid.dv
     return dens.real
+
+
+def multiply_oracle(f, mult_fn):
+    """Values of ``spectral._multiply(f, mult_fn)`` with the multiplier evaluated on every
+    grid node: the full-evaluation body that live-span multiplication replaced."""
+    return f.values * np.asarray(mult_fn(f.grid.xi()))
+
+
+def rescaled_oracle(point, mult):
+    """Values of ``SweepPoint.rescaled(mult)`` with the multiplier evaluated on the whole
+    half line: the full-evaluation body that live-span multiplication replaced."""
+    return point.datum * np.asarray(mult(point.z))

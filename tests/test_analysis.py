@@ -49,9 +49,11 @@ from rosenau.errors import (
 )
 from rosenau.kernels import b_epsilon
 from rosenau.runner import compute_rows, simulate
-from rosenau.spectral import field_from_symbol, heat_multiplier, kinetic_multiplier
+from rosenau.spectral import (MixedDistribution, field_from_symbol, heat_multiplier,
+                              kinetic_multiplier, regularized_solution, save_distribution)
 
-from conftest import full_grid_ds_distance, write_atoms
+from conftest import (full_grid_ds_distance, multiply_oracle, rescaled_oracle,
+                      write_atoms)
 
 
 class TestInitialData:
@@ -318,6 +320,104 @@ class TestHalfLineFrame:
         assert metrics.half_frame(grid, 2.0)[1].values[-2] < ref.values[-2]
         assert metrics._half_frame.cache_info().misses == 2
 
+
+class TestLiveSpan:
+    """Multipliers are evaluated only on the live span of the values they multiply, the
+    first to the last nonzero sample; outside it the product is the input's +-0.  The
+    propagated fields, the rescaled h_kin and h_heat and their d_s rows keep the bits of
+    the full evaluation (``multiply_oracle``, ``rescaled_oracle``)."""
+
+    CUSTOM_ATOMS = [(-2.0, 0.1), (-0.5, 0.2), (0.0, 0.4), (0.5, 0.2), (2.0, 0.1)]
+    # grid Nyquist frequency per span: every preset datum underflows to 0 beyond |xi| ~ 72
+    NYQUIST = {"full": 10.0, "strict": 200.0, "empty": 200.0}
+
+    @pytest.fixture(scope="class")
+    def custom_kernel(self, tmp_path_factory):
+        return "custom:" + write_atoms(tmp_path_factory.mktemp("atoms") / "five.txt",
+                                       self.CUSTOM_ATOMS)
+
+    @pytest.fixture(scope="class")
+    def datum_dir(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("datum")
+
+    @staticmethod
+    def bits(x):
+        return np.ascontiguousarray(x).view(np.int64)
+
+    @staticmethod
+    def row(d_s):
+        try:
+            return [float(x).hex() for x in d_s()]
+        except InfiniteDistanceError:
+            return "infinite"
+
+    @given(initial=st.sampled_from([*sorted(INITIAL_PRESETS), "file"]),
+           family=st.sampled_from(["rosenau", "central-diff", "custom"]),
+           points=st.sampled_from([16, 256, 4096, 16384]),
+           span=st.sampled_from(["full", "strict", "empty"]),
+           eps=st.sampled_from([0.5, 0.1]),
+           t=st.sampled_from([0.0, 0.5, 100.0]))
+    @settings(max_examples=60, deadline=None, database=None, derandomize=True)
+    def test_bits_of_the_full_evaluation(self, custom_kernel, datum_dir, initial, family,
+                                         points, span, eps, t):
+        kernel = kernel_by_name(custom_kernel if family == "custom" else family, eps)
+        sigma_sq = kernel.sigma_sq
+        grid = GridSpec(math.pi * points / self.NYQUIST[span], points)
+        if span == "empty":
+            g0 = field_from_symbol(grid, lambda xi: np.zeros(np.shape(xi)))
+        elif initial == "file":
+            v = grid.v()
+            path = str(datum_dir / f"{span}-{points}.txt")
+            save_distribution(MixedDistribution(grid, np.exp(-0.5 * (20.0 * v / grid.length) ** 2)),
+                              path)
+            g0 = forward_transform(load_distribution(path))
+        else:
+            g0 = initial_by_name(initial, grid, sigma_sq)
+        live = g0._span
+        if span == "empty":
+            assert live == slice(0, 0)
+        elif initial != "file":  # a sampled datum's span depends on where its FFT is 0
+            assert (live == slice(0, points)) == (span == "full") and live.start < live.stop
+        fields = {
+            "heat": (heat_propagate(g0, sigma_sq, t), heat_multiplier(sigma_sq, t)),
+            "sol": (rosenau_propagate(g0, kernel, t), kinetic_multiplier(kernel, t)),
+        }
+        for f, mult in fields.values():
+            assert np.array_equal(self.bits(f.values), self.bits(multiply_oracle(g0, mult)))
+        reg = regularized_solution(g0, kernel, t)
+        mu, w = kernel.intensity(t), math.exp(-kernel.intensity(t))
+        reg_oracle = multiply_oracle(g0, lambda xi: np.exp(-mu * kernel.one_minus_symbol(xi))
+                                     - kernel.one_minus_symbol(xi) * w)
+        # the regularized multiplier of an atomic kernel can be negative, and a zero's
+        # sign then differs from the full product's; its values are still equal
+        assert np.array_equal(reg.values, reg_oracle)
+        if family == "rosenau":
+            assert np.array_equal(self.bits(reg.values), self.bits(reg_oracle))
+
+        point = SweepPoint(kernel, g0, sigma_sq, t)
+        full = {"h_kin": rescaled_oracle(point, kinetic_multiplier(kernel, t)),
+                "h_heat": rescaled_oracle(point, heat_multiplier(sigma_sq, t))}
+        for name, values in full.items():
+            assert np.array_equal(self.bits(getattr(point, name).values), self.bits(values))
+        full["ref"] = point.ref.values
+        for metric, (a, b) in {"d2_selfsim": ("h_kin", "ref"), "d2_gap": ("h_kin", "h_heat"),
+                               "d2_selfsim_heat": ("h_heat", "ref")}.items():
+            assert (self.row(lambda: getattr(point, metric)) == self.row(lambda: ds_distance(
+                metrics.HalfLine(grid, full[a]), metrics.HalfLine(grid, full[b]), 2.0)))
+
+    def test_signed_zeros_outside_the_span(self):
+        # numpy's complex product (re m - im 0, re 0 + im m) can flip the sign of a zero,
+        # so the zeros outside the span are not a copy of the input's: they carry the
+        # full product's signs, for every sign pair of a complex zero
+        grid = GridSpec(20.0, 64)
+        zeros = [complex(a, b) for a in (0.0, -0.0) for b in (0.0, -0.0)]
+        values = np.array(zeros * 4 + [1.0 + 0.5j] * 32 + zeros * 4)
+        f = SpectralField(grid, values)
+        assert f._span == slice(16, 48)
+        kernel = rosenau_kernel(0.5, 1.0)
+        for field, mult in ((heat_propagate(f, 1.0, 0.5), heat_multiplier(1.0, 0.5)),
+                            (rosenau_propagate(f, kernel, 0.5), kinetic_multiplier(kernel, 0.5))):
+            assert np.array_equal(self.bits(field.values), self.bits(multiply_oracle(f, mult)))
 
 class TestRateFit:
     def test_exact_power_law(self):

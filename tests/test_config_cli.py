@@ -5,16 +5,18 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from rosenau.cli import main
 from rosenau.config import ExperimentConfig, load_config, parse_config
 from rosenau.errors import ConfigError
 from rosenau.kernels import kernel_by_name
-from rosenau import analysis, metrics, runner
+from rosenau import analysis, metrics, runner, spectral
 from rosenau.analysis import d2_bound_check, d3_bound_check, exact_decay_check
 from rosenau.runner import CSV_HEADER, RunError, compute_checks, compute_rows, run
 from rosenau.spectral import load_distribution
@@ -207,6 +209,51 @@ class TestRunner:
         assert len(rows) == 8 and metrics._ds_layout.cache_info().misses == 2
         # the half-line xi and the profile: once per (grid, sigma^2), not once per thread
         assert metrics._half_frame.cache_info().misses == 1
+
+    def test_live_span_found_once_under_pool(self, monkeypatch):
+        # an L1 sweep's pool threads propagate the g0 they share: its live span (strict
+        # on this grid) is found once, under functools.cached_property's lock (Python
+        # <= 3.11), every thread multiplies on that one slice, and the pooled rows have
+        # the serial rows' bits
+        cfg = ExperimentConfig(kernel="rosenau", epsilons=[0.2, 0.1], times=[1.0, 2.2, 4.6, 10.0],
+                               metrics=["l1_reg_gap", "l1_heat_gap", "mass", "m2", "m4",
+                                        "entropy_reg"], grid_length=300.0, grid_points=4096)
+        serial = [r.csv() for r in compute_rows(cfg, threads=1)]
+        live, multiply_live = spectral._live, spectral._multiply_live
+        found, read = [], set()
+
+        def slow_live(values):
+            time.sleep(0.05)  # the other threads reach the span while it is being found
+            found.append(live(values))
+            return found[-1]
+
+        def traced_multiply_live(values, nodes, span, mult_fn):
+            read.add((threading.get_ident(), span.start, span.stop))
+            return multiply_live(values, nodes, span, mult_fn)
+
+        monkeypatch.setattr(spectral, "_live", slow_live)
+        monkeypatch.setattr(spectral, "_multiply_live", traced_multiply_live)
+        assert [r.csv() for r in compute_rows(cfg, threads=4)] == serial
+        assert len(found) == 1 and 0 < found[0].start < found[0].stop < cfg.grid_points
+        assert {(start, stop) for _, start, stop in read} == {(found[0].start, found[0].stop)}
+        assert len({thread for thread, _, _ in read}) > 1
+
+    def test_checks_read_one_datum_at_t0(self, monkeypatch):
+        # every check's d0 is its metric at t = 0, read off one t = 0 memo: the walk
+        # evaluates the datum once per time and once more at t = 0, for five d0 values
+        cfg = load_config(os.path.join(CONFIG_DIR, "decay_sweep.cfg"))
+        evals = []
+        initial = runner.analysis.initial_by_name
+
+        def counted(*args):
+            g0 = initial(*args)
+            return spectral.SpectralField(g0.grid, g0.values, lambda xi: evals.append(
+                np.size(xi)) or g0.analytic(xi))
+
+        monkeypatch.setattr(runner.analysis, "initial_by_name", counted)
+        checks = compute_checks(cfg)
+        assert len(checks) == (len(cfg.epsilons) + 1) * len(cfg.times)
+        assert len(evals) == len(cfg.times) + 1
 
     def test_check_lhs_is_the_metric_row(self):
         cfg = load_config(os.path.join(CONFIG_DIR, "decay_sweep.cfg"))
@@ -657,7 +704,8 @@ class TestBenchmarkHooks:
     def test_traced_sweep_counts_every_d_s(self):
         # decay_sweep under the installed tracer: every d_s the sweep computes, each
         # distinct metric row and each check's d0 at t = 0, passes through the wrapped
-        # ds_distance, and every kinetic symbol is evaluated on the N/2 + 1 nodes xi <= 0
+        # ds_distance; the kinetic symbol is evaluated on the live span of the datum, which
+        # at N = 4096 is every one of the N/2 + 1 nodes xi <= 0 at every t
         script = (
             "import json, tracing\n"
             "tracer = tracing.Tracer('hooks')\n"
@@ -686,6 +734,35 @@ class TestBenchmarkHooks:
         n_eps = len(cfg.epsilons)
         assert out["counts"]["kernels.symbol_elems"] == (
             (cfg.grid_points // 2 + 1) * n_eps * (len(cfg.times) + 1))
+
+    def test_traced_symbol_count_is_the_live_span(self):
+        # minimal under the installed tracer: its datum underflows to 0 inside the half
+        # line, so the kinetic symbol is evaluated on the live spans alone; their lengths
+        # come here from the datum closure on the half-line z, with their own span finder
+        script = (
+            "import json, tracing\n"
+            "tracer = tracing.Tracer('hooks')\n"
+            "tracing.install(tracer)\n"
+            "from rosenau import config, runner\n"
+            f"cfg = config.load_config({os.path.join(CONFIG_DIR, 'minimal.cfg')!r})\n"
+            "rows, checks = runner._sweep(cfg, 2)\n"
+            "print(json.dumps(dict(tracer.counts)))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC_DIR, PERFBENCH_DIR]))
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        counts = json.loads(proc.stdout.splitlines()[-1])
+        cfg = load_config(os.path.join(CONFIG_DIR, "minimal.cfg"))
+        _, g0 = runner._setup(cfg)
+        half = g0.grid.points // 2 + 1
+        xi = g0.grid.dxi * (np.arange(half) - (half - 1))
+        spans = []
+        for t in cfg.times:
+            nonzero = np.flatnonzero(g0.analytic(xi / math.sqrt(1.0 + t)))
+            spans.append(int(nonzero[-1] - nonzero[0] + 1) if nonzero.size else 0)
+        n_eps = len(cfg.epsilons)
+        assert counts["kernels.symbol_elems"] == n_eps * sum(spans) < half * n_eps * len(cfg.times)
 
     def test_traced_l1_sweep_sees_every_inverse(self):
         # regularized_l1 under the installed tracer: every inverse transform the sweep
