@@ -26,8 +26,10 @@ from .metrics import (CONVEX_FUNCTIONALS, HalfLine, MetricReport, convex_functio
 from .spectral import (
     GridSpec,
     SpectralField,
+    _exp,
     _live,
     _multiply_live,
+    _require_time,
     dilate,
     field_from_symbol,
     gaussian_field,
@@ -88,7 +90,7 @@ def mixture_initial(grid: GridSpec, second_moment: float = 1.0,
 
     def fn(xi):
         x = np.asarray(xi, dtype=float)
-        return np.cos(a * x) * np.exp(-0.5 * s_var * x * x)
+        return np.cos(a * x) * _exp(-0.5 * s_var * x * x)
 
     return field_from_symbol(grid, fn)
 
@@ -117,8 +119,7 @@ def initial_by_name(name: str, grid: GridSpec, sigma_sq: float = 1.0) -> Spectra
 
 def frame_scale(t: float) -> float:
     """V(t) = (1+t)^-1/2, the frequency dilation of the self-similar frame at time t."""
-    if t < 0:
-        raise InvalidParameterError("time must be nonnegative")
+    _require_time(t)
     return 1.0 / math.sqrt(1.0 + t)
 
 
@@ -279,7 +280,7 @@ class SweepPoint:
         return store[name]
 
     def rescaled(self, mult: Callable[[np.ndarray], np.ndarray]) -> HalfLine:
-        return HalfLine(self.g0.grid, _multiply_live(self.datum, self.z, self.live, mult))
+        return HalfLine(self.g0.grid, _multiply_live(self.datum, self.z, self.live, mult), self.live)
 
 
 def _regularized(p: SweepPoint) -> SpectralField:

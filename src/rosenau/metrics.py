@@ -5,10 +5,12 @@ The d_s distance between probability distributions is
     d_s(f1, f2) = sup over xi != 0 of |f1hat(xi) - f2hat(xi)| / |xi|^s,
 
 finite when moments agree up to the order determined by s.  |f1hat - f2hat| is even in
-xi for real measures, so the sup is taken over the grid's xi <= 0.  On a grid it often
-sits at xi -> 0 where the ratio is noise-dominated, so the bins below 8 grid spacings
-are excluded from the raw scan and an extrapolated small-frequency limit (driven by the
-first mismatched moment) is taken into the reported maximum instead.
+xi for real measures, so the sup is taken over the grid's xi <= 0, and only over the
+union of the two fields' live spans there (``HalfLine.live``): outside it both are zero.
+On a grid the sup often sits at xi -> 0 where the ratio is noise-dominated, so the bins
+below 8 grid spacings are excluded from the raw scan and an extrapolated small-frequency
+limit (driven by the first mismatched moment) is taken into the reported maximum instead;
+its fits are skipped where the grid sup is sure to win.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 import functools
 import math
 import threading
-from typing import Callable, NamedTuple, Tuple
+from typing import Callable, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -27,7 +29,7 @@ from .errors import (
     UndefinedFunctionalError,
     UndefinedNormError,
 )
-from .spectral import GridSpec, MixedDistribution, SpectralField, gaussian_reference
+from .spectral import GridSpec, MixedDistribution, SpectralField, _live, gaussian_reference
 
 # bins below this multiple of dxi are handled by extrapolation, not raw ratio
 SMALL_XI_BINS = 8
@@ -44,7 +46,8 @@ class MetricReport(NamedTuple):
     argsup: float
 
 
-def _small_xi_part(x: np.ndarray, delta: np.ndarray, s: float, scale: float) -> float:
+def _small_xi_part(x: np.ndarray, delta: np.ndarray, s: float, scale: float,
+                   grid_sup: float = -math.inf) -> float:
     """Supremum contribution of the bins below the cutoff, including xi -> 0.
 
     Raw ratios above the noise floor are trusted as-is.  The endpoint limit
@@ -53,6 +56,9 @@ def _small_xi_part(x: np.ndarray, delta: np.ndarray, s: float, scale: float) -> 
     mismatched low moment and an infinite distance; p above s sends the
     ratio to zero; p near s is extrapolated on the xi^2 axis (moduli of
     transform differences of real measures expand in even powers).
+    The result is at most 2 raw_sup, so when that is <= ``grid_sup`` and no
+    divergence can be raised the fits are skipped and raw_sup, which the grid
+    sup beats, is returned.
     """
     good = delta > NOISE_FLOOR * scale
     if np.count_nonzero(good) < 6:
@@ -62,12 +68,14 @@ def _small_xi_part(x: np.ndarray, delta: np.ndarray, s: float, scale: float) -> 
     xg, dg = xg[order], dg[order]
     ratio = dg / xg**s
     raw_sup = float(np.max(ratio))
-    # leading power from the innermost bins, where higher-order terms
-    # distort it least; a window-wide fit is fooled by nearby sign dips
-    p = np.polyfit(np.log(xg[:4]), np.log(dg[:4]), 1)[0]
     # medians of three by sorting: np.median would import numpy.ma on first use
     inner = float(np.sort(ratio[:3])[1])
     outer = float(np.sort(ratio[-3:])[1])
+    if inner <= 3.0 * outer and 2.0 * raw_sup <= grid_sup:
+        return raw_sup
+    # leading power from the innermost bins, where higher-order terms
+    # distort it least; a window-wide fit is fooled by nearby sign dips
+    p = np.polyfit(np.log(xg[:4]), np.log(dg[:4]), 1)[0]
     if p < s - 0.35 and inner > 3.0 * outer:
         raise InfiniteDistanceError(
             f"|difference| ~ |xi|^{p:.2f} near 0 but s = {s}: distance diverges"
@@ -79,9 +87,13 @@ def _small_xi_part(x: np.ndarray, delta: np.ndarray, s: float, scale: float) -> 
     return max(raw_sup, limit)
 
 
-class HalfLine(NamedTuple):  # a transform at the grid's xi <= 0: indices 0..N/2 of grid.xi()
+class HalfLine(NamedTuple):
+    """A transform at the grid's xi <= 0, indices 0..N/2 of grid.xi(), and the slice ``live``
+    of those values outside which every value is a zero (None: found on use)."""
+
     grid: GridSpec
     values: np.ndarray
+    live: Optional[slice] = None
 
 
 _LAYOUT_LOCK = threading.Lock()  # pool threads missing a cache at once would each build
@@ -90,7 +102,8 @@ _LAYOUT_LOCK = threading.Lock()  # pool threads missing a cache at once would ea
 @functools.lru_cache(maxsize=8)
 def _half_frame(grid: GridSpec, sigma_sq: float) -> Tuple[np.ndarray, HalfLine]:
     xi = grid.xi()[: grid.points // 2 + 1]
-    ref = HalfLine(grid, gaussian_reference(grid, sigma_sq).at(xi))
+    values = gaussian_reference(grid, sigma_sq).at(xi)
+    ref = HalfLine(grid, values, _live(values))
     xi.flags.writeable = ref.values.flags.writeable = False
     return xi, ref
 
@@ -103,37 +116,52 @@ def half_frame(grid: GridSpec, sigma_sq: float) -> Tuple[np.ndarray, HalfLine]:
 
 @functools.lru_cache(maxsize=8)
 def _ds_layout(grid: GridSpec, s: float):
-    """Masks, |xi| and |xi[outer]|^s of ds_distance on xi <= 0, shared per (grid, s), read-only."""
+    """The count of outer bins (a prefix of xi <= 0), |xi| and |xi|^s on them, the inner bins and
+    their |xi|, shared per (grid, s), read-only."""
     absxi = np.abs(grid.xi()[: grid.points // 2 + 1])
     cutoff = SMALL_XI_BINS * grid.dxi
-    outer = absxi >= cutoff
+    n_outer = int(np.count_nonzero(absxi >= cutoff))
     inner = np.flatnonzero((absxi > 0.5 * grid.dxi) & (absxi < cutoff))
     inner = np.concatenate((inner, inner[::-1]))  # |xi| = 7..1, 1..7 dxi: the full line's order
-    layout = (outer, absxi[outer], absxi[outer] ** s, inner, absxi[inner])
+    layout = (absxi[:n_outer], absxi[:n_outer] ** s, inner, absxi[inner])
     for a in layout:
         a.flags.writeable = False
-    return layout
+    return (n_outer, *layout)
+
+
+def _half_live(f: SpectralField | HalfLine, half: int) -> slice:
+    if isinstance(f, HalfLine):
+        return _live(f.values) if f.live is None else f.live
+    return slice(min(f._span.start, half), min(f._span.stop, half))
 
 
 def ds_distance(f1: SpectralField | HalfLine, f2: SpectralField | HalfLine, s: float) -> MetricReport:
     """Fourier distance of order s of two fields on one grid, the sup taken over xi <= 0, since
-    |f1hat - f2hat| is even for real measures: the first N/2 + 1 values of each field."""
-    if s <= 0:
-        raise InvalidParameterError("order s must be positive")
+    |f1hat - f2hat| is even for real measures: the first N/2 + 1 values of each field.  Both
+    fields are zero outside the union of their live spans, so the scan covers that alone."""
+    if not 0.0 < s < math.inf:
+        raise InvalidParameterError(f"order s must be positive and finite, got {s}")
     if f1.grid != f2.grid:
         raise InvalidParameterError("fields must share one grid")
     grid, half = f1.grid, f1.grid.points // 2 + 1
-    delta = np.abs(f1.values[:half] - f2.values[:half])
-    scale = max(1.0, float(np.max(np.abs(f1.values[:half]))), float(np.max(np.abs(f2.values[:half]))))
-
     with _LAYOUT_LOCK:
-        outer, abs_outer, pow_outer, inner, abs_inner = _ds_layout(grid, s)
-    ratio = delta[outer] / pow_outer
-    k = int(np.argmax(ratio))
-    grid_sup = float(ratio[k])
-    limit = _small_xi_part(abs_inner, delta[inner], s, scale)
-    value, argsup = (limit, 0.0) if limit > grid_sup else (grid_sup, float(abs_outer[k]))
-    return MetricReport(value, argsup)
+        n_outer, abs_outer, pow_outer, inner, abs_inner = _ds_layout(grid, s)
+    spans = [sp for sp in (_half_live(f1, half), _half_live(f2, half)) if sp.start < sp.stop]
+    lo, hi = (min(sp.start for sp in spans), max(sp.stop for sp in spans)) if spans else (0, 0)
+    if not pow_outer[-1] > 0.0:  # |xi|^s underflows: the full scan's 0 / 0 is a NaN to keep
+        lo, hi = 0, max(hi, n_outer)
+    v1, v2 = f1.values[lo:hi], f2.values[lo:hi]
+    scale = max(1.0, float(np.max(np.abs(v1), initial=0.0)), float(np.max(np.abs(v2), initial=0.0)))
+
+    top = max(min(hi, n_outer), lo)
+    ratio = np.abs(v1[:top - lo] - v2[:top - lo]) / pow_outer[lo:top]
+    k = int(np.argmax(ratio)) if ratio.size else 0
+    grid_sup = float(ratio[k]) if ratio.size else 0.0
+    # the ratio is 0 outside the span: where it is 0 throughout, the full scan's argmax is bin 0
+    argsup = float(abs_outer[lo + k]) if grid_sup != 0.0 else float(abs_outer[0])
+    delta_inner = np.abs(f1.values[inner] - f2.values[inner])
+    limit = _small_xi_part(abs_inner, delta_inner, s, scale, grid_sup)
+    return MetricReport(limit, 0.0) if limit > grid_sup else MetricReport(grid_sup, argsup)
 
 
 def convolution_contractivity_check(f1: SpectralField, f2: SpectralField,

@@ -34,6 +34,7 @@ DEFAULT_GRID_N = 4096
 LEAK_TOL = 1e-12
 SYM_TOL = 1e-9  # largest Hermitian defect, relative to the peak, that inverse_transform accepts
 BAND_REFINE = 16  # off-grid evaluation samples the transform at spacing dxi / BAND_REFINE
+EXP_UNDERFLOW = -746.0  # exp(y) rounds to +0.0 for every y below log(2^-1075) = -745.13
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -183,7 +184,7 @@ def gaussian_field(grid: GridSpec, variance: float) -> SpectralField:
 
     def fn(xi):
         x = np.asarray(xi, dtype=float)
-        return np.exp(-0.5 * variance * x * x)
+        return _exp(-0.5 * variance * x * x)
 
     return field_from_symbol(grid, fn)
 
@@ -253,6 +254,19 @@ def inverse_transform(f: SpectralField,
 # propagators
 # ----------------------------------------------------------------------
 
+def _exp(y) -> Array:
+    """np.exp(y) bit for bit.  numpy takes a slow path per element wherever exp underflows;
+    below EXP_UNDERFLOW the result is exactly +0.0, so those entries are left at 0 and only
+    the rest (NaN included) are evaluated."""
+    y = np.asarray(y, dtype=float)
+    dead = y < EXP_UNDERFLOW
+    if not dead.any():
+        return np.exp(y)
+    out = np.zeros(y.shape)
+    np.exp(y, out=out, where=~dead)
+    return out if out.ndim else out[()]
+
+
 def _live(values: Array) -> slice:
     """Live span of values: first to last nonzero sample, empty when all are 0."""
     nonzero = values != 0
@@ -278,25 +292,28 @@ def _multiply(f: SpectralField, mult_fn: Callable[[Array], Array]) -> SpectralFi
     return SpectralField(grid=f.grid, values=values, analytic=analytic)
 
 
+def _require_time(t: float) -> None:
+    if not 0.0 <= t < math.inf:  # NaN fails both comparisons
+        raise InvalidParameterError(f"time must be finite and nonnegative, got {t}")
+
+
 def heat_multiplier(sigma_sq: float, t: float) -> Callable[[Array], Array]:
-    return lambda xi: np.exp(-sigma_sq * np.asarray(xi) ** 2 * t)
+    return lambda xi: _exp(-sigma_sq * np.asarray(xi) ** 2 * t)
 
 
 def kinetic_multiplier(kernel: BackgroundKernel, t: float) -> Callable[[Array], Array]:
-    return lambda xi: np.exp(-generator_symbol(kernel, xi) * t)
+    return lambda xi: _exp(-generator_symbol(kernel, xi) * t)
 
 
 def heat_propagate(f: SpectralField, sigma_sq: float, t: float) -> SpectralField:
     """Multiply by the heat multiplier exp(-sigma_sq xi^2 t)."""
-    if t < 0:
-        raise InvalidParameterError(f"time must be nonnegative, got {t}")
+    _require_time(t)
     return _multiply(f, heat_multiplier(sigma_sq, t))
 
 
 def rosenau_propagate(f: SpectralField, kernel: BackgroundKernel, t: float) -> SpectralField:
     """Multiply by the kinetic multiplier exp(-A_eps(xi) t); its modulus is <= 1."""
-    if t < 0:
-        raise InvalidParameterError(f"time must be nonnegative, got {t}")
+    _require_time(t)
     return _multiply(f, kinetic_multiplier(kernel, t))
 
 
@@ -308,13 +325,12 @@ def singular_split(kernel: BackgroundKernel, t: float,
     grid and w = exp(-mu), mu = lam t / eps^2, so that G1 + w is exactly the
     kinetic multiplier.  The atom weight multiplies a Dirac mass at 0.
     """
-    if t < 0:
-        raise InvalidParameterError(f"time must be nonnegative, got {t}")
+    _require_time(t)
     mu = kernel.intensity(t)
     w = math.exp(-mu)
 
     def g1(xi):
-        return np.exp(-mu * np.asarray(kernel.one_minus_symbol(xi))) - w
+        return _exp(-mu * np.asarray(kernel.one_minus_symbol(xi))) - w
 
     return field_from_symbol(grid, g1), w
 
@@ -330,14 +346,13 @@ def regularized_propagator(kernel: BackgroundKernel, t: float, grid: GridSpec) -
 
 def regularized_solution(f: SpectralField, kernel: BackgroundKernel, t: float) -> SpectralField:
     """Solution obtained by convolving the initial datum with the regularized kernel."""
-    if t < 0:
-        raise InvalidParameterError(f"time must be nonnegative, got {t}")
+    _require_time(t)
     mu = kernel.intensity(t)
     w = math.exp(-mu)
 
     def mult(xi):
         om = np.asarray(kernel.one_minus_symbol(xi))
-        return np.exp(-mu * om) - om * w
+        return _exp(-mu * om) - om * w
 
     return _multiply(f, mult)
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import InvalidParameterError, UnsupportedKernelError
 from .kernels import CENTRAL_DIFF, BackgroundKernel
-from .spectral import GridSpec, MixedDistribution, SpectralField, rosenau_propagate
+from .spectral import GridSpec, MixedDistribution, SpectralField, _require_time, rosenau_propagate
 
 # above this Poisson intensity the spectral propagator replaces the window sum
 DELEGATION_MU = 1e5
@@ -135,8 +135,7 @@ def wild_partial_sum(g0: SpectralField, kernel: BackgroundKernel, t: float,
     Its mass is the Poisson cdf at N, rising monotonically to the full
     solution's.  Orders below the pmf window weigh exactly 0 and are skipped.
     """
-    if t < 0:
-        raise InvalidParameterError("time must be nonnegative")
+    _require_time(t)
     if n_terms < 0:
         raise InvalidParameterError("term count must be nonnegative")
     lo, pmf, _, _ = _poisson_tails(kernel.intensity(t))
@@ -221,8 +220,7 @@ def cd_wild_solution(kernel: BackgroundKernel, t: float, tol: float = 1e-12,
     """
     if kernel.family != CENTRAL_DIFF:
         raise UnsupportedKernelError("atomic solution requires the central-difference kernel")
-    if t < 0:
-        raise InvalidParameterError("time must be nonnegative")
+    _require_time(t)
     mu = kernel.intensity(t)
     n_star = truncation_order(mu, tol)
     a = kernel.epsilon * kernel.sigma

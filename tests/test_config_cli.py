@@ -255,6 +255,21 @@ class TestRunner:
         assert len(checks) == (len(cfg.epsilons) + 1) * len(cfg.times)
         assert len(evals) == len(cfg.times) + 1
 
+    def test_fits_run_only_where_the_limit_can_win(self, monkeypatch):
+        # decay_sweep's d2_gap sup sits on the grid, and twice the raw inner sup stays below
+        # it, so those rows skip both np.polyfit fits; its d2_selfsim rows take the xi -> 0
+        # limit, which needs both fits, each once
+        cfg = load_config(os.path.join(CONFIG_DIR, "decay_sweep.cfg"))
+        fits = []
+        polyfit = np.polyfit
+        monkeypatch.setattr(np, "polyfit", lambda *a, **k: fits.append(1) or polyfit(*a, **k))
+        for metric, per_row in (("d2_gap", 0), ("d2_selfsim", 2)):
+            fits.clear()
+            rows = compute_rows(dataclasses.replace(cfg, metrics=[metric]), threads=1)
+            assert len(rows) == len(cfg.epsilons) * len(cfg.times)
+            assert len(fits) == per_row * len(rows)
+            assert all((r.argsup == 0.0) == (metric == "d2_selfsim") for r in rows)
+
     def test_check_lhs_is_the_metric_row(self):
         cfg = load_config(os.path.join(CONFIG_DIR, "decay_sweep.cfg"))
         rows = {(r.epsilon, r.t, r.quantity): r.value for r in compute_rows(cfg, threads=1)}

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from rosenau import (
@@ -32,8 +34,10 @@ from rosenau.errors import (
     UndefinedNormError,
 )
 from rosenau import metrics
-from rosenau.metrics import CONVEX_FUNCTIONALS, MetricReport
+from rosenau.metrics import CONVEX_FUNCTIONALS, HalfLine, MetricReport
 from rosenau.spectral import SpectralField, field_from_symbol
+
+from conftest import full_grid_ds_distance
 
 
 def symmetric_mixture_field(grid, a, var):
@@ -117,6 +121,127 @@ class TestDsDistance:
             assert np.array_equal(xi, g.xi()[:g.points // 2 + 1])
             assert np.array_equal(ref.values, gaussian_reference(g, 1.0).values[:g.points // 2 + 1])
         assert metrics._half_frame.cache_info().misses == len(grids)
+
+
+def mirrored(grid, half_values):
+    """The full-grid field whose xi <= 0 half is half_values, mirrored onto xi > 0."""
+    return SpectralField(grid, np.concatenate((half_values, half_values[grid.points // 2 - 1:0:-1])))
+
+
+def report_or_error(d_s):
+    try:
+        return [float(x).hex() for x in d_s()]
+    except InfiniteDistanceError:
+        return "infinite"
+
+
+@st.composite
+def half_line_pairs(draw):
+    """Two half-line fields on one grid: smooth transforms or noise, cut to spans with dead
+    ends on either side, zeros of both signs inside and out, sometimes a NaN in the span."""
+    grid = GridSpec(draw(st.sampled_from([20.0, 100.0])), draw(st.sampled_from([16, 32, 256, 1024])))
+    half = grid.points // 2 + 1
+    z = grid.xi()[:half]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    var, a = draw(st.floats(0.2, 3.0)), draw(st.sampled_from([0.0, 0.5, 1.0]))
+    base = np.cos(a * z) * np.exp(-0.5 * var * z * z)
+    kind = draw(st.sampled_from(["m2 mismatch", "m2 match", "same", "noise", "zero"]))
+    other = {"m2 mismatch": np.exp(-0.5 * (var + draw(st.floats(0.01, 1.0))) * z * z),
+             "m2 match": np.exp(-0.5 * (var + a * a) * z * z),
+             "same": base.copy(),
+             "noise": base + 10.0 ** draw(st.floats(-14, 0)) * rng.standard_normal(half),
+             "zero": np.zeros(half)}[kind]
+    pair = [base, other] if draw(st.booleans()) else [other, base]
+    if kind == "zero" and draw(st.booleans()):
+        pair[0] = np.zeros(half)
+    if draw(st.booleans()):  # a mean mismatch: |difference| ~ |xi| near 0
+        pair = [v * np.exp(draw(st.sampled_from([0.3j, 0.01j])) * z) if i else v + 0j
+                for i, v in enumerate(pair)]
+    if draw(st.booleans()):  # a spike that the grid sup may take over the inner bins
+        pair[0][draw(st.integers(0, half - 9))] += 10.0 ** draw(st.floats(-3, 3))
+    ends = st.one_of(st.integers(0, half), st.integers(half - 9, half))  # or in the inner bins
+    for v in pair:
+        lo, hi = sorted((draw(ends), draw(ends)))
+        v[:lo] = 0.0
+        v[hi:] = 0.0
+        flips = rng.random(half) < 0.3
+        v[flips & (v == 0)] *= -1.0  # -0.0, and -0 - 0j for complex
+        if draw(st.integers(0, 4)) == 0 and lo < hi:
+            v[draw(st.integers(lo, hi - 1))] = 0.0
+        if draw(st.integers(0, 6)) == 0 and lo < hi:
+            v[draw(st.integers(lo, hi - 1))] = math.nan
+    return grid, pair
+
+
+class TestSpanLimitedScan:
+    """ds_distance scans only the union of the fields' live spans; value and argsup keep
+    the bits of the full-grid scan (``full_grid_ds_distance``, whose limit part runs both
+    fits always), and the same exception is raised where one is."""
+
+    @given(pair=half_line_pairs(), s=st.sampled_from([0.5, 1.0, 2.0, 3.0]),
+           modes=st.tuples(*[st.sampled_from(["half", "half with live", "spectral"])] * 2),
+           pad=st.tuples(st.integers(0, 3), st.integers(0, 3)))
+    @settings(max_examples=200, deadline=None, database=None, derandomize=True)
+    def test_bits_of_the_full_grid_scan(self, pair, s, modes, pad):
+        grid, values = pair
+        half = grid.points // 2 + 1
+
+        def field(v, mode):
+            if mode == "spectral":
+                return mirrored(grid, v)
+            if mode == "half":
+                return HalfLine(grid, v)
+            span = metrics._live(v)  # a live slice may be wider than the nonzero span
+            return HalfLine(grid, v, slice(max(span.start - pad[0], 0), min(span.stop + pad[1], half))
+                            if span.start < span.stop else slice(0, pad[0]))
+
+        got = report_or_error(lambda: ds_distance(*(field(v, m) for v, m in zip(values, modes)), s))
+        want = report_or_error(lambda: full_grid_ds_distance(*(mirrored(grid, v) for v in values), s))
+        assert got == want
+
+    def test_all_zero_ratio_peaks_at_the_first_outer_bin(self):
+        grid = GridSpec(20.0, 256)
+        half = grid.points // 2 + 1
+        v = np.zeros(half)
+        v[100:110] = 1.0
+        for f1, f2 in ((HalfLine(grid, v), HalfLine(grid, v.copy())),
+                       (HalfLine(grid, np.zeros(half)), HalfLine(grid, -np.zeros(half)))):
+            assert ds_distance(f1, f2, 2.0) == (0.0, grid.nyquist)
+
+    def test_underflowing_powers_keep_the_full_scan(self):
+        # |xi|^s underflows to 0 below |xi| ~ 0.155: there, past the fields' spans, the full
+        # scan divides 0 by 0, and its NaN is the result
+        grid = GridSpec(1000.0, 256)
+        z = grid.xi()[:grid.points // 2 + 1]
+        f1, f2 = np.exp(-0.5 * z * z), np.exp(-z * z)
+        f1[60:] = f2[60:] = 0.0
+        with np.errstate(all="ignore"):
+            assert metrics._ds_layout(grid, 400.0)[2][-1] == 0.0
+            got = ds_distance(HalfLine(grid, f1), HalfLine(grid, f2), 400.0)
+            want = full_grid_ds_distance(mirrored(grid, f1), mirrored(grid, f2), 400.0)
+        assert math.isnan(got.value)
+        assert [float(x).hex() for x in got] == [float(x).hex() for x in want]
+
+    def test_divergence_raised_where_the_grid_sup_wins(self):
+        # a mean mismatch makes the inner ratio grow toward xi = 0, and a spike makes the
+        # grid sup exceed twice the inner sup: the distance is still infinite
+        grid = GridSpec(20.0, 256)
+        z = grid.xi()[:grid.points // 2 + 1]
+        f1 = np.exp(-0.5 * z * z) + 0j
+        f2 = f1 * np.exp(0.01j * z)
+        f2[100] += 10.0
+        for d_s in (ds_distance, full_grid_ds_distance):
+            fields = [HalfLine(grid, f) if d_s is ds_distance else mirrored(grid, f) for f in (f1, f2)]
+            with pytest.raises(InfiniteDistanceError):
+                d_s(*fields, 2.0)
+        grid_sup = 10.0 / z[100] ** 2
+        inner = np.abs(f1 - f2)[-8:-1] / z[-8:-1] ** 2
+        assert 2.0 * inner.max() < grid_sup
+
+    @pytest.mark.parametrize("s", [0.0, -1.0, math.nan, math.inf, -math.inf])
+    def test_order_must_be_positive_and_finite(self, grid, s):
+        with pytest.raises(InvalidParameterError, match="positive and finite"):
+            ds_distance(gaussian_field(grid, 1.0), gaussian_field(grid, 2.0), s)
 
 
 class TestContractivity:

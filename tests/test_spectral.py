@@ -30,8 +30,10 @@ from rosenau.errors import (
     ResampleError,
     SymmetryError,
 )
-from rosenau.spectral import (BAND_REFINE, SYM_TOL, _hermitian_defect, field_from_symbol,
-                              mass_leak_estimate, require_grid_contains)
+from rosenau.analysis import frame_scale
+from rosenau.spectral import (BAND_REFINE, EXP_UNDERFLOW, SYM_TOL, _exp, _hermitian_defect,
+                              field_from_symbol, mass_leak_estimate, require_grid_contains)
+from rosenau.wild import cd_wild_solution, wild_partial_sum
 
 from conftest import hermitian_defect_oracle, inverse_transform_oracle
 
@@ -98,6 +100,65 @@ class TestGridSpec:
         arrays = [nodes for h in grids for nodes in (h.xi(), h.v())]
         for a, b in itertools.combinations(arrays, 2):
             assert not np.shares_memory(a, b)
+
+
+class TestExp:
+    """``_exp`` skips numpy's slow path on arguments whose exp underflows to +0.0 and
+    keeps every bit of np.exp, its result type included."""
+
+    @staticmethod
+    def same(y):
+        got, want = _exp(y), np.exp(y)
+        assert type(got) is type(want) and np.shape(got) == np.shape(want)
+        assert np.array_equal(bits(got), bits(want))
+
+    def test_dense_sweep_across_the_underflow(self):
+        y = np.linspace(-747.0, -744.0, 300_001)
+        assert np.all(np.exp(y[y < EXP_UNDERFLOW]) == 0.0) and np.exp(-744.0) > 0.0
+        self.same(y)
+        self.same(y[::-1].copy())
+
+    def test_subnormal_results_and_mixed_ranges(self):
+        tiny = math.log(np.finfo(float).tiny)  # exp below this is subnormal
+        self.same(np.linspace(-745.2, tiny, 10_001))
+        rng = np.random.default_rng(18)
+        self.same(-rng.uniform(0.0, 1e5, 16384))
+        self.same(np.array([-1e308, -746.0, -745.9, -0.0, 0.0, 1.0]))
+
+    def test_non_finite_and_nan(self):
+        for y in ([-np.inf, -1000.0, 0.0], [np.inf, -800.0], [np.nan, -800.0, -1.0],
+                  [-800.0, np.nan], [np.nan], [np.inf, -np.inf, np.nan, -746.5]):
+            self.same(np.array(y))
+        assert np.isnan(_exp(np.array([-900.0, np.nan]))[1])
+
+    def test_empty_scalar_and_zero_d(self):
+        for y in (np.array([]), np.empty((0, 3)), np.array(-800.0), np.array(-1.5), -800.0, -2.0,
+                  np.array(np.nan)):
+            self.same(y)
+
+    def test_no_underflow(self):
+        rng = np.random.default_rng(7)
+        for y in (-rng.uniform(0.0, 700.0, 4097), rng.standard_normal((8, 16)), np.zeros(5)):
+            self.same(y)
+
+
+@pytest.mark.parametrize("t", [-1.0, -1e-300, math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("call", ["heat_propagate", "rosenau_propagate", "regularized_solution",
+                                  "singular_split", "frame_scale", "wild_partial_sum",
+                                  "cd_wild_solution"])
+def test_times_must_be_finite_and_nonnegative(grid, gauss_unit, call, t):
+    kernel = bernoulli_kernel(0.3, 1.0) if call == "cd_wild_solution" else rosenau_kernel(0.3, 1.0)
+    calls = {
+        "heat_propagate": lambda: heat_propagate(gauss_unit, 1.0, t),
+        "rosenau_propagate": lambda: rosenau_propagate(gauss_unit, kernel, t),
+        "regularized_solution": lambda: regularized_solution(gauss_unit, kernel, t),
+        "singular_split": lambda: singular_split(kernel, t, grid),
+        "frame_scale": lambda: frame_scale(t),
+        "wild_partial_sum": lambda: wild_partial_sum(gauss_unit, kernel, t, 10),
+        "cd_wild_solution": lambda: cd_wild_solution(kernel, t),
+    }
+    with pytest.raises(InvalidParameterError, match="finite and nonnegative"):
+        calls[call]()
 
 
 class TestForwardTransform:
