@@ -9,7 +9,6 @@ from .kernels import (
     kernel_by_name,
     kernel_moment,
     rosenau_kernel,
-    symbol_deviation,
     tabulated_kernel,
 )
 from .spectral import (
@@ -34,7 +33,6 @@ from .spectral import (
 )
 from .wild import (
     WildTruncation,
-    cd_fundamental_atoms,
     cd_wild_solution,
     truncation_order,
     wild_partial_sum,
@@ -43,11 +41,9 @@ from .wild import (
 from .metrics import (
     MetricReport,
     convex_functional,
-    convolution_contractivity_check,
     ds_distance,
-    lp_norm,
+    l1_norm,
     moment,
-    sobolev_norm,
 )
 from .analysis import (
     AppendixReport,

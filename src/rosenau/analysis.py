@@ -22,7 +22,7 @@ from .errors import (
 )
 from .kernels import CENTRAL_DIFF, ROSENAU, BackgroundKernel, b_epsilon
 from .metrics import (CONVEX_FUNCTIONALS, HalfLine, MetricReport, convex_functional, ds_distance,
-                      half_frame, lp_norm, moment)
+                      half_frame, l1_norm, moment)
 from .spectral import (
     GridSpec,
     SpectralField,
@@ -251,7 +251,7 @@ def rate_fit(series: Sequence[Tuple[float, float]], window: Tuple[float, float] 
 
 def l1_distance(f1: SpectralField, f2: SpectralField) -> float:
     """||f1 - f2||_L1 of two fields on one grid, inverted as one difference."""
-    return lp_norm(inverse_transform(SpectralField(f1.grid, f1.values - f2.values)), 1)
+    return l1_norm(inverse_transform(SpectralField(f1.grid, f1.values - f2.values)))
 
 
 class SweepPoint:

@@ -58,8 +58,9 @@ class ExperimentConfig:
                 fail(key, "list is empty")
             if not all(math.isfinite(v) and v > 0 for v in values):
                 fail(key, f"values must be finite and positive, got {' '.join(map(repr, values))}")
-        if any(e * e < sys.float_info.min for e in self.epsilons):
-            fail("epsilons", f"eps^2 underflows, got {' '.join(map(repr, self.epsilons))}")
+        for key, values in (("sigma", [self.sigma]), ("epsilons", self.epsilons)):
+            if not all(sys.float_info.min <= v * v < math.inf for v in values):
+                fail(key, f"squares must be finite normal doubles, got {' '.join(map(repr, values))}")
         for key, known in (("metrics", METRICS), ("checks", CHECKS)):
             for name in getattr(self, key):
                 if name not in known:

@@ -25,14 +25,6 @@ class GridTooSmallError(RosenauError):
     """Estimated mass leaked past the periodic boundary exceeds tolerance."""
 
 
-class TailDominatedError(RosenauError):
-    """Frequency-side integrand does not decay on the grid."""
-
-
-class UndefinedNormError(RosenauError):
-    """Norm is not defined for this distribution (for instance L2 of atoms)."""
-
-
 class UndefinedFunctionalError(RosenauError):
     """Convex functional is not defined on distributions with atoms."""
 

@@ -27,6 +27,7 @@ There are two representations, each with closed-form moments.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
@@ -82,9 +83,12 @@ class BackgroundKernel:
 
 
 def _require_positive(**params: float) -> None:
+    """Each value is a positive real whose square is a finite, normal double."""
     for name, value in params.items():
-        if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
-            raise InvalidParameterError(f"{name} must be a positive finite real, got {value!r}")
+        if not (isinstance(value, (int, float)) and value > 0
+                and sys.float_info.min <= float(value) * float(value) < math.inf):
+            raise InvalidParameterError(
+                f"{name} must be a positive real with a finite, normal square, got {value!r}")
 
 
 def rosenau_kernel(epsilon: float, sigma: float) -> BackgroundKernel:
@@ -227,16 +231,3 @@ def kernel_moment(kernel: BackgroundKernel, k: int, signed: bool = False) -> flo
 def b_epsilon(kernel: BackgroundKernel) -> float:
     """Scaled fourth moment 2 m4 / eps^2 controlling the d3 convergence rate."""
     return 2.0 * kernel_moment(kernel, 4, signed=True) / kernel.epsilon**2
-
-
-def symbol_deviation(kernel: BackgroundKernel, sigma_sq: float, R: float) -> float:
-    """sup over 8193 points of |xi| <= R of |A_eps(xi) - sigma_sq xi^2|.
-
-    Measures how far the generator is from the heat multiplier; for the
-    symmetric built-ins the deviation is O(eps^2) at fixed R.
-    """
-    if R <= 0:
-        raise InvalidParameterError("R must be positive")
-    xi = np.linspace(-R, R, 8193)
-    dev = np.abs(generator_symbol(kernel, xi) - sigma_sq * xi**2)
-    return float(np.max(dev))

@@ -1,4 +1,4 @@
-"""Fourier-based d_s metrics, Lebesgue and Sobolev norms, moments, functionals.
+"""Fourier-based d_s metrics, the L1 norm, moments and convex functionals.
 
 The d_s distance between probability distributions is
 
@@ -22,21 +22,13 @@ from typing import Callable, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .errors import (
-    InfiniteDistanceError,
-    InvalidParameterError,
-    TailDominatedError,
-    UndefinedFunctionalError,
-    UndefinedNormError,
-)
+from .errors import InfiniteDistanceError, InvalidParameterError, UndefinedFunctionalError
 from .spectral import GridSpec, MixedDistribution, SpectralField, _live, gaussian_reference
 
 # bins below this multiple of dxi are handled by extrapolation, not raw ratio
 SMALL_XI_BINS = 8
 # |delta| below this (relative to the field scale) is roundoff, not signal
 NOISE_FLOOR = 1e-13
-# sobolev_norm refuses fields whose TAIL_BINS outermost bins per side hold > TAIL_FRACTION
-TAIL_BINS, TAIL_FRACTION = 2, 1e-8
 
 
 class MetricReport(NamedTuple):
@@ -164,53 +156,10 @@ def ds_distance(f1: SpectralField | HalfLine, f2: SpectralField | HalfLine, s: f
     return MetricReport(limit, 0.0) if limit > grid_sup else MetricReport(grid_sup, argsup)
 
 
-def convolution_contractivity_check(f1: SpectralField, f2: SpectralField,
-                                    f3: SpectralField, s: float) -> bool:
-    """True when d_s(f1*f3, f2*f3) <= d_s(f1, f2) + 1e-12 on the grid.
-
-    Convolution is pointwise multiplication of the transforms; for a
-    probability f3 the multiplier has modulus <= 1, so the inequality must
-    hold up to roundoff.
-    """
-    left = ds_distance(
-        SpectralField(f1.grid, f1.values * f3.values),
-        SpectralField(f2.grid, f2.values * f3.values), s).value
-    right = ds_distance(f1, f2, s).value
-    return left <= right + 1e-12
-
-
-def lp_norm(d: MixedDistribution, p: int) -> float:
-    """L1 or L2 norm; atoms contribute |weight| to L1 and are rejected for L2."""
-    if p == 1:
-        dens = d.grid.dv * float(np.sum(np.abs(d.density)))
-        return dens + sum(abs(w) for _, w in d.atoms)
-    if p == 2:
-        if d.atoms:
-            raise UndefinedNormError("L2 norm is undefined for distributions with atoms")
-        return math.sqrt(d.grid.dv * float(np.sum(d.density**2)))
-    raise InvalidParameterError("p must be 1 or 2")
-
-
-def sobolev_norm(f: SpectralField, s: float) -> float:
-    """Homogeneous Sobolev seminorm sqrt(int |xi|^2s |fhat|^2 dxi) by trapezoid.
-
-    Plancherel note: with this package's transform convention the physical
-    L2 norm is sobolev_norm(f, 0) / sqrt(2 pi).  Raises TailDominatedError
-    when the outermost bins still carry more than TAIL_FRACTION of the
-    integral, signalling that s is too large for this field.
-    """
-    xi = f.grid.xi()
-    integrand = np.abs(xi) ** (2.0 * s) * np.abs(f.values) ** 2
-    total = float(np.trapezoid(integrand, dx=f.grid.dxi))
-    if total == 0.0:
-        return 0.0
-    edge = (float(np.sum(integrand[:TAIL_BINS])) + float(np.sum(integrand[-TAIL_BINS:]))) * f.grid.dxi
-    if edge > TAIL_FRACTION * total:
-        raise TailDominatedError(
-            f"outermost bins hold {edge / total:.2e} of the integral (limit {TAIL_FRACTION:g}); "
-            f"s = {s} too large for this field"
-        )
-    return math.sqrt(total)
+def l1_norm(d: MixedDistribution) -> float:
+    """L1 norm: grid quadrature of |density| plus |weight| of each atom."""
+    dens = d.grid.dv * float(np.sum(np.abs(d.density)))
+    return dens + sum(abs(w) for _, w in d.atoms)
 
 
 def moment(d: MixedDistribution, k: int, signed: bool = False) -> float:

@@ -423,20 +423,12 @@ def require_grid_contains(grid: GridSpec, variance: float) -> None:
 # serialization
 # ----------------------------------------------------------------------
 
-def save_distribution(d: MixedDistribution, path: str, atoms_only: bool = False) -> None:
-    """Text format: header "L N n_atoms", N density values, then atom pairs.
-
-    ``atoms_only`` writes N = 0 and skips the density block, the compact
-    form for purely atomic measures; the density must then be all zero.
-    """
-    if atoms_only and np.any(d.density != 0.0):
-        raise InvalidParameterError("atoms_only requested but the density is not zero")
+def save_distribution(d: MixedDistribution, path: str) -> None:
+    """Text format: header "L N n_atoms", N density values, then atom pairs."""
     with open(path, "w") as fh:
-        n = 0 if atoms_only else d.grid.points
-        fh.write(f"{d.grid.length:.17g} {n} {len(d.atoms)}\n")
-        if not atoms_only:
-            for x in d.density:
-                fh.write(f"{x:.17g}\n")
+        fh.write(f"{d.grid.length:.17g} {d.grid.points} {len(d.atoms)}\n")
+        for x in d.density:
+            fh.write(f"{x:.17g}\n")
         for loc, w in d.atoms:
             fh.write(f"{loc:.17g} {w:.17g}\n")
 

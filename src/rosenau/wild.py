@@ -170,23 +170,6 @@ def wild_solution(g0: SpectralField, kernel: BackgroundKernel, t: float,
                       truncation=WildTruncation(terms=n_star, mu=mu, lowest=n_lo), delegated=False)
 
 
-def cd_fundamental_atoms(kernel: BackgroundKernel, n: int) -> Tuple[Tuple[float, float], ...]:
-    """Atoms of the n-fold convolution power of the Bernoulli background.
-
-    Locations (-n + 2j) eps sigma with weights 2^-n binom(n, j); the weights
-    sum to one.  Only defined for the two-atom central-difference family.
-    """
-    if kernel.family != CENTRAL_DIFF:
-        raise UnsupportedKernelError("atomic expansion requires the central-difference kernel")
-    if n < 0:
-        raise InvalidParameterError("convolution order must be nonnegative")
-    a = kernel.epsilon * kernel.sigma
-    log_fact = np.array([math.lgamma(k + 1.0) for k in range(n + 1)])
-    weights = np.exp(log_fact[n] - log_fact - log_fact[::-1] - n * math.log(2.0))
-    locs = (-n + 2.0 * np.arange(n + 1, dtype=float)) * a
-    return tuple((float(l), float(w)) for l, w in zip(locs, weights))
-
-
 def _bessel_weights(mu: float, n: int) -> np.ndarray:
     """exp(-mu) I_m(mu) for m = 0..n by Miller's backward recurrence.
 

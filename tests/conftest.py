@@ -45,6 +45,17 @@ def write_atoms(path, rows):
     return str(path)
 
 
+def binomial_atoms(kernel, n):
+    """Independent oracle of the central-difference family: the atoms of the n-fold
+    convolution power of +-eps sigma at 1/2 each, weight 2^-n binom(n, j) at
+    (-n + 2j) eps sigma, summing to one."""
+    a = kernel.epsilon * kernel.sigma
+    log_fact = np.array([math.lgamma(k + 1.0) for k in range(n + 1)])
+    weights = np.exp(log_fact[n] - log_fact - log_fact[::-1] - n * math.log(2.0))
+    locs = (-n + 2.0 * np.arange(n + 1, dtype=float)) * a
+    return tuple((float(l), float(w)) for l, w in zip(locs, weights))
+
+
 def simpson_moment(density_fn, k, half, n=400_001, signed=False):
     """Independent moment oracle: Simpson rule on a dense symmetric grid."""
     from scipy.integrate import simpson

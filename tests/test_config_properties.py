@@ -47,12 +47,12 @@ def repeat(key):
     return lambda v: f"{v}\n{key} = {v}"
 
 
-# key -> corruptions of its value text: NaN, negative, repeated, an unknown name,
-# or the whole key repeated
+# key -> corruptions of its value text: NaN, negative, a square that overflows, repeated,
+# an unknown name, or the whole key repeated
 CORRUPTIONS = {
-    "sigma": [lambda v: "nan", lambda v: "-" + v, repeat("sigma")],
-    "epsilons": [lambda v: v + " nan", lambda v: "-" + v, lambda v: v + " " + v.split()[0],
-                 repeat("epsilons")],
+    "sigma": [lambda v: "nan", lambda v: "-" + v, lambda v: "1e160", repeat("sigma")],
+    "epsilons": [lambda v: v + " nan", lambda v: "-" + v, lambda v: v + " 1e160",
+                 lambda v: v + " " + v.split()[0], repeat("epsilons")],
     "times": [lambda v: v + " nan", lambda v: "-" + v, lambda v: v + " " + v.split()[0],
               repeat("times")],
     "metrics": [lambda v: v + " " + v.split()[0], lambda v: v + " bogus", repeat("metrics")],

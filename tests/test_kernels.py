@@ -13,7 +13,6 @@ from rosenau import (
     kernel_by_name,
     kernel_moment,
     rosenau_kernel,
-    symbol_deviation,
     tabulated_kernel,
 )
 from rosenau.errors import InvalidKernelError, InvalidParameterError
@@ -52,6 +51,15 @@ class TestFactories:
             rosenau_kernel(eps, sigma)
         with pytest.raises(InvalidParameterError):
             bernoulli_kernel(eps, sigma)
+
+    @pytest.mark.parametrize("make", [rosenau_kernel, bernoulli_kernel])
+    @pytest.mark.parametrize("value", [1e160, 1e-200])
+    def test_square_must_be_finite_and_normal(self, make, value):
+        # 1e160^2 overflows and 1e-200^2 underflows to 0: either way eps^2 or sigma^2 is lost
+        with pytest.raises(InvalidParameterError, match="epsilon"):
+            make(value, 1.0)
+        with pytest.raises(InvalidParameterError, match="sigma"):
+            make(0.1, value)
 
     def test_kernel_by_name(self):
         assert kernel_by_name("rosenau", 0.2).family == "rosenau"
@@ -163,6 +171,13 @@ class TestBEpsilon:
         assert b1 / b2 == pytest.approx(expect, rel=1e-8)
 
 
+def symbol_deviation(kernel, R):
+    """max |A_eps(xi) - sigma^2 xi^2| over 8193 points of |xi| <= R: how far the generator
+    is from the heat multiplier."""
+    xi = np.linspace(-R, R, 8193)
+    return float(np.max(np.abs(generator_symbol(kernel, xi) - kernel.sigma_sq * xi**2)))
+
+
 class TestSymbolDeviation:
     def test_zero_at_origin(self, ros_kernel):
         xi = 0.0
@@ -173,7 +188,7 @@ class TestSymbolDeviation:
         sigma, R = 1.0, 1.0
         for eps in (0.1, 0.05, 0.025):
             k = bernoulli_kernel(eps, sigma)
-            dev = symbol_deviation(k, k.sigma_sq, R)
+            dev = symbol_deviation(k, R)
             predicted = eps**2 * sigma**4 * R**4 / 12.0
             assert dev == pytest.approx(predicted, rel=5e-3)
 
@@ -191,7 +206,7 @@ class TestSymbolDeviation:
         ratios = []
         for eps in (0.2, 0.1, 0.05, 0.025):
             k = make(eps, 1.0)
-            ratios.append(symbol_deviation(k, k.sigma_sq, R) / eps**2)
+            ratios.append(symbol_deviation(k, R) / eps**2)
         assert max(ratios) <= 2.0 * min(ratios) + 1e-12
 
 

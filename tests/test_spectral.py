@@ -481,10 +481,11 @@ class TestSerialization:
     def test_atoms_only_compact_form(self, tmp_path):
         from rosenau import bernoulli_kernel, cd_wild_solution
 
+        # the N = 0 input form: header "L 0 n_atoms", then the atom pairs alone
         d = cd_wild_solution(bernoulli_kernel(0.5, 1.0), 0.8)
         path = tmp_path / "wild_atoms.txt"
-        save_distribution(d, str(path), atoms_only=True)
-        assert path.read_text().split()[1] == "0"  # header "L N n_atoms"
+        path.write_text(f"{d.grid.length!r} 0 {len(d.atoms)}\n"
+                        + "".join(f"{loc!r} {w!r}\n" for loc, w in d.atoms))
         back = load_distribution(str(path))
         assert back.atoms == d.atoms
         assert back.total_mass == pytest.approx(d.total_mass, rel=1e-15)

@@ -6,7 +6,6 @@ import pytest
 from rosenau import (
     GridSpec,
     bernoulli_kernel,
-    cd_fundamental_atoms,
     cd_wild_solution,
     forward_transform,
     gaussian_field,
@@ -19,6 +18,8 @@ from rosenau import (
 from rosenau.errors import InvalidParameterError, UnsupportedKernelError
 from rosenau.kernels import generator_symbol
 from rosenau.wild import WildTruncation, poisson_tail
+
+from conftest import binomial_atoms
 
 
 def brute_poisson_tail(mu, n, extra=400):
@@ -123,13 +124,15 @@ class TestWildSolution:
 
 
 class TestCdFundamentalAtoms:
+    """The binomial oracle of `cd_wild_solution` (conftest.binomial_atoms)."""
+
     def test_n0_is_origin(self, cd_kernel):
-        assert cd_fundamental_atoms(cd_kernel, 0) == ((0.0, 1.0),)
+        assert binomial_atoms(cd_kernel, 0) == ((0.0, 1.0),)
 
     def test_n2_binomial(self):
         k = bernoulli_kernel(0.5, 1.0)
         a = 0.5
-        atoms = dict(cd_fundamental_atoms(k, 2))
+        atoms = dict(binomial_atoms(k, 2))
         assert atoms[-2 * a] == pytest.approx(0.25)
         assert atoms[0.0] == pytest.approx(0.5)
         assert atoms[2 * a] == pytest.approx(0.25)
@@ -137,7 +140,7 @@ class TestCdFundamentalAtoms:
     def test_n3_binomial(self):
         k = bernoulli_kernel(0.5, 1.0)
         a = 0.5
-        atoms = dict(cd_fundamental_atoms(k, 3))
+        atoms = dict(binomial_atoms(k, 3))
         assert atoms[-3 * a] == pytest.approx(1 / 8)
         assert atoms[-a] == pytest.approx(3 / 8)
         assert atoms[a] == pytest.approx(3 / 8)
@@ -145,11 +148,7 @@ class TestCdFundamentalAtoms:
 
     def test_weights_sum_to_one(self, cd_kernel):
         for n in (1, 5, 20):
-            assert sum(w for _, w in cd_fundamental_atoms(cd_kernel, n)) == pytest.approx(1.0, rel=1e-12)
-
-    def test_requires_atomic_kernel(self, ros_kernel):
-        with pytest.raises(UnsupportedKernelError):
-            cd_fundamental_atoms(ros_kernel, 2)
+            assert sum(w for _, w in binomial_atoms(cd_kernel, n)) == pytest.approx(1.0, rel=1e-12)
 
 
 class TestCdWildSolution:
@@ -208,7 +207,7 @@ class TestCdWildSolution:
         oracle = {}
         for n in range(int(mu + 20.0 * math.sqrt(mu) + 40.0)):
             p = math.exp(-mu + n * math.log(mu) - math.lgamma(n + 1))
-            for loc, w in cd_fundamental_atoms(k, n):
+            for loc, w in binomial_atoms(k, n):
                 oracle[loc] = oracle.get(loc, 0.0) + p * w
         d = cd_wild_solution(k, t)
         assert len(d.atoms) == 2 * truncation_order(mu, 1e-12) + 1
