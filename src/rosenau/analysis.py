@@ -75,17 +75,13 @@ def solve_mixture_params(second_moment: float, fourth_moment: float) -> Tuple[fl
     return math.sqrt(a_sq), math.sqrt(max(s_sq, 0.0))
 
 
-def mixture_initial(grid: GridSpec, second_moment: float = 1.0,
-                    fourth_moment: Optional[float] = None) -> SpectralField:
+def mixture_initial(grid: GridSpec, second_moment: float = 1.0) -> SpectralField:
     """Symmetric two-Gaussian mixture, the non-Gaussian admissible datum.
 
     Zero mean and odd moments by symmetry; second moment as requested;
-    fourth moment defaults to 2 m2^2, strictly between the atomic and
-    Gaussian extremes.
+    fourth moment 2 m2^2, strictly between the atomic and Gaussian extremes.
     """
-    if fourth_moment is None:
-        fourth_moment = 2.0 * second_moment**2
-    a, s = solve_mixture_params(second_moment, fourth_moment)
+    a, s = solve_mixture_params(second_moment, 2.0 * second_moment**2)
     s_var = s * s
 
     def fn(xi):

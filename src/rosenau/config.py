@@ -101,10 +101,6 @@ def _parse_times(value: str) -> List[float]:
     return [float(x) for x in parts]
 
 
-def _auto(convert):
-    return lambda value: None if value == "auto" else convert(value)
-
-
 # section -> config key -> (field name, value parser)
 _KEYS = {
     "experiment": {
@@ -116,13 +112,10 @@ _KEYS = {
         "metrics": ("metrics", str.split),
         "checks": ("checks", str.split),
         "out": ("outputs", str),
-        "outputs": ("outputs", str),
     },
     "grid": {
-        "l": ("grid_length", _auto(float)),
-        "length": ("grid_length", _auto(float)),
-        "n": ("grid_points", _auto(int)),
-        "points": ("grid_points", _auto(int)),
+        "l": ("grid_length", float),
+        "n": ("grid_points", int),
     },
 }
 

@@ -69,11 +69,6 @@ class BackgroundKernel:
         """Diffusion coefficient lam*gamma^2/2 of the limiting heat equation."""
         return 0.5 * self.lam * self.gamma**2
 
-    @property
-    def scale(self) -> float:
-        """Characteristic velocity scale eps*gamma of the background."""
-        return self.epsilon * self.gamma
-
     def label(self) -> str:
         return f"{self.family}(eps={self.epsilon:g})"
 
@@ -207,17 +202,15 @@ def generator_symbol(kernel: BackgroundKernel, xi) -> Array:
     return kernel.lam * np.asarray(kernel.one_minus_symbol(xi)) / kernel.epsilon**2
 
 
-def kernel_moment(kernel: BackgroundKernel, k: int, signed: bool = False) -> float:
-    """k-th moment of M_eps in closed form: of |v|^k, or of v^k if ``signed``.
+def kernel_moment(kernel: BackgroundKernel, k: int) -> float:
+    """k-th absolute moment of M_eps, of |v|^k, in closed form.
 
     Atoms give sum w |v|^k; the exponential density gives k! (eps sigma)^k.
-    Both representations are symmetric, so signed odd moments are 0.
+    At even k it is the moment of v^k.
     """
     if k < 0 or int(k) != k:
         raise InvalidParameterError(f"moment order must be a nonnegative integer, got {k}")
     k = int(k)
-    if signed and k % 2 == 1:
-        return 0.0
     try:
         m = (math.fsum(w * abs(v) ** k for v, w in kernel.atoms) if kernel.atoms
              else math.factorial(k) * (kernel.epsilon * kernel.sigma) ** k)
@@ -230,4 +223,4 @@ def kernel_moment(kernel: BackgroundKernel, k: int, signed: bool = False) -> flo
 
 def b_epsilon(kernel: BackgroundKernel) -> float:
     """Scaled fourth moment 2 m4 / eps^2 controlling the d3 convergence rate."""
-    return 2.0 * kernel_moment(kernel, 4, signed=True) / kernel.epsilon**2
+    return 2.0 * kernel_moment(kernel, 4) / kernel.epsilon**2

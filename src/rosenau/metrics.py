@@ -17,12 +17,13 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 import threading
 from typing import Callable, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .errors import InfiniteDistanceError, InvalidParameterError, UndefinedFunctionalError
+from .errors import InfiniteDistanceError, InvalidParameterError, RosenauError, UndefinedFunctionalError
 from .spectral import GridSpec, MixedDistribution, SpectralField, _live, gaussian_reference
 
 # bins below this multiple of dxi are handled by extrapolation, not raw ratio
@@ -74,6 +75,10 @@ def _small_xi_part(x: np.ndarray, delta: np.ndarray, s: float, scale: float,
         )
     if not (s - 0.35 <= p <= s + 0.35):
         return raw_sup
+    # the fit divides by the norm of its xi^4 column, sqrt(sum xi^8): keep it a normal double
+    if not math.isfinite(raw_sup) or xg[-1] ** 8 < sys.float_info.min:
+        raise RosenauError(f"bins at |xi| <= {xg[-1]:.3g} are too close to 0 to extrapolate "
+                           f"the d_{s:g} limit in double precision")
     coeffs = np.polyfit(xg**2, ratio, 2)
     limit = min(max(float(coeffs[-1]), 0.0), 2.0 * raw_sup)
     return max(raw_sup, limit)
@@ -162,15 +167,14 @@ def l1_norm(d: MixedDistribution) -> float:
     return dens + sum(abs(w) for _, w in d.atoms)
 
 
-def moment(d: MixedDistribution, k: int, signed: bool = False) -> float:
-    """k-th moment: atom sum plus grid quadrature of the density part."""
+def moment(d: MixedDistribution, k: int) -> float:
+    """k-th absolute moment, of |v|^k: atom sum plus grid quadrature of the density part."""
     if k < 0 or int(k) != k:
         raise InvalidParameterError("moment order must be a nonnegative integer")
-    v = d.grid.v()
-    w = v**k if signed else np.abs(v) ** k
+    w = np.abs(d.grid.v()) ** k
     total = d.grid.dv * float(np.sum(w * d.density))
     for loc, mass in d.atoms:
-        total += mass * (loc**k if signed else abs(loc) ** k)
+        total += mass * abs(loc) ** k
     return total
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -218,21 +218,14 @@ def _hermitian_defect(values: Array) -> float:
     return float(np.max(np.abs(diff)))
 
 
-def inverse_transform(f: SpectralField,
-                      atoms: Sequence[Tuple[float, float]] = ()) -> MixedDistribution:
-    """Invert to a density after removing the declared atoms exactly.
+def inverse_transform(f: SpectralField) -> MixedDistribution:
+    """Invert to a density by inverse FFT; the field must carry no atoms.
 
-    The caller supplies the atom list; their transforms are subtracted
-    before the inverse FFT so only the absolutely continuous part is
-    inverted numerically.  Raises SymmetryError when the remaining field
-    is not Hermitian within SYM_TOL (relative to its peak).
+    Raises SymmetryError when the field is not Hermitian within SYM_TOL
+    (relative to its peak).
     """
     grid = f.grid
     vals = f.values
-    if atoms:
-        xi = grid.xi()
-        for loc, w in atoms:
-            vals = vals - w * np.exp(-1j * xi * loc)
     dens = np.abs(vals)  # the result's buffer, |vals| until the density overwrites it
     scale = max(float(np.max(dens)), 1e-300)
     defect = _hermitian_defect(vals)
@@ -247,7 +240,7 @@ def inverse_transform(f: SpectralField,
     np.fft.ifft(work, out=work)
     np.divide(work, grid.dv, out=work)
     dens[:half], dens[half:] = work.real[half:], work.real[:half]
-    return MixedDistribution(grid=grid, density=dens, atoms=tuple(atoms))
+    return MixedDistribution(grid=grid, density=dens)
 
 
 # ----------------------------------------------------------------------

@@ -5,7 +5,7 @@ The solution is the Poisson mixture
     g(t) = exp(-mu) * sum_n (mu^n / n!) M^(*n) * g0,     mu = lam t / eps^2,
 
 so keeping the orders n_lo..N discards exactly the Poisson mass outside them.
-Only O(sqrt(mu)) orders carry mass: half of tol bounds each tail, Horner's
+Only O(sqrt(mu)) orders carry mass: half of WILD_TOL bounds each tail, Horner's
 rule sums the window in real arithmetic (every kernel is mirror-symmetric, so
 Mhat is real) and Mhat^n_lo is applied once.  For the central-difference
 family the mixture has the closed form exp(-mu) I_|m|(mu) at lattice site m,
@@ -27,6 +27,8 @@ from .spectral import GridSpec, MixedDistribution, SpectralField, _require_time,
 
 # above this Poisson intensity the spectral propagator replaces the window sum
 DELEGATION_MU = 1e5
+# Poisson mass a Wild solution may discard
+WILD_TOL = 1e-12
 # exp(-800) lies below the smallest subnormal double: outside the window this
 # log-pmf floor spans the Poisson pmf is exactly zero in floating point
 _LOG_FLOOR = -800.0
@@ -149,23 +151,20 @@ class WildResult:
     delegated: bool
 
 
-def wild_solution(g0: SpectralField, kernel: BackgroundKernel, t: float,
-                  tol: float = 1e-12) -> WildResult:
+def wild_solution(g0: SpectralField, kernel: BackgroundKernel, t: float) -> WildResult:
     """Wild sum over the certified window of orders, delegating at extreme mu.
 
-    The window runs from n_lo, the largest order with P(X < n_lo) <= tol/2,
-    to N* = truncation_order(mu, tol/2).  For mu > 1e5 its thousands of orders
+    The window runs from n_lo, the largest order with P(X < n_lo) <= WILD_TOL/2,
+    to N* = truncation_order(mu, WILD_TOL/2).  For mu > 1e5 its thousands of orders
     add cost without insight: the exact propagator is used, flagged delegated.
     """
-    if not (0.0 < tol < 1.0):
-        raise InvalidParameterError("tol must lie in (0, 1)")
     mu = kernel.intensity(t)
     if mu > DELEGATION_MU:
         return WildResult(field=rosenau_propagate(g0, kernel, t),
                           truncation=WildTruncation(terms=None, mu=mu), delegated=True)
-    n_star = truncation_order(mu, tol / 2)
+    n_star = truncation_order(mu, WILD_TOL / 2)
     lo, pmf, _, below = _poisson_tails(mu)
-    n_lo = lo + int(np.argmax(below > tol / 2)) - 1
+    n_lo = lo + int(np.argmax(below > WILD_TOL / 2)) - 1
     return WildResult(field=_window_sum(g0, kernel, pmf[n_lo - lo:n_star + 1 - lo], n_lo),
                       truncation=WildTruncation(terms=n_star, mu=mu, lowest=n_lo), delegated=False)
 
@@ -191,26 +190,24 @@ def _bessel_weights(mu: float, n: int) -> np.ndarray:
     return w0 * np.concatenate(([1.0], prod[:n]))
 
 
-def cd_wild_solution(kernel: BackgroundKernel, t: float, tol: float = 1e-12,
-                     grid: GridSpec = None) -> MixedDistribution:
+def cd_wild_solution(kernel: BackgroundKernel, t: float) -> MixedDistribution:
     """Fully atomic fundamental solution of the central-difference family.
 
     The Poisson mixture of binomial atoms is the continuous-time random walk
     on the lattice (eps sigma) Z, whose weight at site m is exp(-mu) I_|m|(mu)
     (Abramowitz-Stegun 9.6.33).  Sites |m| <= N for the certified order N
     carry at least the Poisson mass P(X <= N), so the total retained mass
-    lies in [1 - tol, 1] at any mu.
+    lies in [1 - WILD_TOL, 1] at any mu.
     """
     if kernel.family != CENTRAL_DIFF:
         raise UnsupportedKernelError("atomic solution requires the central-difference kernel")
     _require_time(t)
     mu = kernel.intensity(t)
-    n_star = truncation_order(mu, tol)
+    n_star = truncation_order(mu, WILD_TOL)
     a = kernel.epsilon * kernel.sigma
     m = np.arange(-n_star, n_star + 1)
     weights = _bessel_weights(mu, n_star)[np.abs(m)]
     keep = weights >= _TINY  # subnormal weights carry too few bits to keep
     atoms = tuple(zip((a * m[keep]).tolist(), weights[keep].tolist()))
-    if grid is None:
-        grid = GridSpec(length=2.2 * max(a * (n_star + 1), 1.0), points=16)
+    grid = GridSpec(length=2.2 * max(a * (n_star + 1), 1.0), points=16)
     return MixedDistribution(grid=grid, density=np.zeros(grid.points), atoms=atoms)

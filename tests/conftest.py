@@ -193,7 +193,7 @@ def hermitian_defect_oracle(values):
     return float(np.max(np.abs(values[1:] - flipped)))
 
 
-def inverse_transform_oracle(f, atoms=()):
+def inverse_transform_oracle(f):
     """Density of ``inverse_transform`` by fftshift, ifft, ifftshift and / dv, each
     into a fresh array: the body that the one-work-array inverse replaced."""
     from rosenau.errors import SymmetryError
@@ -201,10 +201,6 @@ def inverse_transform_oracle(f, atoms=()):
 
     grid = f.grid
     vals = f.values
-    if atoms:
-        xi = grid.dxi * (np.arange(grid.points) - grid.points // 2)
-        for loc, w in atoms:
-            vals = vals - w * np.exp(-1j * xi * loc)
     scale = max(float(np.max(np.abs(vals))), 1e-300)
     defect = hermitian_defect_oracle(vals)
     if defect > SYM_TOL * scale:

@@ -53,19 +53,19 @@ class TestConfigParsing:
             parse_config(text)
         assert err.value.line == 3
 
-    @pytest.mark.parametrize("first,again", [
-        ("times = 1 2", "times = 3"),
-        ("out = a", "outputs = b"),
-        ("[grid]\nN = 256", "points = 512"),
+    @pytest.mark.parametrize("first,again,message", [
+        ("times = 1 2", "times = 3", "times: repeated; line 2 already sets times"),
+        # each key has one spelling: the long forms are unknown keys
+        ("out = a", "outputs = b", "unknown key 'outputs' in [experiment]"),
+        ("[grid]\nN = 256", "points = 512", "unknown key 'points' in [grid]"),
     ], ids=["same-key", "out-outputs", "N-points"])
-    def test_repeated_key_names_both_lines(self, first, again):
+    def test_repeated_key_names_both_lines(self, first, again, message):
         text = f"metrics = mass\n{first}\n{again}\n"
         with pytest.raises(ConfigError) as err:
             parse_config(text)
         line = text.count("\n")
-        key = again.split(" =")[0]
         assert err.value.line == line
-        assert str(err.value).startswith(f"line {line}: {key}: repeated; line {line - 1} ")
+        assert str(err.value) == f"line {line}: {message}"
 
     def test_unknown_metric_rejected(self):
         with pytest.raises(ConfigError):
@@ -95,6 +95,7 @@ class TestConfigParsing:
         ("[grid]\nL = inf", "grid_length"),
         ("[grid]\nN = 100", "grid_points"),
         ("[grid]\nN = 8", "grid_points"),
+        ("[grid]\nN = auto", "bad value for 'n'"),
         ("epsilons = 1e-170", "epsilons"),
     ])
     def test_invalid_value_is_config_error(self, tmp_path, capsys, line, key):
@@ -613,6 +614,26 @@ class TestCli:
         err = capsys.readouterr().err
         assert "eps=1e-05" in err and "t=1e+300" in err and "not finite" in err
         assert not os.path.exists(tmp_path / "results.csv")
+
+    @pytest.mark.parametrize("kernel,sigma,times", [
+        ("central-diff", "1e40", "10"),
+        ("central-diff", "1e40", "1"),
+        ("central-diff", "1e100", "10"),
+        ("rosenau", "1e40", "10"),
+    ])
+    def test_huge_sigma_names_the_sweep_point_exit_1(self, tmp_path, kernel, sigma, times):
+        # the bins below 8 dxi sit so near 0 that the d_s limit fit cannot be
+        # conditioned; a fresh process, so a hang fails on the timeout alone
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text(f"kernel = {kernel}\nsigma = {sigma}\nepsilons = 0.1\ntimes = {times}\n"
+                       "initial = gaussian-unit\nmetrics = d2_selfsim\n[grid]\nN = 256\n")
+        env = dict(os.environ, PYTHONPATH=SRC_DIR)
+        proc = subprocess.run([sys.executable, "-m", "rosenau.cli", "metrics", "--config", str(cfg),
+                               "--out", str(tmp_path / "out")],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 1, proc.stderr
+        assert f"sweep point (kernel={kernel}, eps=0.1, t={times})" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize("command", ["metrics", "check", "rates"])
     def test_negative_threads_exit_2(self, tmp_path, capsys, command):

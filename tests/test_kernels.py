@@ -113,7 +113,6 @@ class TestMoments:
         k = bernoulli_kernel(0.5, 1.5)
         a = 0.5 * 1.5
         assert kernel_moment(k, 3) == pytest.approx(a**3, rel=1e-14)
-        assert kernel_moment(k, 3, signed=True) == pytest.approx(0.0, abs=1e-16)
 
     def test_rosenau_fourth_moment_quadrature_vs_oracle(self):
         k = rosenau_kernel(1.0, 1.0)
@@ -129,7 +128,6 @@ class TestMoments:
         for k in (rosenau_kernel(0.4, 1.3), bernoulli_kernel(0.4, 1.3)):
             target = (k.epsilon * k.gamma) ** 2
             assert kernel_moment(k, 0) == pytest.approx(1.0, abs=1e-12)
-            assert abs(kernel_moment(k, 1, signed=True)) <= 1e-10
             assert kernel_moment(k, 2) == pytest.approx(target, rel=1e-8)
 
     def test_custom_fourth_moment_exact(self, tmp_path):
@@ -137,7 +135,6 @@ class TestMoments:
         rows = [(-2.0, 0.25), (-1.0, 0.25), (1.0, 0.25), (2.0, 0.25)]
         k = tabulated_kernel(write_atoms(tmp_path / "atoms.txt", rows), epsilon=0.3, sigma=1.0)
         assert kernel_moment(k, 4) == pytest.approx(8.5 * 0.3**4, rel=1e-14)
-        assert kernel_moment(k, 3, signed=True) == 0.0
         assert b_epsilon(k) == pytest.approx(2.0 * 8.5 * 0.3**2, rel=1e-14)
         assert k.sigma_sq == pytest.approx(1.0, rel=1e-15)
 
@@ -218,7 +215,8 @@ class TestSymbolMeasureDuality:
 
     def test_rosenau_transform_matches_symbol(self):
         k = rosenau_kernel(0.7, 1.1)
-        v = np.linspace(-45 * k.scale, 45 * k.scale, 2_000_001)
+        scale = k.epsilon * k.gamma
+        v = np.linspace(-45 * scale, 45 * scale, 2_000_001)
         dens = k.density(v)
         for xi in (0.0, 0.5, 3.0, 17.0, 64.0):
             direct = np.trapezoid(dens * np.exp(-1j * xi * v), v)
@@ -292,9 +290,8 @@ class TestAtomicProperties:
         w = np.array([r[1] for r in rows])
         a = eps * sigma
         assert kernel_moment(k, 0) == pytest.approx(1.0, abs=1e-12)
-        assert kernel_moment(k, 1, signed=True) == 0.0
         assert kernel_moment(k, 2) == pytest.approx(a**2 * math.fsum(w * v**2), rel=1e-12)
-        assert kernel_moment(k, 2) == pytest.approx(k.scale**2, rel=1e-12)
+        assert kernel_moment(k, 2) == pytest.approx((eps * k.gamma) ** 2, rel=1e-12)
         assert k.sigma_sq == pytest.approx(sigma**2, rel=1e-12)
         assert b_epsilon(k) == pytest.approx(2.0 * a**4 * math.fsum(w * v**4) / eps**2, rel=1e-12)
         xi = np.linspace(-64.0, 64.0, 2049)

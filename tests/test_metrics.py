@@ -305,7 +305,7 @@ class TestMoment:
         kin = rosenau_propagate(g0, k, t)
         heat = heat_propagate(g0, k.sigma_sq, t)
         diff = SpectralField(grid, kin.values - heat.values)
-        delta_m4 = moment(inverse_transform(diff), 4, signed=True)
+        delta_m4 = moment(inverse_transform(diff), 4)
         assert delta_m4 == pytest.approx(b_epsilon(k) * t, rel=1e-5)
 
     def test_fourth_moment_difference_rosenau(self, grid):
@@ -318,17 +318,17 @@ class TestMoment:
         kin = rosenau_propagate(g0, k, t)
         heat = heat_propagate(g0, k.sigma_sq, t)
         diff = SpectralField(grid, kin.values - heat.values)
-        delta_m4 = moment(inverse_transform(diff), 4, signed=True)
+        delta_m4 = moment(inverse_transform(diff), 4)
         from rosenau.kernels import kernel_moment
-        predicted = k.lam * kernel_moment(k, 4, signed=True) / k.epsilon**2 * t
+        predicted = k.lam * kernel_moment(k, 4) / k.epsilon**2 * t
         assert predicted == pytest.approx(0.5 * b_epsilon(k) * t, rel=1e-9)
         assert delta_m4 == pytest.approx(predicted, rel=1e-5)
 
     def test_signed_vs_absolute(self):
         g = GridSpec(20.0, 64)
         d = MixedDistribution(grid=g, density=np.zeros(64), atoms=((-2.0, 0.5), (2.0, 0.5)))
-        assert moment(d, 3, signed=True) == 0.0
-        assert moment(d, 3, signed=False) == pytest.approx(8.0)
+        # the moment is of |v|^k: the signed third moment of these atoms is 0
+        assert moment(d, 3) == pytest.approx(8.0)
 
 
 class TestConvexFunctional:

@@ -44,28 +44,25 @@ def bits(x):
 
 
 def oracle_fields(grid):
-    """(values, atoms) pairs: Hermitian, near-Hermitian on both sides of SYM_TOL,
-    with declared atoms, with zeros of both signs and with NaN."""
+    """Field values: Hermitian, near-Hermitian on both sides of SYM_TOL, with zeros
+    of both signs and with NaN."""
     n, rng = grid.points, np.random.default_rng(grid.points)
     herm = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     herm[1:] = 0.5 * (herm[1:] + np.conj(herm[1:][::-1]))  # v_N-k = conj(v_k) exactly
     peak = np.max(np.abs(herm))
-    fields = [(herm, ())]
+    fields = [herm]
     for rel in (1e-12, 2e-10, 1e-9, 3e-9, 1e-6):
         noise = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        fields.append((herm + rel * peak * noise / np.max(np.abs(noise)), ()))
-    xi, atoms = grid.xi(), ((-2.0 * grid.dv, 0.25), (2.0 * grid.dv, 0.25))
-    gauss = np.exp(-0.5 * xi**2) + sum(w * np.exp(-1j * xi * loc) for loc, w in atoms)
-    fields += [(gauss, atoms), (gauss, atoms[:1])]
+        fields.append(herm + rel * peak * noise / np.max(np.abs(noise)))
     zeros = herm.copy()
     zeros[[1, n - 1]] = 0.0
     zeros[[2, n - 2]] = complex(-0.0, -0.0)
     zeros[[3, n - 3]] = complex(-0.0, 0.0), complex(0.0, -0.0)
-    fields += [(zeros, ()), (np.full(n, complex(-0.0, -0.0)), ()), (np.zeros(n, complex), ())]
+    fields += [zeros, np.full(n, complex(-0.0, -0.0)), np.zeros(n, complex)]
     for at, value in ((5, np.nan), (n // 2, complex(np.nan, 1.0)), (n // 2, complex(0.0, np.nan))):
         nan = herm.copy()
         nan[at] = value
-        fields.append((nan, ()))
+        fields.append(nan)
     return fields
 
 
@@ -259,7 +256,7 @@ class TestSingularSplit:
         # eps sigma xi_max >= 100 and mu = 33 make G1 at Nyquist < 1e-12
         k = rosenau_kernel(0.3, 1.0)
         g = GridSpec(length=math.pi * 2048 / (110.0 / 0.3), points=2048)
-        assert k.scale * g.xi()[-1] >= 100.0
+        assert k.epsilon * k.sigma * g.xi()[-1] >= 100.0
         g1, _ = singular_split(k, 3.0, g)
         assert abs(g1.values[-1]) <= 1e-12
 
@@ -318,20 +315,6 @@ class TestInverseTransform:
         back = inverse_transform(forward_transform(d))
         assert np.max(np.abs(back.density - dens)) <= 1e-10
 
-    def test_constant_field_with_declared_atom(self):
-        g = GridSpec(20.0, 64)
-        f = delta_field(g)
-        d = inverse_transform(f, atoms=((0.0, 1.0),))
-        assert np.max(np.abs(d.density)) <= 1e-12
-        assert d.atoms == ((0.0, 1.0),)
-
-    def test_atoms_leave_the_input_unchanged(self):
-        g = GridSpec(20.0, 64)
-        f = field_from_symbol(g, lambda z: 0.5 + 0.5 * np.cos(np.asarray(z)))
-        before = f.values.copy()
-        inverse_transform(f, atoms=((-1.0, 0.25), (1.0, 0.25)))
-        assert np.array_equal(f.values, before)
-
     def test_heat_field_inverts_to_heat_kernel(self):
         # L >= 40 sigma sqrt(1+t) keeps the L1 error below 1e-8
         sigma, t = 1.0, 3.0
@@ -353,19 +336,19 @@ class TestInverseTransform:
     def test_matches_the_full_length_oracle_bit_for_bit(self, n):
         g = GridSpec(10.0 + 0.01 * n, n)
         raised = []
-        for vals, atoms in oracle_fields(g):
+        for vals in oracle_fields(g):
             assert bits(_hermitian_defect(vals)) == bits(hermitian_defect_oracle(vals))
             f = SpectralField(grid=g, values=vals)
             try:
-                want = inverse_transform_oracle(f, atoms)
+                want = inverse_transform_oracle(f)
             except SymmetryError:
                 raised.append(True)
                 with pytest.raises(SymmetryError):
-                    inverse_transform(f, atoms)
+                    inverse_transform(f)
                 continue
             raised.append(False)
-            got = inverse_transform(f, atoms)
-            assert np.array_equal(bits(got.density), bits(want)) and got.atoms == tuple(atoms)
+            got = inverse_transform(f)
+            assert np.array_equal(bits(got.density), bits(want)) and got.atoms == ()
             assert got.density.flags.c_contiguous and got.density.base is None
         assert any(raised) and not all(raised)
 

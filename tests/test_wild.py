@@ -5,6 +5,7 @@ import pytest
 
 from rosenau import (
     GridSpec,
+    MixedDistribution,
     bernoulli_kernel,
     cd_wild_solution,
     forward_transform,
@@ -17,7 +18,7 @@ from rosenau import (
 )
 from rosenau.errors import InvalidParameterError, UnsupportedKernelError
 from rosenau.kernels import generator_symbol
-from rosenau.wild import WildTruncation, poisson_tail
+from rosenau.wild import WILD_TOL, WildTruncation, poisson_tail
 
 from conftest import binomial_atoms
 
@@ -106,7 +107,7 @@ class TestWildPartialSum:
 class TestWildSolution:
     def test_certified_gap(self, grid, gauss_unit, ros_kernel):
         t = 1.0
-        res = wild_solution(gauss_unit, ros_kernel, t, tol=1e-12)
+        res = wild_solution(gauss_unit, ros_kernel, t)
         assert not res.delegated
         assert res.truncation.tail_mass <= 1e-12
         prop = rosenau_propagate(gauss_unit, ros_kernel, t)
@@ -159,7 +160,7 @@ class TestCdWildSolution:
 
     def test_lattice_and_nonnegativity(self):
         k = bernoulli_kernel(0.5, 1.0)
-        d = cd_wild_solution(k, 1.0, tol=1e-12)
+        d = cd_wild_solution(k, 1.0)
         a = k.epsilon * k.sigma
         for loc, w in d.atoms:
             assert w >= 0.0
@@ -168,12 +169,12 @@ class TestCdWildSolution:
 
     def test_transform_matches_propagator(self):
         k = bernoulli_kernel(0.5, 1.0)
-        t, tol = 1.0, 1e-12
+        t = 1.0
         grid = GridSpec(length=160.0, points=2048)
-        d = cd_wild_solution(k, t, tol=tol, grid=grid)
-        f = forward_transform(d)
+        d = cd_wild_solution(k, t)
+        f = forward_transform(MixedDistribution(grid, np.zeros(grid.points), d.atoms))
         exact = np.exp(-generator_symbol(k, grid.xi()) * t)
-        assert np.max(np.abs(f.values - exact)) <= tol * 10
+        assert np.max(np.abs(f.values - exact)) <= WILD_TOL * 10
 
     def test_parity_of_weights(self):
         k = bernoulli_kernel(0.4, 1.0)
@@ -191,11 +192,12 @@ class TestCdWildSolution:
         k = bernoulli_kernel(0.01, 1.0)
         t = 1.0
         grid = GridSpec(length=512.0, points=256)
-        d = cd_wild_solution(k, t, grid=grid)
+        d = cd_wild_solution(k, t)
         assert 1.0 - 1e-12 <= d.total_mass <= 1.0
         assert max(abs(loc) for loc, _ in d.atoms) < grid.length / 2
+        f = forward_transform(MixedDistribution(grid, np.zeros(grid.points), d.atoms))
         exact = np.exp(-generator_symbol(k, grid.xi()) * t)
-        assert np.max(np.abs(forward_transform(d).values - exact)) <= 1e-13
+        assert np.max(np.abs(f.values - exact)) <= 1e-13
 
     @pytest.mark.parametrize("mu", [0.3, 7.0, 50.0, 200.0])
     def test_matches_binomial_mixture(self, mu):
@@ -216,7 +218,7 @@ class TestCdWildSolution:
     @pytest.mark.parametrize("t", [24.75, 25.0, float(np.nextafter(25.0, 26.0))])
     def test_mass_within_certificate(self, t):
         # mu = 4950 and 5000, on both sides of t = 25
-        d = cd_wild_solution(bernoulli_kernel(0.1, 1.0), t, tol=1e-12)
+        d = cd_wild_solution(bernoulli_kernel(0.1, 1.0), t)
         assert 1.0 - 1e-12 <= d.total_mass <= 1.0
 
 
