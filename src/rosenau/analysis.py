@@ -173,12 +173,13 @@ def d2_bound_check(kernel: BackgroundKernel, g0: SpectralField, times: Sequence[
     """Energy-level decay bound for the rescaled kinetic solution.
 
     rhs combines the exact-decay term (1+t)^-1 d2(g0, omega) with the
-    family constant sqrt(c sigma_d^2 / 2) eps sqrt(t)/(1+t), c = 3 for the
-    central-difference background and 1 for the exponential one.
+    family term sqrt(c sigma^2 / 2) sigma eps sqrt(t)/(1+t), c = 3 for the
+    central-difference background and 1 for the exponential one; like d2,
+    both terms scale as sigma^2 when the datum scales with sigma.
     """
     if kernel.family not in D2_CONSTANTS:
         raise InvalidParameterError(f"no d2 bound constant for family {kernel.family!r}")
-    c = math.sqrt(D2_CONSTANTS[kernel.family] * kernel.sigma_sq)
+    c = math.sqrt(D2_CONSTANTS[kernel.family] * kernel.sigma_sq) * kernel.sigma
     eps = kernel.epsilon
     return _decay_checks("d2_bound", kernel, g0, kernel.sigma_sq, times, lhs,
                          lambda d0, t: d0 / (1.0 + t) + c * eps * math.sqrt(t) / (1.0 + t),

@@ -162,7 +162,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         if args.command == "simulate":
             cfg = _load(args)
-            with _file_of("--out" if args.out else "out", args.out or cfg.outputs):
+            with _file_of("--out" if args.out else "out", args.out or cfg.out):
                 simulate(cfg, out_dir=args.out, verbose=args.verbose)
             return 0
         if args.command in ("metrics", "check"):
@@ -172,7 +172,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                 raise ConfigError(f"{key}: none configured; `rosenau {args.command}` needs a "
                                   f"`{key} = ...` line")
             setattr(cfg, other, [])
-            with _file_of("--out" if args.out else "out", args.out or cfg.outputs):
+            with _file_of("--out" if args.out else "out", args.out or cfg.out):
                 run(cfg, out_dir=args.out, threads=args.threads, verbose=args.verbose)
             return 0
         if args.command == "rates":

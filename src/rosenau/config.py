@@ -31,10 +31,10 @@ class ExperimentConfig:
     initial: str = "gaussian-unit"
     metrics: List[str] = field(default_factory=list)
     checks: List[str] = field(default_factory=list)
-    outputs: str = "results"
-    grid_length: Optional[float] = None
-    grid_points: Optional[int] = None
-    # field name -> 1-based line that set it, so errors can point there; an init
+    out: str = "results"
+    L: Optional[float] = None
+    N: Optional[int] = None
+    # key -> 1-based line that set it, so errors can point there; an init
     # field, so dataclasses.replace() carries it over to the copy
     lines: Dict[str, int] = field(default_factory=dict, repr=False, compare=False)
 
@@ -43,15 +43,15 @@ class ExperimentConfig:
         def fail(key: str, message: str):
             raise ConfigError(f"{key}: {message}", self.lines.get(key))
 
-        for key in ("sigma", "grid_length"):
+        for key in ("sigma", "L"):
             value = getattr(self, key)
             if value is not None and not (math.isfinite(value) and value > 0):
                 fail(key, f"must be finite and positive, got {value!r}")
-        if self.grid_points is not None:
+        if self.N is not None:
             try:
-                GridSpec(1.0, self.grid_points)
+                GridSpec(1.0, self.N)
             except InvalidParameterError as exc:
-                fail("grid_points", str(exc))
+                fail("N", str(exc))
         for key in ("epsilons", "times"):
             values = getattr(self, key)
             if not values:
@@ -81,12 +81,19 @@ class ExperimentConfig:
             fail("metrics", f"{' '.join(sorted(bad))}: the regularized solution has a density only for "
                             f"kernel {', '.join(REGULARIZED_FAMILIES)}, got {self.kernel!r}")
         if self.initial.startswith("file:"):
-            for key in ("grid_length", "grid_points"):
+            for key in ("L", "N"):
                 if key in self.lines:
                     fail(key, "[grid] does not apply to file: initial data, "
                               "which runs on the file's own grid")
-        elif self.initial not in INITIAL_PRESETS:
+            return
+        if self.initial not in INITIAL_PRESETS:
             fail("initial", f"unknown initial datum {self.initial!r}")
+        # every kernel's diffusivity is sigma^2, so the preset's m2 is known before any work
+        m2, profile_m2 = INITIAL_PRESETS[self.initial][1](self.sigma**2), 2.0 * self.sigma**2
+        for key, name in (("checks", "d3_bound"), ("metrics", "d3_selfsim")):
+            if name in getattr(self, key) and abs(m2 - profile_m2) > 1e-12 * profile_m2:
+                fail(key, f"{name} diverges unless the datum's m2 equals the profile's "
+                          f"2 sigma^2 = {profile_m2:g}; initial {self.initial!r} has m2 = {m2:g}")
 
 
 def _parse_times(value: str) -> List[float]:
@@ -101,22 +108,19 @@ def _parse_times(value: str) -> List[float]:
     return [float(x) for x in parts]
 
 
-# section -> config key -> (field name, value parser)
+# section -> key, spelled as its ExperimentConfig field -> value parser
 _KEYS = {
     "experiment": {
-        "kernel": ("kernel", str),
-        "sigma": ("sigma", float),
-        "epsilons": ("epsilons", lambda v: [float(x) for x in v.split()]),
-        "times": ("times", _parse_times),
-        "initial": ("initial", str),
-        "metrics": ("metrics", str.split),
-        "checks": ("checks", str.split),
-        "out": ("outputs", str),
+        "kernel": str,
+        "sigma": float,
+        "epsilons": lambda v: [float(x) for x in v.split()],
+        "times": _parse_times,
+        "initial": str,
+        "metrics": str.split,
+        "checks": str.split,
+        "out": str,
     },
-    "grid": {
-        "l": ("grid_length", float),
-        "n": ("grid_points", int),
-    },
+    "grid": {"L": float, "N": int},
 }
 
 
@@ -135,17 +139,16 @@ def parse_config(text: str, path: str = "<config>") -> ExperimentConfig:
         if "=" not in line:
             raise ConfigError(f"expected key = value, got {line!r}", i)
         key, _, value = line.partition("=")
-        key = key.strip().lower()
+        key = key.strip()
         if key not in _KEYS[section]:
             raise ConfigError(f"unknown key {key!r} in [{section}]", i)
-        name, convert = _KEYS[section][key]
-        if name in cfg.lines:
-            raise ConfigError(f"{key}: repeated; line {cfg.lines[name]} already sets {name}", i)
+        if key in cfg.lines:
+            raise ConfigError(f"{key}: repeated; line {cfg.lines[key]} already sets {key}", i)
         try:
-            setattr(cfg, name, convert(value.strip()))
+            setattr(cfg, key, _KEYS[section][key](value.strip()))
         except ValueError as exc:
-            raise ConfigError(f"bad value for {key!r}: {exc}", i)
-        cfg.lines[name] = i
+            raise ConfigError(f"{key}: bad value: {exc}", i)
+        cfg.lines[key] = i
     if not cfg.lines:
         raise ConfigError(f"{path}: empty configuration")
     cfg.validate()

@@ -12,7 +12,8 @@ dataclasses: immutable after construction and safe to share across threads.
 There are two representations, each with closed-form moments.
 
 - The "rosenau" family is a two-sided exponential density with scale
-  eps*sigma, symbol 1/(1+(eps*sigma*xi)^2) and intensity lam = sigma^2.
+  eps*sigma, symbol 1/(1+(eps*sigma*xi)^2) and lam = 1: its generator
+  sigma^2 xi^2/(1+(eps*sigma*xi)^2) is Rosenau's, of diffusivity sigma^2.
 - Every other kernel is a finite mirror-symmetric set of atoms (v, w) given
   at unit scale and placed at eps*sigma*v.  With m2 = sum w v^2 over the unit
   atoms, lam = 2/m2 and gamma = sigma sqrt(m2), so the limiting diffusivity
@@ -87,7 +88,7 @@ def _require_positive(**params: float) -> None:
 
 
 def rosenau_kernel(epsilon: float, sigma: float) -> BackgroundKernel:
-    """Two-sided exponential background with scale eps*sigma and lam = sigma^2."""
+    """Two-sided exponential background with scale eps*sigma and lam = 1."""
     _require_positive(epsilon=epsilon, sigma=sigma)
     a = epsilon * sigma
 
@@ -105,7 +106,7 @@ def rosenau_kernel(epsilon: float, sigma: float) -> BackgroundKernel:
         family=ROSENAU,
         epsilon=float(epsilon),
         sigma=float(sigma),
-        lam=float(sigma) ** 2,
+        lam=1.0,
         gamma=math.sqrt(2.0) * float(sigma),
         symbol=symbol,
         one_minus_symbol=one_minus,
@@ -186,7 +187,7 @@ def tabulated_kernel(path: str, epsilon: float, sigma: float) -> BackgroundKerne
     return atomic_kernel(np.loadtxt(path, ndmin=2), epsilon, sigma)
 
 
-def kernel_by_name(name: str, epsilon: float, sigma: float = 1.0) -> BackgroundKernel:
+def kernel_by_name(name: str, epsilon: float, sigma: float) -> BackgroundKernel:
     """Resolve the external name strings "rosenau", "central-diff", "custom:<path>"."""
     if name == ROSENAU:
         return rosenau_kernel(epsilon, sigma)

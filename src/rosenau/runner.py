@@ -84,7 +84,7 @@ def _input_file(cfg: ExperimentConfig, key: str):
 
 def _setup(cfg: ExperimentConfig) -> Tuple[Dict[float, BackgroundKernel], SpectralField]:
     """The kernel of each eps and the initial-datum transform they share, on a
-    grid that holds every time; no eps changes sigma_sq = lam gamma^2 / 2.
+    grid that holds every time; no eps changes the diffusivity sigma_sq.
 
     The grid comes from the config alone: file: data keep their own grid,
     presets take [grid] L and N, sized by default from the datum's m2.
@@ -102,19 +102,13 @@ def _setup(cfg: ExperimentConfig) -> Tuple[Dict[float, BackgroundKernel], Spectr
             m2, g0 = moment(dist, 2), forward_transform(dist)
         else:
             m2 = analysis.INITIAL_PRESETS[cfg.initial][1](kernel.sigma_sq)
-            profile_m2 = 2.0 * kernel.sigma_sq
-            for key, name in (("checks", "d3_bound"), ("metrics", "d3_selfsim")):
-                if name in getattr(cfg, key) and abs(m2 - profile_m2) > 1e-12 * profile_m2:
-                    raise ConfigError(f"{key}: {name} diverges unless the datum's m2 equals the "
-                                      f"profile's 2 sigma^2 = {profile_m2:g}; initial "
-                                      f"{cfg.initial!r} has m2 = {m2:g}", cfg.lines.get(key))
-            points = cfg.grid_points or DEFAULT_GRID_N
-            grid = (GridSpec(cfg.grid_length, points) if cfg.grid_length is not None else
+            points = cfg.N or DEFAULT_GRID_N
+            grid = (GridSpec(cfg.L, points) if cfg.L is not None else
                     default_grid(math.sqrt(kernel.sigma_sq), times[-1], n=points, m2=m2))
             g0 = analysis.initial_by_name(cfg.initial, grid, kernel.sigma_sq)
     for t in times:
         with _sweep_point(cfg, eps0, [t]):
-            require_grid_contains(g0.grid, m2 + kernel.lam * kernel.gamma**2 * t)
+            require_grid_contains(g0.grid, m2 + 2.0 * kernel.sigma_sq * t)
     return kernels, g0
 
 
@@ -202,7 +196,7 @@ def run(cfg: ExperimentConfig, out_dir: Optional[str] = None, threads: int = 0,
     """Execute a config: results.csv, checks.jsonl, one SVG per plotted quantity."""
     from .svg import write_plots
 
-    out = out_dir or cfg.outputs
+    out = out_dir or cfg.out
     os.makedirs(out, exist_ok=True)
     artifacts: Dict[str, str] = {}
     rows, checks = _sweep(cfg, threads)
@@ -231,7 +225,7 @@ def run(cfg: ExperimentConfig, out_dir: Optional[str] = None, threads: int = 0,
 def simulate(cfg: ExperimentConfig, out_dir: Optional[str] = None,
              verbose: bool = False) -> List[str]:
     """Solve the kinetic equation at every sweep point and dump distributions."""
-    out = out_dir or cfg.outputs
+    out = out_dir or cfg.out
     os.makedirs(out, exist_ok=True)
     kernels, g0 = _setup(cfg)
     written = []

@@ -77,18 +77,18 @@ def _generator_oracle(family, eps, xi, sigma=1.0):
     The backgrounds have scale a_eps = eps sigma:
 
     - central-diff: atoms at +-a_eps, lam = 2, 1 - Mhat = 2 sin^2(a_eps xi / 2);
-    - rosenau: density exp(-|v|/a_eps)/(2 a_eps), lam = sigma^2,
+    - rosenau: density exp(-|v|/a_eps)/(2 a_eps), lam = 1,
       1 - Mhat = (a_eps xi)^2 / (1 + (a_eps xi)^2);
 
-    A_eps = lam (1 - Mhat) / eps^2, and D = lam Var(M_eps) / (2 eps^2) is the
-    limiting diffusivity.
+    A_eps = lam (1 - Mhat) / eps^2, and D = lam Var(M_eps) / (2 eps^2) = sigma^2 is
+    the limiting diffusivity.
     """
     a_eps = eps * sigma
     if family == "central-diff":
         lam, var = 2.0, a_eps**2
         one_minus = 2.0 * np.sin(0.5 * a_eps * xi) ** 2
     elif family == "rosenau":
-        lam, var = sigma**2, 2.0 * a_eps**2
+        lam, var = 1.0, 2.0 * a_eps**2
         one_minus = (a_eps * xi) ** 2 / (1.0 + (a_eps * xi) ** 2)
     else:
         raise ValueError(f"unknown family {family!r}")
@@ -151,7 +151,7 @@ def l1_heat_gap_oracle(t, sigma=1.0):
     return 2.0 * (math.erf(x / math.sqrt(2.0 * s2_sq)) - math.erf(x / math.sqrt(2.0 * s1_sq)))
 
 
-# c sigma_d^2 / 2 of the d2 bound's constant, c = 3 (central-diff) and 1 (rosenau)
+# c / 2 of the d2 bound's term sqrt(c sigma^2 / 2) sigma, c = 3 (central-diff) and 1 (rosenau)
 D2_HALF_C = {"central-diff": 1.5, "rosenau": 0.5}
 
 
@@ -161,7 +161,7 @@ def check_rhs_oracle(check, family, params, d0):
     if check == "heat-decay":
         return d0 / (1.0 + t)
     if check == "d2-bound":
-        c = math.sqrt(D2_HALF_C[family] * params["sigma"] ** 2)
+        c = math.sqrt(D2_HALF_C[family] * params["sigma"] ** 2) * params["sigma"]
         return d0 / (1.0 + t) + c * params["eps"] * math.sqrt(t) / (1.0 + t)
     raise ValueError(f"no rhs oracle for {check!r}")
 

@@ -139,7 +139,7 @@ class TestCriterion05SuboptimalRate:
         for family in ("rosenau", "central-diff"):
             for eps in SWEEP_EPS:
                 for g0 in data.values():
-                    for c in d2_bound_check(kernel_by_name(family, eps), g0, SWEEP_T):
+                    for c in d2_bound_check(kernel_by_name(family, eps, 1.0), g0, SWEEP_T):
                         n += 1
                         ok = ok and c.satisfied
                         worst_margin = min(worst_margin, c.margin)

@@ -48,7 +48,7 @@ from rosenau.errors import (
     UnsupportedKernelError,
 )
 from rosenau.kernels import b_epsilon
-from rosenau.runner import compute_rows, simulate
+from rosenau.runner import compute_checks, compute_rows, simulate
 from rosenau.spectral import (MixedDistribution, field_from_symbol, heat_multiplier,
                               kinetic_multiplier, regularized_solution, save_distribution)
 
@@ -132,7 +132,7 @@ class TestRescale:
         g0 = initial_by_name(initial, grid)
         half = grid.points // 2 + 1
         for eps in (0.2, 0.1, 0.05):
-            kernel = kernel_by_name(family, eps)
+            kernel = kernel_by_name(family, eps, 1.0)
             for t in (1.0, 10.0, 100.0):
                 point = SweepPoint(kernel, g0, kernel.sigma_sq, t)
                 kin = rescale(rosenau_propagate(g0, kernel, t), t)
@@ -166,13 +166,13 @@ class TestD2BoundCheck:
     def test_t0_equality(self, grid):
         g0 = gaussian_initial(grid, 1.0)
         for family in ("rosenau", "central-diff"):
-            chk = d2_bound_check(kernel_by_name(family, 0.1), g0, [0.0])[0]
+            chk = d2_bound_check(kernel_by_name(family, 0.1, 1.0), g0, [0.0])[0]
             assert chk.lhs == pytest.approx(chk.rhs, rel=1e-12)
 
     @pytest.mark.parametrize("family", ["rosenau", "central-diff"])
     def test_satisfied_with_margin(self, grid, family):
         g0 = mixture_initial(grid, 1.0)
-        checks = d2_bound_check(kernel_by_name(family, 0.1), g0, [1.0, 10.0, 100.0])
+        checks = d2_bound_check(kernel_by_name(family, 0.1, 1.0), g0, [1.0, 10.0, 100.0])
         for c in checks:
             assert c.satisfied and c.margin > 0.0
 
@@ -231,7 +231,7 @@ class TestChecksAtTimeZero:
     @pytest.mark.parametrize("datum", ["preset", "file"])
     def test_margin_is_exactly_zero(self, grid, file_datum, family, datum):
         g0 = initial_by_name("mixture-matched", grid) if datum == "preset" else file_datum
-        k = kernel_by_name(family, 0.1)
+        k = kernel_by_name(family, 0.1, 1.0)
         checks = (d2_bound_check(k, g0, [0.0]) + d3_bound_check(k, g0, [0.0])
                   + exact_decay_check(g0, k.sigma_sq, [0.0]))
         assert [c.margin for c in checks] == [0.0, 0.0, 0.0]
@@ -264,7 +264,7 @@ class TestHalfLineFrame:
     @settings(max_examples=60, deadline=None, database=None, derandomize=True)
     def test_preset_d_s_equal_the_full_grid_oracle(self, custom_kernel, initial, family,
                                                     points, eps, t):
-        kernel = kernel_by_name(custom_kernel if family == "custom" else family, eps)
+        kernel = kernel_by_name(custom_kernel if family == "custom" else family, eps, 1.0)
         sigma_sq = kernel.sigma_sq
         grid = default_grid(math.sqrt(sigma_sq), 100.0, n=points,
                             m2=INITIAL_PRESETS[initial][1](sigma_sq))
@@ -360,7 +360,7 @@ class TestLiveSpan:
     @settings(max_examples=60, deadline=None, database=None, derandomize=True)
     def test_bits_of_the_full_evaluation(self, custom_kernel, datum_dir, initial, family,
                                          points, span, eps, t):
-        kernel = kernel_by_name(custom_kernel if family == "custom" else family, eps)
+        kernel = kernel_by_name(custom_kernel if family == "custom" else family, eps, 1.0)
         sigma_sq = kernel.sigma_sq
         grid = GridSpec(math.pi * points / self.NYQUIST[span], points)
         if span == "empty":
@@ -512,7 +512,7 @@ class TestMomentTransport:
         # 13x inside M4_RTOL; dropping k4 moves every row by >= 9.9e-5 relative
         cfg = ExperimentConfig(kernel="rosenau", epsilons=[0.2, 0.1],
                                times=list(np.geomspace(1.0, 200.0, 9)), metrics=["m4"],
-                               initial="gaussian-unit", grid_points=4096)
+                               initial="gaussian-unit", N=4096)
         rows = compute_rows(cfg, threads=1)
         assert len(rows) == 18
         for r in rows:
@@ -520,6 +520,54 @@ class TestMomentTransport:
             k2 = 2.0 * cfg.sigma**2 * r.t
             law = 3.0 + 6.0 * k2 + 3.0 * k2**2 + k.lam * r.t * b_epsilon(k) / 2.0
             assert abs(r.value - law) <= self.M4_RTOL * law
+
+
+class TestScaleCovariance:
+    """sigma -> c sigma with L -> c L is the change of velocity unit v -> c v.  Every
+    family has diffusivity sigma^2, so at c a power of two each row of a
+    mixture-matched sweep moves by its exact power of c, bit for bit, the argsup of a
+    d_s row (a frequency) by 1/c, and every bound check keeps its lhs/rhs.  The *-unit
+    presets fix m2 = 1 whatever sigma is, so they do not move with it."""
+
+    CUSTOM_ATOMS = [(-2.0, 0.2), (-1.0, 0.3), (1.0, 0.3), (2.0, 0.2)]
+    # metric -> the power of c its value moves by
+    POWERS = {"mass": 0, "m2": 2, "m4": 4, "d2_selfsim": 2, "d3_selfsim": 3, "d2_gap": 2,
+              "d2_selfsim_heat": 2, "l1_heat_gap": 0, "l1_reg_gap": 0}
+
+    @pytest.fixture(scope="class")
+    def custom_kernel(self, tmp_path_factory):
+        return "custom:" + write_atoms(tmp_path_factory.mktemp("atoms") / "four.txt",
+                                       self.CUSTOM_ATOMS)
+
+    @given(family=st.sampled_from(["rosenau", "central-diff", "custom"]),
+           c=st.sampled_from([0.25, 0.5, 2.0, 4.0]),
+           sigma=st.sampled_from([0.3, 1.0, 1.7]),
+           eps=st.sampled_from([0.5, 0.2, 0.05]),
+           times=st.lists(st.sampled_from([0.5, 1.0, 10.0, 100.0]), min_size=1, max_size=2,
+                          unique=True))
+    @settings(max_examples=24, deadline=None, database=None, derandomize=True)
+    def test_rows_and_checks_move_by_powers_of_c(self, custom_kernel, family, c, sigma, eps,
+                                                  times):
+        metrics = [m for m in self.POWERS if family == "rosenau" or m != "l1_reg_gap"]
+        checks = ["d3_bound", "heat_decay"] + (["d2_bound"] if family != "custom" else [])
+        length = 40.0 * sigma * math.sqrt(1.0 + max(times))
+
+        def sweep(scale):
+            cfg = ExperimentConfig(kernel=custom_kernel if family == "custom" else family,
+                                   sigma=scale * sigma, epsilons=[eps], times=times,
+                                   initial="mixture-matched", metrics=metrics, checks=checks,
+                                   L=scale * length, N=4096)
+            cfg.validate()
+            return compute_rows(cfg, threads=1), compute_checks(cfg)
+
+        (rows, bounds), (moved, moved_bounds) = sweep(1.0), sweep(c)
+        assert [(r.t, r.quantity) for r in moved] == [(r.t, r.quantity) for r in rows]
+        for r, m in zip(rows, moved):
+            assert m.value == r.value * c ** self.POWERS[r.quantity], r.quantity
+            assert m.argsup == r.argsup / c, r.quantity
+        assert [b.name for b in moved_bounds] == [b.name for b in bounds]
+        for b, m in zip(bounds, moved_bounds):
+            assert m.lhs / m.rhs == b.lhs / b.rhs, b.name
 
 
 class TestAppendix:

@@ -58,7 +58,8 @@ class TestConfigParsing:
         # each key has one spelling: the long forms are unknown keys
         ("out = a", "outputs = b", "unknown key 'outputs' in [experiment]"),
         ("[grid]\nN = 256", "points = 512", "unknown key 'points' in [grid]"),
-    ], ids=["same-key", "out-outputs", "N-points"])
+        ("[grid]\nN = 256", "N = 512", "N: repeated; line 3 already sets N"),
+    ], ids=["same-key", "out-outputs", "N-points", "grid-key"])
     def test_repeated_key_names_both_lines(self, first, again, message):
         text = f"metrics = mass\n{first}\n{again}\n"
         with pytest.raises(ConfigError) as err:
@@ -79,7 +80,7 @@ class TestConfigParsing:
         text = "# header\n[experiment]\nkernel = central-diff  # inline\nmetrics = mass\n[grid]\nN = 2048\n"
         cfg = parse_config(text)
         assert cfg.kernel == "central-diff"
-        assert cfg.grid_points == 2048
+        assert cfg.N == 2048
 
     def test_nothing_to_do_rejected(self):
         with pytest.raises(ConfigError):
@@ -92,10 +93,10 @@ class TestConfigParsing:
         ("sigma = nan", "sigma"),
         ("times = 1 1", "times"),
         ("epsilons = 0.1 0.1", "epsilons"),
-        ("[grid]\nL = inf", "grid_length"),
-        ("[grid]\nN = 100", "grid_points"),
-        ("[grid]\nN = 8", "grid_points"),
-        ("[grid]\nN = auto", "bad value for 'n'"),
+        ("[grid]\nL = inf", "L:"),
+        ("[grid]\nN = 100", "N:"),
+        ("[grid]\nN = 8", "N:"),
+        ("[grid]\nN = auto", "N: bad value"),
         ("epsilons = 1e-170", "epsilons"),
     ])
     def test_invalid_value_is_config_error(self, tmp_path, capsys, line, key):
@@ -153,6 +154,20 @@ class TestConfigParsing:
         assert "config error" in err and "line 4" in err and "metrics" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("key,name", [("checks", "d3_bound"), ("metrics", "d3_selfsim")])
+    def test_d3_on_mismatched_m2_rejected_at_parse(self, key, name):
+        # every kernel's diffusivity is sigma^2, so the preset's m2 is checked against
+        # 2 sigma^2 before any kernel is built: gaussian-unit has m2 = 1, the profile 2
+        text = f"initial = gaussian-unit\n{key} = {name}\n"
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        msg = str(err.value)
+        assert err.value.line == 2 and msg.startswith(f"line 2: {key}: {name} diverges")
+        assert "m2 = 1" in msg
+        # at sigma^2 = 1/2 the profile's m2 is 1 within an ulp, for every family
+        for kernel in ("rosenau", "central-diff"):
+            parse_config(f"kernel = {kernel}\nsigma = {math.sqrt(0.5)!r}\n{text}")
+
     def test_grid_section_with_file_initial_rejected(self):
         with pytest.raises(ConfigError) as err:
             parse_config("metrics = mass\ninitial = file:dist.txt\n[grid]\nN = 1024\n")
@@ -203,7 +218,7 @@ class TestRunner:
         monkeypatch.setattr(runner.GridSpec, "xi", slow_xi)
         cfg = ExperimentConfig(kernel="central-diff", epsilons=[0.2], times=[1.0, 2.0, 3.0, 4.0],
                                metrics=["d2_selfsim", "d3_selfsim"], initial="mixture-matched",
-                               grid_points=256)
+                               N=256)
         metrics._ds_layout.cache_clear()
         metrics._half_frame.cache_clear()
         rows = compute_rows(cfg, threads=4)
@@ -218,7 +233,7 @@ class TestRunner:
         # the serial rows' bits
         cfg = ExperimentConfig(kernel="rosenau", epsilons=[0.2, 0.1], times=[1.0, 2.2, 4.6, 10.0],
                                metrics=["l1_reg_gap", "l1_heat_gap", "mass", "m2", "m4",
-                                        "entropy_reg"], grid_length=300.0, grid_points=4096)
+                                        "entropy_reg"], L=300.0, N=4096)
         serial = [r.csv() for r in compute_rows(cfg, threads=1)]
         live, multiply_live = spectral._live, spectral._multiply_live
         found, read = [], set()
@@ -235,7 +250,7 @@ class TestRunner:
         monkeypatch.setattr(spectral, "_live", slow_live)
         monkeypatch.setattr(spectral, "_multiply_live", traced_multiply_live)
         assert [r.csv() for r in compute_rows(cfg, threads=4)] == serial
-        assert len(found) == 1 and 0 < found[0].start < found[0].stop < cfg.grid_points
+        assert len(found) == 1 and 0 < found[0].start < found[0].stop < cfg.N
         assert {(start, stop) for _, start, stop in read} == {(found[0].start, found[0].stop)}
         assert len({thread for thread, _, _ in read}) > 1
 
@@ -383,7 +398,7 @@ class TestRunner:
 
     def test_numerical_failure_names_sweep_point(self, tmp_path):
         cfg = ExperimentConfig(kernel="rosenau", epsilons=[0.2], times=[50.0],
-                               metrics=["m2"], grid_length=20.0, grid_points=256)
+                               metrics=["m2"], L=20.0, N=256)
         with pytest.raises(RunError) as err:
             compute_rows(cfg)
         msg = str(err.value)
@@ -769,7 +784,7 @@ class TestBenchmarkHooks:
         # h_kin at every (eps, t) and at t = 0 for each eps's d2_bound d0
         n_eps = len(cfg.epsilons)
         assert out["counts"]["kernels.symbol_elems"] == (
-            (cfg.grid_points // 2 + 1) * n_eps * (len(cfg.times) + 1))
+            (cfg.N // 2 + 1) * n_eps * (len(cfg.times) + 1))
 
     def test_traced_symbol_count_is_the_live_span(self):
         # minimal under the installed tracer: its datum underflows to 0 inside the half

@@ -24,7 +24,8 @@ SETTINGS = settings(max_examples=30, deadline=None, database=None, derandomize=T
 
 @st.composite
 def valid_configs(draw):
-    """key -> value text of a valid config with N = 256, at most 2 eps and 3 times."""
+    """key -> value text of a valid config with N = 256, at most 2 eps and 3 times;
+    the [grid] keys come last."""
     kernel = draw(st.sampled_from(["rosenau", "central-diff"]))
     floats = lambda lo, hi, n: st.lists(st.floats(lo, hi), min_size=1, max_size=n, unique=True)
     config = {
@@ -39,6 +40,7 @@ def valid_configs(draw):
              and (m != "d3_selfsim" or config["initial"] == "mixture-matched")]
     config["metrics"] = " ".join(draw(st.lists(st.sampled_from(names), min_size=1, max_size=4,
                                                unique=True)))
+    config["N"] = "256"
     return config
 
 
@@ -47,8 +49,10 @@ def repeat(key):
     return lambda v: f"{v}\n{key} = {v}"
 
 
+GRID_KEYS = ("L", "N")
+
 # key -> corruptions of its value text: NaN, negative, a square that overflows, repeated,
-# an unknown name, or the whole key repeated
+# an unknown name, not a power of two, too few points, or the whole key repeated
 CORRUPTIONS = {
     "sigma": [lambda v: "nan", lambda v: "-" + v, lambda v: "1e160", repeat("sigma")],
     "epsilons": [lambda v: v + " nan", lambda v: "-" + v, lambda v: v + " 1e160",
@@ -58,7 +62,15 @@ CORRUPTIONS = {
     "metrics": [lambda v: v + " " + v.split()[0], lambda v: v + " bogus", repeat("metrics")],
     "kernel": [lambda v: "bogus", repeat("kernel")],
     "initial": [lambda v: "bogus", repeat("initial")],
+    "L": [lambda v: "inf", lambda v: "-" + v, repeat("L")],
+    "N": [lambda v: "100", lambda v: "8", repeat("N")],
 }
+
+
+def config_lines(config):
+    """The config's text, one line per entry: [experiment] keys, then [grid] and its keys."""
+    return ([f"{k} = {v}" for k, v in config.items() if k not in GRID_KEYS] + ["[grid]"]
+            + [f"{k} = {v}" for k, v in config.items() if k in GRID_KEYS])
 
 
 def run_metrics(config):
@@ -66,7 +78,7 @@ def run_metrics(config):
     with tempfile.TemporaryDirectory() as tmp:
         path, out = os.path.join(tmp, "sweep.cfg"), os.path.join(tmp, "out")
         with open(path, "w") as fh:
-            fh.write("".join(f"{k} = {v}\n" for k, v in config.items()) + "[grid]\nN = 256\n")
+            fh.write("\n".join(config_lines(config)) + "\n")
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
             code = main(["metrics", "--config", path, "--out", out, "--threads", "1"])
@@ -98,8 +110,11 @@ def test_valid_config_writes_finite_values_or_names_the_point(config):
 def test_corrupted_key_is_config_error_naming_it(config, data):
     key = data.draw(st.sampled_from(sorted(CORRUPTIONS)))
     corrupt = data.draw(st.sampled_from(CORRUPTIONS[key]))
+    config = {"L": "300.0", **config} if key == "L" else config  # L is optional: set it
     config = {**config, key: corrupt(config[key])}
     code, err, written, _ = run_metrics(config)
-    line = list(config).index(key) + 1 + config[key].count("\n")  # a repeat errs on its own line
+    # a repeat errs on its own line
+    line = 1 + [text.partition(" =")[0] for text in config_lines(config)].index(key) \
+        + config[key].count("\n")
     assert code == 2 and f"config error: line {line}: {key}:" in err, err
     assert written == []

@@ -62,14 +62,14 @@ class TestFactories:
             make(0.1, value)
 
     def test_kernel_by_name(self):
-        assert kernel_by_name("rosenau", 0.2).family == "rosenau"
-        assert kernel_by_name("central-diff", 0.2).family == "central-diff"
+        assert kernel_by_name("rosenau", 0.2, 1.0).family == "rosenau"
+        assert kernel_by_name("central-diff", 0.2, 1.0).family == "central-diff"
         with pytest.raises(InvalidParameterError):
-            kernel_by_name("heat", 0.2)
+            kernel_by_name("heat", 0.2, 1.0)
 
     def test_kernel_by_name_custom_path(self, tmp_path):
         path = write_atoms(tmp_path / "atoms.txt", [(-1.0, 0.5), (1.0, 0.5)])
-        k = kernel_by_name(f"custom:{path}", epsilon=0.3)
+        k = kernel_by_name(f"custom:{path}", epsilon=0.3, sigma=1.0)
         assert k.family == "custom"
         assert k.atoms == ((-0.3, 0.5), (0.3, 0.5))
         assert k.lam == 2.0 and k.gamma == 1.0

@@ -248,7 +248,7 @@ class TestSingularSplit:
         assert np.max(np.abs(g1.values)) == 0.0
 
     def test_atom_weight_exponential(self, grid):
-        k = rosenau_kernel(1.0, 1.0)  # lam = sigma^2 = 1
+        k = rosenau_kernel(1.0, 1.0)  # lam = 1
         _, w = singular_split(k, 1.0, grid)
         assert w == pytest.approx(0.3678794412, abs=1e-10)
 
