@@ -34,7 +34,8 @@ class InfiniteDistanceError(RosenauError):
 
 
 class ResampleError(RosenauError):
-    """Dilation would require samples outside the stored frequency band."""
+    """Off-grid evaluation is not exact: the field has no closure, or sampled data are asked
+    for frequencies beyond the stored band or off an arithmetic progression."""
 
 
 class InvalidDataError(RosenauError, ValueError):

@@ -33,12 +33,7 @@ Array = np.ndarray
 DEFAULT_GRID_N = 4096
 LEAK_TOL = 1e-12
 SYM_TOL = 1e-9  # largest Hermitian defect, relative to the peak, that inverse_transform accepts
-BAND_REFINE = 16  # off-grid evaluation samples the transform at spacing dxi / BAND_REFINE
 EXP_UNDERFLOW = -746.0  # exp(y) rounds to +0.0 for every y below log(2^-1075) = -745.13
-
-
-def _is_power_of_two(n: int) -> bool:
-    return n >= 1 and (n & (n - 1)) == 0
 
 
 @dataclass(frozen=True)
@@ -51,7 +46,7 @@ class GridSpec:
     def __post_init__(self):
         if self.length <= 0:
             raise InvalidParameterError(f"grid length must be positive, got {self.length}")
-        if self.points < 16 or not _is_power_of_two(self.points):
+        if self.points < 16 or self.points & (self.points - 1):  # not a power of two
             raise InvalidParameterError(
                 f"grid points must be a power of two >= 16, got {self.points}"
             )
@@ -99,8 +94,9 @@ def default_grid(sigma: float, t_max: float, n: Optional[int] = None,
 class SpectralField:
     """Sampled Fourier transform on a GridSpec.
 
-    ``analytic``, when present, evaluates the same transform at arbitrary
-    frequencies; propagators compose it so that rescaling stays exact.
+    ``analytic``, when present, evaluates the same transform exactly off the
+    grid: a closed form for the presets, the chirp-z sum of ``forward_transform``
+    for sampled data.  Propagators compose it so that rescaling stays exact.
     """
 
     grid: GridSpec
@@ -121,17 +117,11 @@ class SpectralField:
         return float(self.values[self.grid.points // 2].real)
 
     def at(self, xi) -> Array:
-        """Evaluate at arbitrary frequencies, exactly (in the closure's dtype) when
-        analytic, else by trigonometric refinement (see ``_band_limited_eval``)."""
-        if self.analytic is not None:
-            return np.asarray(self.analytic(xi))
-        return _band_limited_eval(self, np.asarray(xi, dtype=float))
-
-    @functools.cached_property  # built once per field, read by _band_limited_eval
-    def _refined(self) -> Array:
-        dens = np.fft.ifftshift(np.fft.ifft(np.fft.fftshift(self.values)))
-        padded = np.pad(dens, (BAND_REFINE - 1) * self.grid.points // 2)
-        return np.fft.fftshift(np.fft.fft(np.fft.ifftshift(padded)))
+        """Evaluate at arbitrary frequencies through the closure, exactly in its dtype;
+        a field without one raises ResampleError."""
+        if self.analytic is None:
+            raise ResampleError("the field has no closure to evaluate off its grid")
+        return np.asarray(self.analytic(xi))
 
     @functools.cached_property  # found once per field, read by every _multiply of it
     def _span(self) -> slice:
@@ -199,14 +189,52 @@ def gaussian_reference(grid: GridSpec, sigma_sq: float) -> SpectralField:
 # ----------------------------------------------------------------------
 
 def forward_transform(d: MixedDistribution) -> SpectralField:
-    """Transform of the density by FFT plus the exact atomic sum."""
-    grid = d.grid
-    vals = grid.dv * np.fft.fftshift(np.fft.fft(np.fft.ifftshift(d.density.astype(complex))))
-    if d.atoms:
-        xi = grid.xi()
-        for loc, w in d.atoms:
-            vals = vals + w * np.exp(-1j * xi * loc)
-    return SpectralField(grid=grid, values=vals)
+    """Transform of the density by FFT plus the exact atomic sum, with the closure
+    ``_measure_at`` that evaluates the same sum exactly off the grid."""
+    vals = d.grid.dv * np.fft.fftshift(np.fft.fft(np.fft.ifftshift(d.density.astype(complex))))
+    return SpectralField(d.grid, _add_atoms(vals, d.atoms, d.grid.xi()),
+                         functools.partial(_measure_at, d))
+
+
+def _add_atoms(vals: Array, atoms, xi: Array) -> Array:
+    return sum((w * np.exp(-1j * xi * loc) for loc, w in atoms), vals)  # in order, atom by atom
+
+
+def _phase(rate: float, n: Array) -> Array:
+    """exp(-2 pi i rate n) for integer-valued n, its turns rate * n reduced mod 1 exactly: rate
+    is split into pieces short enough that each piece times every |n| is exact in 53 bits."""
+    bits = 53 - int(np.max(np.abs(n), initial=1.0)).bit_length()
+    turns = np.zeros(np.shape(n))
+    while rate:
+        exponent = math.frexp(rate)[1]
+        piece = math.ldexp(math.trunc(math.ldexp(rate, bits - exponent)), exponent - bits)
+        turns += np.fmod(piece * n, 1.0)
+        rate -= piece
+    return np.exp(-2j * math.pi * turns)
+
+
+def _measure_at(d: MixedDistribution, xi) -> Array:
+    """d's transform, sum dv f_j exp(-i xi v_j) plus its atoms, exactly at targets xi = x0 + kh.
+
+    With v = n dv the phase is a n + 2c kn turns (a = x0 dv / 2pi, c = h dv / 4pi); Bluestein's
+    2kn = k^2 + n^2 - (k - n)^2 makes the sum over the N nodes one FFT convolution of length
+    >= N + M - 1 (the chirp-z transform).  Targets off an arithmetic progression, or beyond the band where
+    the sum is periodic and would alias, raise ResampleError.
+    """
+    grid, z = d.grid, np.asarray(xi, dtype=float).ravel()
+    k, peak = np.arange(z.size, dtype=float), np.max(np.abs(z))
+    step = (z[-1] - z[0]) / max(z.size - 1, 1)
+    if not np.all(np.abs(z - (z[0] + step * k)) <= 8.0 * np.spacing(peak)):  # NaN fails too
+        raise ResampleError("off-grid targets must form an arithmetic progression")
+    if peak > grid.nyquist * (1.0 + 1e-12):
+        raise ResampleError("requested frequency outside the sampled band")
+    f, n0 = d.density, -(grid.points // 2)
+    n, lags = n0 + np.arange(f.size, dtype=float), np.arange(1 - f.size, z.size)  # lags: k - j
+    a, c = z[0] * grid.dv / (2.0 * math.pi), step * grid.dv / (4.0 * math.pi)
+    chirp = np.zeros(1 << (f.size + z.size - 2).bit_length(), dtype=complex)
+    chirp[lags] = np.conj(_phase(c, (lags - n0) ** 2.0))
+    conv = np.fft.ifft(np.fft.fft(f * _phase(a, n) * _phase(c, n * n), chirp.size) * np.fft.fft(chirp))
+    return _add_atoms(grid.dv * _phase(c, k * k) * conv[:z.size], d.atoms, z).reshape(np.shape(xi))
 
 
 def _hermitian_defect(values: Array) -> float:
@@ -354,40 +382,10 @@ def regularized_solution(f: SpectralField, kernel: BackgroundKernel, t: float) -
 # dilation (frequency-side rescaling)
 # ----------------------------------------------------------------------
 
-def _band_limited_eval(f: SpectralField, targets: Array) -> Array:
-    """Evaluate a sampled transform off-grid by zero-padded FFT refinement.
-
-    The density behind the field is supported in [-L/2, L/2), so the
-    transform is band-limited; padding the physical support with zeros
-    yields exact samples at spacing dxi/BAND_REFINE (``SpectralField._refined``,
-    built once per field), and a local cubic fill-in covers arbitrary targets.
-    """
-    grid = f.grid
-    if np.any(np.abs(targets) > grid.nyquist * (1.0 + 1e-12)):
-        raise ResampleError("requested frequency outside the sampled band")
-    m, fine_dxi = grid.points * BAND_REFINE, grid.dxi / BAND_REFINE
-    fine_vals, fine_xi0 = f._refined, -fine_dxi * (m // 2)
-    # cubic Lagrange on the 4 refined samples around each target
-    pos = (targets - fine_xi0) / fine_dxi
-    i1 = np.clip(np.floor(pos).astype(int), 1, m - 3)
-    s = pos - i1
-    ym1, y0, y1, y2 = (fine_vals[i1 - 1], fine_vals[i1], fine_vals[i1 + 1], fine_vals[i1 + 2])
-    return (
-        ym1 * (-s * (s - 1.0) * (s - 2.0) / 6.0)
-        + y0 * ((s + 1.0) * (s - 1.0) * (s - 2.0) / 2.0)
-        + y1 * (-(s + 1.0) * s * (s - 2.0) / 2.0)
-        + y2 * ((s + 1.0) * s * (s - 1.0) / 6.0)
-    )
-
-
 def dilate(f: SpectralField, factor: float) -> SpectralField:
-    """Pure dilation of the frequency argument: result(xi) = f(factor * xi).
-
-    Evaluated through ``SpectralField.at``: exact when the field carries an
-    analytic evaluator, band-limited refinement otherwise, where a factor
-    above 1 would need samples beyond the stored band and raises
-    ResampleError.
-    """
+    """Pure dilation of the frequency argument, result(xi) = f(factor * xi), exact through
+    ``SpectralField.at``.  ResampleError when f has no closure, or is sampled data and the
+    factor is above 1, beyond the stored band."""
     if factor < 0:
         raise InvalidParameterError("dilation factor must be nonnegative")
     return field_from_symbol(f.grid, lambda z: f.at(factor * np.asarray(z)))
@@ -444,9 +442,7 @@ def load_distribution(path: str) -> MixedDistribution:
     length, density = float(values[0]), values[1:1 + points]
     atoms = [(float(loc), float(w)) for loc, w in values[1 + points:].reshape(-1, 2)]
     if points == 0:
-        # atoms-only file: rebuild a minimal grid containing all atoms
-        grid = GridSpec(length=length, points=16)
-        density = np.zeros(16)
-    else:
-        grid = GridSpec(length, points)
-    return MixedDistribution(grid=grid, density=density, atoms=tuple(atoms))
+        # atoms-only file: a zero density on the default grid; the atoms are exact off the
+        # grid, and its N sets how finely the moments of the propagated density resolve
+        density = np.zeros(DEFAULT_GRID_N)
+    return MixedDistribution(grid=GridSpec(length, density.size), density=density, atoms=tuple(atoms))

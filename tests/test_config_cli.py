@@ -489,6 +489,21 @@ class TestCli:
             value, _, length = (float(x) for x in row.split(",")[4:7])
             assert math.isfinite(value) and length == grid_l
 
+    def test_atoms_only_file_runs_exactly(self, tmp_path):
+        # the N = 0 form: atoms at +-sqrt(2), weight 1/2, so m2 = 2 = 2 sigma^2; the
+        # self-similar metrics are finite and m2 moves exactly to 2 + 2 t
+        dist = tmp_path / "atoms.txt"
+        dist.write_text(f"40 0 2\n{-math.sqrt(2.0)!r} 0.5\n{math.sqrt(2.0)!r} 0.5\n")
+        cfg = tmp_path / "atoms.cfg"
+        cfg.write_text(f"kernel = rosenau\nepsilons = 0.2\ntimes = 0.5 2\n"
+                       f"initial = file:{dist}\nmetrics = d2_selfsim d2_gap mass m2\n")
+        assert main(["metrics", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        rows = [row.split(",") for row in
+                (tmp_path / "out" / "results.csv").read_text().splitlines()[1:]]
+        assert len(rows) == 8 and all(math.isfinite(float(row[4])) for row in rows)
+        m2 = {float(row[2]): float(row[4]) for row in rows if row[3] == "m2"}
+        assert m2 == {0.5: pytest.approx(3.0, rel=1e-9), 2.0: pytest.approx(6.0, rel=1e-9)}
+
     def test_file_initial_with_nan_exit_2(self, tmp_path, capsys):
         dist = tmp_path / "nan.txt"
         dist.write_text("10 16 0\n" + "0.1\n" * 15 + "nan\n")

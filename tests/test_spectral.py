@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,11 +32,12 @@ from rosenau.errors import (
     SymmetryError,
 )
 from rosenau.analysis import frame_scale
-from rosenau.spectral import (BAND_REFINE, EXP_UNDERFLOW, SYM_TOL, _exp, _hermitian_defect,
+from rosenau.spectral import (EXP_UNDERFLOW, SYM_TOL, _exp, _hermitian_defect,
                               field_from_symbol, mass_leak_estimate, require_grid_contains)
 from rosenau.wild import cd_wild_solution, wild_partial_sum
 
 from conftest import hermitian_defect_oracle, inverse_transform_oracle
+from test_acceptance import FIT_TIMES
 
 
 def bits(x):
@@ -383,44 +385,59 @@ class TestDilate:
     def test_analytic_and_resampled_paths_agree(self):
         g = GridSpec(80.0, 2048)
         analytic = gaussian_field(g, 1.3)
-        sampled = SpectralField(grid=g, values=analytic.values)  # drops the closure
+        sampled = forward_transform(inverse_transform(analytic))  # the chirp-z closure
         for factor in (0.35, 0.8, 1.0):
             a = dilate(analytic, factor)
             b = dilate(sampled, factor)
-            assert np.max(np.abs(a.values - b.values)) <= 1e-9
+            assert np.max(np.abs(a.values - b.values)) <= 1e-14
 
     def test_mass_invariant(self, gauss_unit):
         assert dilate(gauss_unit, 0.25).mass == pytest.approx(gauss_unit.mass, abs=1e-12)
 
-    def test_upsampling_rejected_without_closure(self):
+    @pytest.mark.parametrize("case", ["factor-1.5", "no-closure", "not-a-progression"])
+    def test_upsampling_rejected_without_closure(self, case):
         g = GridSpec(40.0, 256)
-        sampled = SpectralField(grid=g, values=gaussian_field(g, 1.0).values)
+        sampled = forward_transform(inverse_transform(gaussian_field(g, 1.0)))
         with pytest.raises(ResampleError):
-            dilate(sampled, 1.5)
+            if case == "factor-1.5":
+                dilate(sampled, 1.5)
+            elif case == "no-closure":
+                dilate(SpectralField(grid=g, values=sampled.values), 0.5)
+            else:
+                sampled.at(0.5 * g.xi() ** 2 / g.nyquist)
 
+    @pytest.fixture(scope="class")
+    def off_node_datum(self):
+        # a sampled rosenau t = 1 density plus an atom halfway between two grid nodes
+        g = GridSpec(40.0 * math.sqrt(11.0), 4096)
+        sol = rosenau_propagate(gaussian_field(g, 1.0), rosenau_kernel(0.1, 1.0), 1.0)
+        return MixedDistribution(g, inverse_transform(sol).density, ((3.5 * g.dv, 0.25),))
 
-    def test_refinement_built_once_per_field(self, monkeypatch):
-        # off-grid evaluation of a sampled field refines it to spacing dxi / BAND_REFINE
-        # on the first call only; every later call reuses the same refined samples
-        g = GridSpec(40.0, 256)
-        sampled = SpectralField(grid=g, values=gaussian_field(g, 1.0).values)
-        calls, fft = [], np.fft.fft
+    def test_file_datum_exact_off_the_grid(self, off_node_datum):
+        # the chirp-z closure against the direct sum sum_j dv f_j exp(-i xi v_j) + w exp(-i xi loc)
+        d = off_node_datum
+        g0, live = forward_transform(d), d.density != 0
+        v, f = d.grid.v()[live], d.density[live]
+        for t in (0.0, *FIT_TIMES):
+            z = frame_scale(t) * d.grid.xi()[:d.grid.points // 2 + 1]
+            every = np.r_[:z.size:8, z.size - 1]  # the direct sum on every 8th target and xi = 0
+            want = np.array([d.grid.dv * (np.exp(-1j * x * v) @ f) for x in z[every]])
+            want += 0.25 * np.exp(-1j * z[every] * 3.5 * d.grid.dv)
+            assert np.max(np.abs(g0.at(z)[every] - want)) <= 1e-13 * np.max(np.abs(want))
 
-        def counted_fft(a, *args, **kwargs):
-            calls.append(a.size)
-            return fft(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.fft, "fft", counted_fft)
-        first = [sampled.at(0.3 * g.xi()), dilate(sampled, 0.7).values]
-        again = [sampled.at(0.3 * g.xi()), dilate(sampled, 0.7).values]
-        assert calls == [BAND_REFINE * g.points]
-        assert all(np.array_equal(a, b) for a, b in zip(first, again))
-        # the refined samples: the density zero-padded to BAND_REFINE times its support
-        m = BAND_REFINE * g.points
-        padded = np.zeros(m, dtype=complex)
-        lo = (m - g.points) // 2
-        padded[lo:lo + g.points] = np.fft.ifftshift(np.fft.ifft(np.fft.fftshift(sampled.values)))
-        assert np.array_equal(sampled._refined, np.fft.fftshift(fft(np.fft.ifftshift(padded))))
+    def test_file_datum_evaluation_is_lean(self):
+        # one evaluation at N = 65536 stays below a 16N-sample refinement and caches nothing
+        g = GridSpec(40.0 * math.sqrt(11.0), 65536)
+        g0 = forward_transform(MixedDistribution(g, np.exp(-0.5 * g.v() ** 2), ((3.5 * g.dv, 0.25),)))
+        attrs, z = dict(vars(g0)), frame_scale(1.0) * g.xi()[:g.points // 2 + 1]
+        tracemalloc.start()
+        try:
+            g0.at(z)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+        assert vars(g0).keys() == attrs.keys()
 
     def test_at_keeps_the_closure_dtype(self, grid):
         # a preset's closure is real; fields built from it still hold complex samples
