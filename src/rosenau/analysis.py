@@ -55,33 +55,18 @@ def gaussian_initial(grid: GridSpec, second_moment: float = 1.0) -> SpectralFiel
     return gaussian_field(grid, second_moment)
 
 
-def solve_mixture_params(second_moment: float, fourth_moment: float) -> Tuple[float, float]:
-    """Centers +-a and width s of the two-Gaussian mixture matching (m2, m4).
-
-    The symmetric mixture (N(-a, s^2) + N(a, s^2))/2 has m2 = a^2 + s^2 and
-    m4 = 3 m2^2 - 2 a^4, so a^2 = sqrt((3 m2^2 - m4)/2) and s^2 = m2 - a^2.
-    Attainable targets satisfy m2^2 <= m4 <= 3 m2^2 (pure atoms to pure
-    Gaussian).
-    """
-    e = second_moment
-    if e <= 0:
-        raise InvalidParameterError("second moment must be positive")
-    if not (e**2 <= fourth_moment <= 3.0 * e**2):
-        raise InvalidParameterError(
-            f"fourth moment {fourth_moment:g} outside attainable [{e**2:g}, {3 * e**2:g}]"
-        )
-    a_sq = math.sqrt(0.5 * (3.0 * e**2 - fourth_moment))
-    s_sq = e - a_sq
-    return math.sqrt(a_sq), math.sqrt(max(s_sq, 0.0))
-
-
 def mixture_initial(grid: GridSpec, second_moment: float = 1.0) -> SpectralField:
-    """Symmetric two-Gaussian mixture, the non-Gaussian admissible datum.
+    """Symmetric two-Gaussian mixture (N(-a, s^2) + N(a, s^2))/2, the non-Gaussian
+    admissible datum.
 
-    Zero mean and odd moments by symmetry; second moment as requested;
-    fourth moment 2 m2^2, strictly between the atomic and Gaussian extremes.
+    Zero mean and odd moments by symmetry; m2 = a^2 + s^2 as requested and
+    m4 = 3 m2^2 - 2 a^4 = 2 m2^2, strictly between the atomic (m2^2) and Gaussian
+    (3 m2^2) extremes, which fixes a^2 = m2 / sqrt(2) and s^2 = m2 - a^2.
     """
-    a, s = solve_mixture_params(second_moment, 2.0 * second_moment**2)
+    if second_moment <= 0:
+        raise InvalidParameterError("second moment must be positive")
+    a_sq = math.sqrt(0.5) * second_moment
+    a, s = math.sqrt(a_sq), math.sqrt(second_moment - a_sq)
     s_var = s * s
 
     def fn(xi):

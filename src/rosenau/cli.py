@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import os
 import sys
 from contextlib import contextmanager
@@ -138,11 +139,13 @@ def _cmd_plot(args) -> int:
                               f"no column {' '.join(missing)}")
         for rec in reader:
             try:
+                num = {key: float(rec[key]) for key in ("epsilon", "t", "value", "argsup", "grid_L")}
+                if bad := [key for key, x in num.items() if not math.isfinite(x)]:
+                    raise ValueError(f"{bad[0]} must be finite, got {rec[bad[0]]}")
                 rows.append(Row(
-                    kernel=rec["kernel"], epsilon=float(rec["epsilon"]), t=float(rec["t"]),
-                    quantity=rec["quantity"], value=float(rec["value"]),
-                    argsup=float(rec["argsup"]),
-                    grid=GridSpec(float(rec["grid_L"]), int(rec["grid_N"]))))
+                    kernel=rec["kernel"], epsilon=num["epsilon"], t=num["t"],
+                    quantity=rec["quantity"], value=num["value"], argsup=num["argsup"],
+                    grid=GridSpec(num["grid_L"], int(rec["grid_N"]))))
             except ValueError as exc:  # also GridSpec's InvalidParameterError
                 raise ConfigError(f"--csv: {args.csv}: line {reader.line_num}: {exc}") from exc
     with _file_of("--out", args.out):

@@ -10,7 +10,10 @@ union of the two fields' live spans there (``HalfLine.live``): outside it both a
 On a grid the sup often sits at xi -> 0 where the ratio is noise-dominated, so the bins
 below 8 grid spacings are excluded from the raw scan and an extrapolated small-frequency
 limit (driven by the first mismatched moment) is taken into the reported maximum instead;
-its fits are skipped where the grid sup is sure to win.
+its fits are skipped where the grid sup is sure to win.  Every field compared is the
+transform of a probability distribution (a preset datum, the Gaussian profile, ``file:``
+data written by ``simulate``, or one of these propagated), so |fhat| <= fhat(0) = 1 and
+the noise floor on |f1hat - f2hat| is absolute.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from .spectral import GridSpec, MixedDistribution, SpectralField, _live, gaussia
 
 # bins below this multiple of dxi are handled by extrapolation, not raw ratio
 SMALL_XI_BINS = 8
-# |delta| below this (relative to the field scale) is roundoff, not signal
+# |delta| below this is roundoff, not signal: every field is a probability transform, |f| <= 1
 NOISE_FLOOR = 1e-13
 
 
@@ -39,7 +42,7 @@ class MetricReport(NamedTuple):
     argsup: float
 
 
-def _small_xi_part(x: np.ndarray, delta: np.ndarray, s: float, scale: float,
+def _small_xi_part(x: np.ndarray, delta: np.ndarray, s: float,
                    grid_sup: float = -math.inf) -> float:
     """Supremum contribution of the bins below the cutoff, including xi -> 0.
 
@@ -53,7 +56,7 @@ def _small_xi_part(x: np.ndarray, delta: np.ndarray, s: float, scale: float,
     divergence can be raised the fits are skipped and raw_sup, which the grid
     sup beats, is returned.
     """
-    good = delta > NOISE_FLOOR * scale
+    good = delta > NOISE_FLOOR
     if np.count_nonzero(good) < 6:
         return 0.0
     xg, dg = x[good], delta[good]
@@ -135,7 +138,9 @@ def _half_live(f: SpectralField | HalfLine, half: int) -> slice:
 def ds_distance(f1: SpectralField | HalfLine, f2: SpectralField | HalfLine, s: float) -> MetricReport:
     """Fourier distance of order s of two fields on one grid, the sup taken over xi <= 0, since
     |f1hat - f2hat| is even for real measures: the first N/2 + 1 values of each field.  Both
-    fields are zero outside the union of their live spans, so the scan covers that alone."""
+    fields are zero outside the union of their live spans, so the scan covers that alone.
+    Both must be transforms of probability distributions, |fhat| <= fhat(0) = 1: the
+    ``NOISE_FLOOR`` of the small-xi limit is absolute."""
     if not 0.0 < s < math.inf:
         raise InvalidParameterError(f"order s must be positive and finite, got {s}")
     if f1.grid != f2.grid:
@@ -148,7 +153,6 @@ def ds_distance(f1: SpectralField | HalfLine, f2: SpectralField | HalfLine, s: f
     if not pow_outer[-1] > 0.0:  # |xi|^s underflows: the full scan's 0 / 0 is a NaN to keep
         lo, hi = 0, max(hi, n_outer)
     v1, v2 = f1.values[lo:hi], f2.values[lo:hi]
-    scale = max(1.0, float(np.max(np.abs(v1), initial=0.0)), float(np.max(np.abs(v2), initial=0.0)))
 
     top = max(min(hi, n_outer), lo)
     ratio = np.abs(v1[:top - lo] - v2[:top - lo]) / pow_outer[lo:top]
@@ -157,7 +161,7 @@ def ds_distance(f1: SpectralField | HalfLine, f2: SpectralField | HalfLine, s: f
     # the ratio is 0 outside the span: where it is 0 throughout, the full scan's argmax is bin 0
     argsup = float(abs_outer[lo + k]) if grid_sup != 0.0 else float(abs_outer[0])
     delta_inner = np.abs(f1.values[inner] - f2.values[inner])
-    limit = _small_xi_part(abs_inner, delta_inner, s, scale, grid_sup)
+    limit = _small_xi_part(abs_inner, delta_inner, s, grid_sup)
     return MetricReport(limit, 0.0) if limit > grid_sup else MetricReport(grid_sup, argsup)
 
 

@@ -177,11 +177,10 @@ def full_grid_ds_distance(f1, f2, s):
     outer = absxi >= cutoff
     inner = (absxi > 0.5 * grid.dxi) & (absxi < cutoff)
     delta = np.abs(f1.values - f2.values)
-    scale = max(1.0, float(np.max(np.abs(f1.values))), float(np.max(np.abs(f2.values))))
     ratio = delta[outer] / absxi[outer] ** s
     k = int(np.argmax(ratio))
     grid_sup = float(ratio[k])
-    limit = _small_xi_part(absxi[inner], delta[inner], s, scale)
+    limit = _small_xi_part(absxi[inner], delta[inner], s)
     value, argsup = (limit, 0.0) if limit > grid_sup else (grid_sup, float(absxi[outer][k]))
     return MetricReport(value, argsup)
 

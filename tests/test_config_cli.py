@@ -602,7 +602,11 @@ class TestCli:
          "line 2: could not convert string to float: 'abc'"),
         (CSV_HEADER + "\nrosenau,0.1,1,mass,1,0,40,100\n",
          "line 2: grid points must be a power of two"),
-    ], ids=["missing", "columns", "value", "grid_N"])
+        (CSV_HEADER + "\nrosenau,0.1,1,d2_selfsim,inf,0,40,4096\n",
+         "line 2: value must be finite, got inf"),
+        (CSV_HEADER + "\nrosenau,nan,1,d2_selfsim,0.5,0,40,4096\n",
+         "line 2: epsilon must be finite, got nan"),
+    ], ids=["missing", "columns", "value", "grid_N", "value-inf", "epsilon-nan"])
     def test_plot_bad_csv_exit_2(self, tmp_path, capsys, text, message):
         csv_path = tmp_path / "results.csv"
         if text is not None:
