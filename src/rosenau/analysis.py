@@ -9,6 +9,7 @@ over sweeps, and measured decay series are summarized by log-log rate fits.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field as dataclass_field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -327,6 +328,16 @@ APPENDIX_T_MAX = 1e200
 _GL_NODES = 16
 
 
+@functools.lru_cache(maxsize=1)
+def _gauss_legendre() -> Tuple[np.ndarray, np.ndarray]:
+    """The _GL_NODES-point Gauss-Legendre rule on [-1, 1], read-only.  Built on first
+    use: numpy.polynomial is imported lazily and a run without the appendix skips it."""
+    rule = np.polynomial.legendre.leggauss(_GL_NODES)
+    for arr in rule:
+        arr.flags.writeable = False
+    return rule
+
+
 @dataclass(frozen=True)
 class AppendixReport:
     s: float
@@ -353,7 +364,7 @@ def _i_s_integral(s: float, t: float, panels: int) -> Tuple[float, float]:
         [0.0],
         np.geomspace(lo, _APPENDIX_XI_MAX, panels),
     ))
-    nodes, weights = np.polynomial.legendre.leggauss(_GL_NODES)
+    nodes, weights = _gauss_legendre()
     a = breaks[:-1][:, None]
     b = breaks[1:][:, None]
     x = 0.5 * (b - a) * nodes[None, :] + 0.5 * (b + a)

@@ -218,3 +218,14 @@ def rescaled_oracle(point, mult):
     """Values of ``SweepPoint.rescaled(mult)`` with the multiplier evaluated on the whole
     half line: the full-evaluation body that live-span multiplication replaced."""
     return point.datum * np.asarray(mult(point.z))
+
+
+def window_sum_oracle(g0, kernel, weights, lowest):
+    """Values of ``wild._window_sum`` with the Horner loop run on every grid node: the
+    full-grid body that the live-span loop replaced."""
+    mhat = np.asarray(kernel.symbol(g0.grid.xi()), dtype=float)
+    acc = np.full(mhat.shape, weights[-1] if weights.size else 0.0)
+    for w in weights[-2::-1]:
+        acc *= mhat
+        acc += w
+    return acc * mhat**lowest * g0.values

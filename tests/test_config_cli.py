@@ -862,17 +862,19 @@ class TestBenchmarkHooks:
 class TestImportFootprint:
     def test_no_scipy_loaded(self, tmp_path):
         # a fresh interpreter: importing rosenau, a shipped-config metrics run
-        # and the appendix table must all leave scipy unloaded
+        # and the appendix table must all leave scipy unloaded, and only the
+        # appendix may load numpy.polynomial (its Gauss-Legendre rule is built
+        # on first use)
         script = (
             "import sys\n"
             "def scipy_mods():\n"
             "    return sorted(k for k in sys.modules if k.split('.')[0] == 'scipy')\n"
             "import rosenau\n"
-            "print('import', scipy_mods())\n"
+            "print('import', scipy_mods(), 'numpy.polynomial' in sys.modules)\n"
             "from rosenau.cli import main\n"
             f"assert main(['metrics', '--config', {os.path.join(CONFIG_DIR, 'minimal.cfg')!r}, "
             f"'--out', {str(tmp_path)!r}]) == 0\n"
-            "print('metrics', scipy_mods())\n"
+            "print('metrics', scipy_mods(), 'numpy.polynomial' in sys.modules)\n"
             "assert main(['appendix']) == 0\n"
             "print('appendix', scipy_mods())\n"
         )
@@ -882,4 +884,4 @@ class TestImportFootprint:
         assert proc.returncode == 0, proc.stderr
         stages = [line for line in proc.stdout.splitlines()
                   if line.split(" ")[0] in ("import", "metrics", "appendix")]
-        assert stages == ["import []", "metrics []", "appendix []"]
+        assert stages == ["import [] False", "metrics [] False", "appendix []"]

@@ -8,8 +8,10 @@ from rosenau import (
     MixedDistribution,
     bernoulli_kernel,
     cd_wild_solution,
+    default_grid,
     forward_transform,
     gaussian_field,
+    initial_by_name,
     rosenau_kernel,
     rosenau_propagate,
     truncation_order,
@@ -18,9 +20,9 @@ from rosenau import (
 )
 from rosenau.errors import InvalidParameterError, UnsupportedKernelError
 from rosenau.kernels import generator_symbol
-from rosenau.wild import WILD_TOL, WildTruncation, poisson_tail
+from rosenau.wild import WILD_TOL, WildTruncation, _poisson_tails, poisson_tail
 
-from conftest import binomial_atoms
+from conftest import binomial_atoms, window_sum_oracle
 
 
 def brute_poisson_tail(mu, n, extra=400):
@@ -197,7 +199,8 @@ class TestCdWildSolution:
         assert max(abs(loc) for loc, _ in d.atoms) < grid.length / 2
         f = forward_transform(MixedDistribution(grid, np.zeros(grid.points), d.atoms))
         exact = np.exp(-generator_symbol(k, grid.xi()) * t)
-        assert np.max(np.abs(f.values - exact)) <= 1e-13
+        # the transform misses at most the mass the cut discarded, plus rounding
+        assert np.max(np.abs(f.values - exact)) <= (1.0 - d.total_mass) + 1e-14
 
     @pytest.mark.parametrize("mu", [0.3, 7.0, 50.0, 200.0])
     def test_matches_binomial_mixture(self, mu):
@@ -212,8 +215,22 @@ class TestCdWildSolution:
             for loc, w in binomial_atoms(k, n):
                 oracle[loc] = oracle.get(loc, 0.0) + p * w
         d = cd_wild_solution(k, t)
-        assert len(d.atoms) == 2 * truncation_order(mu, 1e-12) + 1
         assert max(abs(w - oracle[loc]) for loc, w in d.atoms) <= 1e-13
+        a = k.epsilon * k.sigma
+        edge = round(max(loc for loc, _ in d.atoms) / a)
+        assert len(d.atoms) == 2 * edge + 1
+
+        def mass(lo, hi=math.inf):
+            """oracle mass at lo < |m| <= hi, correctly rounded"""
+            return math.fsum(w for loc, w in oracle.items() if (lo + 0.5) * a < abs(loc) < (hi + 0.5) * a)
+
+        assert mass(edge) <= WILD_TOL
+        # the certificate: the sites up to N* = truncation_order(mu, WILD_TOL/2) that
+        # the window drops carry WILD_TOL/2 at most, and the window is the smallest so
+        n_star = truncation_order(mu, WILD_TOL / 2)
+        assert mass(edge, n_star) <= WILD_TOL / 2
+        if edge > 0:
+            assert mass(edge - 1, n_star) > WILD_TOL / 2
 
     @pytest.mark.parametrize("t", [24.75, 25.0, float(np.nextafter(25.0, 26.0))])
     def test_mass_within_certificate(self, t):
@@ -255,15 +272,18 @@ class TestScipyOracles:
         a = k.epsilon * k.sigma
         sites = np.array([round(loc / a) for loc, _ in d.atoms])
         weights = np.array([w for _, w in d.atoms])
-        n_star = truncation_order(mu, 1e-12)
         exact = ive(np.abs(sites), mu)
         assert np.max(np.abs(weights - exact)) <= 1e-14
         # relative accuracy down to the far tail, where the recurrence starts
         far = exact >= 1e-290
         assert np.max(np.abs(weights[far] / exact[far] - 1.0)) <= 1e-11
-        # every site whose weight is well inside the normal range is kept
-        normal = np.flatnonzero(ive(np.arange(n_star + 1), mu) >= 1e-300)
-        assert set(normal.tolist()) <= set(np.abs(sites).tolist())
+        # the window is symmetric and the sites it drops, out to N* + 64, carry
+        # at most WILD_TOL by a correctly rounded sum
+        edge = int(np.max(sites))
+        assert np.array_equal(sites, np.arange(-edge, edge + 1))
+        dropped = ive(np.arange(edge + 1, truncation_order(mu, WILD_TOL / 2) + 65), mu)
+        assert 1.0 - WILD_TOL <= d.total_mass
+        assert 2.0 * math.fsum(dropped) <= WILD_TOL
 
     @pytest.mark.parametrize("mu", [200.0, 792.0, 1980.0, 4950.0, 5000.0, 20000.0])
     def test_poisson_tail_matches_gammainc(self, mu):
@@ -308,3 +328,40 @@ class TestScipyOracles:
         exact = np.exp(-mu * k.one_minus_symbol(grid.xi())) * gauss_unit.values
         bound = res.truncation.tail_mass * np.max(np.abs(gauss_unit.values)) + 8 * mu * 2.0**-53
         assert np.max(np.abs(res.field.values - exact)) <= bound
+
+    @pytest.mark.parametrize("mu", [5000.0, 2e4, 9.9e4])
+    def test_window_sum_matches_propagator_on_default_grid(self, mu):
+        # the rounding of Mhat, not the cut, carries the excess over tail_mass here: the
+        # propagator is within 2e-16 of a long-double exp(-mu (1 - Mhat)) g0hat, and the
+        # Wild sum within tail_mass of the one built from the double-rounded Mhat
+        k = rosenau_kernel(0.1, 1.0)
+        t = mu * k.epsilon**2 / k.lam
+        g0 = gaussian_field(default_grid(1.0, t, n=4096, m2=1.0), 1.0)
+        res = wild_solution(g0, k, t)
+        assert not res.delegated
+        exact = rosenau_propagate(g0, k, t).values
+        bound = res.truncation.tail_mass * np.max(np.abs(g0.values)) + 8 * mu * 2.0**-53
+        assert np.max(np.abs(res.field.values - exact)) <= bound
+
+
+class TestLiveSpanHorner:
+    """The Horner loop on the live span of Mhat^n_lo g0hat returns, bit for bit, what
+    the loop over every node returns (conftest.window_sum_oracle)."""
+
+    @pytest.mark.parametrize("family", ["rosenau", "central-diff"])
+    @pytest.mark.parametrize("mu", [0.3, 7.0, 200.0, 5000.0, 2e4, 9.9e4])
+    @pytest.mark.parametrize("initial", ["gaussian-unit", "mixture-unit"])
+    @pytest.mark.parametrize("points", [256, 4096])
+    def test_bitwise_full_grid(self, family, mu, initial, points):
+        k = (rosenau_kernel if family == "rosenau" else bernoulli_kernel)(0.1, 1.0)
+        t = mu * k.epsilon**2 / k.lam
+        g0 = initial_by_name(initial, default_grid(1.0, t, n=points))
+        res = wild_solution(g0, k, t)
+        tr = res.truncation
+        lo, pmf, _, _ = _poisson_tails(tr.mu)
+        expected = window_sum_oracle(g0, k, pmf[tr.lowest - lo:tr.terms + 1 - lo], tr.lowest)
+        # every bit, the sign of each zero included
+        assert res.field.values.tobytes() == expected.tobytes()
+        n = max(int(mu), 3)
+        expected = window_sum_oracle(g0, k, pmf[:max(n + 1 - lo, 0)], lo)
+        assert np.array_equal(wild_partial_sum(g0, k, t, n).values, expected)
