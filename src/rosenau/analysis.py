@@ -131,31 +131,31 @@ class BoundCheck:
 
 
 def _decay_checks(check: str, kernel: Optional[BackgroundKernel], g0: SpectralField,
-                  sigma_sq: float, times: Sequence[float], lhs: Optional[Sequence[float]],
+                  sigma_sq: float, times: Sequence[float], value: Optional[Callable[[float], float]],
                   rhs: Callable[[float, float], float], label: str,
-                  params: Dict[str, float], shared: Optional[dict]) -> List[BoundCheck]:
-    """lhs = the check's metric (``CHECKS``) at each time, given or read from a SweepPoint,
-    against rhs(d0, t), d0 the same metric at t = 0 on a point whose t-keyed memo is ``shared``."""
+                  params: Dict[str, float]) -> List[BoundCheck]:
+    """lhs = value(t), the check's metric (``CHECKS``) at each time, against rhs(d0, t),
+    d0 = value(0); by default value reads the metric off a fresh SweepPoint."""
     metric = CHECKS[check][0]
-    d0 = getattr(SweepPoint(kernel, g0, sigma_sq, 0.0, shared), metric).value
-    read = (getattr(SweepPoint(kernel, g0, sigma_sq, t), metric).value for t in times)
-    return [BoundCheck(name=f"{label} t={t:g}", lhs=value, rhs=rhs(d0, t), params={**params, "t": t})
-            for t, value in zip(times, read if lhs is None else lhs)]
+    read = value or (lambda t: getattr(SweepPoint(kernel, g0, sigma_sq, t), metric).value)
+    d0 = read(0.0)
+    return [BoundCheck(name=f"{label} t={t:g}", lhs=read(t), rhs=rhs(d0, t), params={**params, "t": t})
+            for t in times]
 
 
 def exact_decay_check(g0: SpectralField, sigma_sq: float, times: Sequence[float],
-                      lhs: Optional[Sequence[float]] = None, shared: Optional[dict] = None) -> List[BoundCheck]:
+                      value: Optional[Callable[[float], float]] = None) -> List[BoundCheck]:
     """Self-similar decay of the heat flow: d_2 shrinks at least like (1+t)^-1."""
-    return _decay_checks("heat_decay", None, g0, sigma_sq, times, lhs,
+    return _decay_checks("heat_decay", None, g0, sigma_sq, times, value,
                          lambda d0, t: d0 / (1.0 + t), "heat-decay s=2",
-                         {"s": 2.0, "sigma_sq": sigma_sq}, shared)
+                         {"s": 2.0, "sigma_sq": sigma_sq})
 
 
 D2_CONSTANTS = {CENTRAL_DIFF: 1.5, ROSENAU: 0.5}
 
 
 def d2_bound_check(kernel: BackgroundKernel, g0: SpectralField, times: Sequence[float],
-                   lhs: Optional[Sequence[float]] = None, shared: Optional[dict] = None) -> List[BoundCheck]:
+                   value: Optional[Callable[[float], float]] = None) -> List[BoundCheck]:
     """Energy-level decay bound for the rescaled kinetic solution.
 
     rhs combines the exact-decay term (1+t)^-1 d2(g0, omega) with the
@@ -167,17 +167,17 @@ def d2_bound_check(kernel: BackgroundKernel, g0: SpectralField, times: Sequence[
         raise InvalidParameterError(f"no d2 bound constant for family {kernel.family!r}")
     c = math.sqrt(D2_CONSTANTS[kernel.family] * kernel.sigma_sq) * kernel.sigma
     eps = kernel.epsilon
-    return _decay_checks("d2_bound", kernel, g0, kernel.sigma_sq, times, lhs,
+    return _decay_checks("d2_bound", kernel, g0, kernel.sigma_sq, times, value,
                          lambda d0, t: d0 / (1.0 + t) + c * eps * math.sqrt(t) / (1.0 + t),
                          f"d2-bound {kernel.family} eps={eps:g}",
-                         {"eps": eps, "sigma": kernel.sigma}, shared)
+                         {"eps": eps, "sigma": kernel.sigma})
 
 
 D3_PREFACTOR = 13.0 * math.sqrt(2.0) / 24.0
 
 
 def d3_bound_check(kernel: BackgroundKernel, g0: SpectralField, times: Sequence[float],
-                   lhs: Optional[Sequence[float]] = None, shared: Optional[dict] = None) -> List[BoundCheck]:
+                   value: Optional[Callable[[float], float]] = None) -> List[BoundCheck]:
     """Fourth-moment-level decay bound with the B_eps^(3/4) suboptimal term.
 
     B_eps = 2 m4(M_eps)/eps^2 is the kernel's exact fourth moment (an atom
@@ -186,9 +186,9 @@ def d3_bound_check(kernel: BackgroundKernel, g0: SpectralField, times: Sequence[
     """
     b_eps = b_epsilon(kernel)
     return _decay_checks(
-        "d3_bound", kernel, g0, kernel.sigma_sq, times, lhs,
+        "d3_bound", kernel, g0, kernel.sigma_sq, times, value,
         lambda d0, t: d0 / (1.0 + t) ** 1.5 + D3_PREFACTOR * b_eps**0.75 * (math.sqrt(t) / (1.0 + t)) ** 1.5,
-        f"d3-bound {kernel.family} eps={kernel.epsilon:g}", {"eps": kernel.epsilon, "b_eps": b_eps}, shared)
+        f"d3-bound {kernel.family} eps={kernel.epsilon:g}", {"eps": kernel.epsilon, "b_eps": b_eps})
 
 
 # ----------------------------------------------------------------------
@@ -309,12 +309,12 @@ REGULARIZED_FAMILIES = (ROSENAU,)
 REGULARIZED_METRICS = ("l1_reg_gap", "entropy_reg")
 
 # check name -> (the metric that is its lhs, and at t = 0 its d0; checks of (kernel, g0, times,
-# lhs values, t = 0 memo)); a check whose metric is keyed by t alone runs once, at the first eps
+# reader of that metric at t)); a check whose metric is keyed by t alone runs once, at the first eps
 CHECKS: Dict[str, Tuple[str, Callable[..., List[BoundCheck]]]] = {
     "d2_bound": ("d2_selfsim", lambda *args: d2_bound_check(*args)),
     "d3_bound": ("d3_selfsim", lambda *args: d3_bound_check(*args)),
-    "heat_decay": ("d2_selfsim_heat", lambda kernel, g0, times, lhs, shared: exact_decay_check(
-        g0, kernel.sigma_sq, times, lhs, shared)),
+    "heat_decay": ("d2_selfsim_heat", lambda kernel, g0, times, value: exact_decay_check(
+        g0, kernel.sigma_sq, times, value)),
 }
 
 

@@ -40,10 +40,9 @@ def _add_common(p: argparse.ArgumentParser, threads: bool = True,
     p.add_argument("--config", required=True, help="experiment config file")
     if threads:
         p.add_argument("--threads", type=_checked(int, lambda v: v >= 0, "0 (auto) or positive"),
-                       default=0, help="worker threads, 0 = auto, 1 = serial")
+                       default=1, help="worker threads, 1 = serial (default), 0 = one per core")
     if writes:
         p.add_argument("--out", default=None, help="output directory (overrides config)")
-        p.add_argument("--verbose", action="store_true", help="print what was written")
     return p
 
 
@@ -151,6 +150,10 @@ def _cmd_plot(args) -> int:
     with _file_of("--out", args.out):
         os.makedirs(args.out, exist_ok=True)
         paths = write_plots(rows, args.out).values()
+    return _report(paths)
+
+
+def _report(paths) -> int:
     for path in paths:
         print(f"wrote {path}")
     return 0
@@ -166,8 +169,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         if args.command == "simulate":
             cfg = _load(args)
             with _file_of("--out" if args.out else "out", args.out or cfg.out):
-                simulate(cfg, out_dir=args.out, verbose=args.verbose)
-            return 0
+                paths = simulate(cfg, out_dir=args.out)
+            return _report(paths)
         if args.command in ("metrics", "check"):
             cfg = _load(args)
             key, other = ("metrics", "checks") if args.command == "metrics" else ("checks", "metrics")
@@ -176,8 +179,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                                   f"`{key} = ...` line")
             setattr(cfg, other, [])
             with _file_of("--out" if args.out else "out", args.out or cfg.out):
-                run(cfg, out_dir=args.out, threads=args.threads, verbose=args.verbose)
-            return 0
+                paths = run(cfg, out_dir=args.out, threads=args.threads).values()
+            return _report(paths)
         if args.command == "rates":
             return _cmd_rates(args)
         if args.command == "appendix":

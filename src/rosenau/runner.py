@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -127,48 +126,52 @@ def _point_rows(cfg: ExperimentConfig, point: analysis.SweepPoint, eps: float,
 def _sweep(cfg: ExperimentConfig, threads: int) -> Tuple[List[Row], List[analysis.BoundCheck]]:
     """The metric rows, sorted by (epsilon, t, quantity), and the bound checks of
     the sweep, from one setup and one walk.  The walk computes the metrics and
-    every check's lhs metric; each check reads its lhs off those rows.  The sweep
+    every check's lhs metric, and with checks also walks t = 0 for those lhs
+    metrics alone; each check reads its lhs and its d0 off the walk.  The sweep
     points of one time share its t-keyed fields; the pool maps over times, at
     most one worker per time, so no memo is shared between threads."""
     kernels, g0 = _setup(cfg)
     times, names = sorted(cfg.times), sorted(cfg.checks)
-    quantities = sorted({*cfg.metrics, *(analysis.CHECKS[n][0] for n in names)})
+    checked = sorted({analysis.CHECKS[n][0] for n in names})
+    quantities = sorted({*cfg.metrics, *checked})
+    walk = [0.0, *times] if names else times  # t = 0, never a config time, gives each d0
 
     def work(t):
         shared: dict = {}
         return [r for eps, k in kernels.items() for r in _point_rows(
-            cfg, analysis.SweepPoint(k, g0, k.sigma_sq, t, shared), eps, quantities)]
+            cfg, analysis.SweepPoint(k, g0, k.sigma_sq, t, shared), eps, quantities if t > 0 else checked)]
 
-    if threads == 1 or len(times) == 1:
-        chunks = [work(t) for t in times]
+    if threads == 1 or len(walk) == 1:
+        chunks = [work(t) for t in walk]
     else:
-        workers = min(threads if threads > 0 else os.cpu_count() or 1, len(times))
+        from concurrent.futures import ThreadPoolExecutor
+
+        workers = min(threads if threads > 0 else os.cpu_count() or 1, len(walk))
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(work, times))
+            chunks = list(pool.map(work, walk))
     rows = sorted((r for chunk in chunks for r in chunk),
                   key=lambda r: (r.epsilon, r.t, r.quantity))
-    lhs = {(r.epsilon, r.t, r.quantity): r.value for r in rows}
+    values = {(r.epsilon, r.t, r.quantity): r.value for r in rows}
     # a check whose metric is keyed by t alone gives one result for every eps: run it once
     once = [n for n in names if analysis.REGISTRY[analysis.CHECKS[n][0]][0]]
     jobs = [(eps, n) for eps in sorted(cfg.epsilons) for n in names if n not in once]
     jobs += [(cfg.epsilons[0], n) for n in once]
     checks: List[analysis.BoundCheck] = []
-    zero: dict = {}  # one t = 0 memo: every check's d0 reads the same datum at t = 0
     for eps, name in jobs:
         metric, build = analysis.CHECKS[name]
         with _sweep_point(cfg, eps, times):
-            checks.extend(build(kernels[eps], g0, times, [lhs[eps, t, metric] for t in times], zero))
-    return [r for r in rows if r.quantity in cfg.metrics], checks
+            checks.extend(build(kernels[eps], g0, times, lambda t: values[eps, t, metric]))
+    return [r for r in rows if r.t > 0 and r.quantity in cfg.metrics], checks
 
 
-def compute_rows(cfg: ExperimentConfig, threads: int = 0) -> List[Row]:
+def compute_rows(cfg: ExperimentConfig, threads: int = 1) -> List[Row]:
     """All metric rows of the sweep, sorted by (epsilon, t, quantity)."""
     return _sweep(replace(cfg, checks=[]), threads)[0]
 
 
-def compute_checks(cfg: ExperimentConfig, threads: int = 1) -> List[analysis.BoundCheck]:
-    """All requested bound checks in deterministic order, each lhs the row of its metric."""
-    return _sweep(replace(cfg, metrics=[]), threads)[1]
+def compute_checks(cfg: ExperimentConfig) -> List[analysis.BoundCheck]:
+    """All requested bound checks in deterministic order, each lhs and d0 read off the walk."""
+    return _sweep(replace(cfg, metrics=[]), 1)[1]
 
 
 def write_csv(rows: Sequence[Row], path: str) -> None:
@@ -191,8 +194,7 @@ def write_checks(checks: Sequence[analysis.BoundCheck], path: str) -> None:
             }, sort_keys=True) + "\n")
 
 
-def run(cfg: ExperimentConfig, out_dir: Optional[str] = None, threads: int = 0,
-        verbose: bool = False) -> Dict[str, str]:
+def run(cfg: ExperimentConfig, out_dir: Optional[str] = None, threads: int = 1) -> Dict[str, str]:
     """Execute a config: results.csv, checks.jsonl, one SVG per plotted quantity."""
     from .svg import write_plots
 
@@ -205,8 +207,6 @@ def run(cfg: ExperimentConfig, out_dir: Optional[str] = None, threads: int = 0,
         csv_path = os.path.join(out, "results.csv")
         write_csv(rows, csv_path)
         artifacts["results"] = csv_path
-        if verbose:
-            print(f"wrote {len(rows)} rows to {csv_path}")
         artifacts.update((f"plot:{q}", path) for q, path in write_plots(rows, out).items())
 
     if cfg.checks:
@@ -214,16 +214,13 @@ def run(cfg: ExperimentConfig, out_dir: Optional[str] = None, threads: int = 0,
         write_checks(checks, jsonl_path)
         artifacts["checks"] = jsonl_path
         bad = [c for c in checks if not c.satisfied]
-        if verbose:
-            print(f"wrote {len(checks)} checks to {jsonl_path} ({len(bad)} unsatisfied)")
         if bad:
             raise RunError(f"{len(bad)} of {len(checks)} bound checks unsatisfied; "
                            f"first: {bad[0].name} lhs={bad[0].lhs:g} rhs={bad[0].rhs:g}")
     return artifacts
 
 
-def simulate(cfg: ExperimentConfig, out_dir: Optional[str] = None,
-             verbose: bool = False) -> List[str]:
+def simulate(cfg: ExperimentConfig, out_dir: Optional[str] = None) -> List[str]:
     """Solve the kinetic equation at every sweep point and dump distributions."""
     out = out_dir or cfg.out
     os.makedirs(out, exist_ok=True)
@@ -236,6 +233,4 @@ def simulate(cfg: ExperimentConfig, out_dir: Optional[str] = None,
             path = os.path.join(out, f"dist_{cfg.kernel.replace(':', '_')}_eps{eps:g}_t{t:g}.txt")
             save_distribution(dist, path)
             written.append(path)
-            if verbose:
-                print(f"wrote {path}")
     return written

@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import hashlib
 import json
@@ -195,12 +196,13 @@ class TestRunner:
         serial = [r.csv() for r in compute_rows(cfg, threads=1)]
         started = []
 
-        class Pool(runner.ThreadPoolExecutor):
+        class Pool(concurrent.futures.ThreadPoolExecutor):
             def __init__(self, max_workers):
                 started.append(max_workers)
                 super().__init__(max_workers=max_workers)
 
-        monkeypatch.setattr(runner, "ThreadPoolExecutor", Pool)
+        # the runner imports the pool when it starts one
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Pool)
         for threads in (2, 4, 64):
             assert [r.csv() for r in compute_rows(cfg, threads=threads)] == serial
         # the pool maps over times: never more workers than the config has times
@@ -693,12 +695,13 @@ class TestCli:
     def test_check_uses_threads(self, tmp_path, monkeypatch, threads):
         started = []
 
-        class Pool(runner.ThreadPoolExecutor):
+        class Pool(concurrent.futures.ThreadPoolExecutor):
             def __init__(self, max_workers):
                 started.append(max_workers)
                 super().__init__(max_workers=max_workers)
 
-        monkeypatch.setattr(runner, "ThreadPoolExecutor", Pool)
+        # the runner imports the pool when it starts one
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Pool)
         cfg = os.path.join(CONFIG_DIR, "decay_sweep.cfg")
         assert main(["check", "--config", cfg, "--out", str(tmp_path), "--threads", str(threads)]) == 0
         assert started == [threads]
@@ -715,6 +718,22 @@ class TestCli:
         assert exc.value.code == 2
         assert "--threads" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command,config", [("metrics", "decay_sweep"),
+                                                ("check", "decay_sweep"), ("simulate", "minimal")])
+    def test_prints_one_line_per_file_written(self, tmp_path, capsys, command, config):
+        # the report is the default: one `wrote <path>` line per file, and no --verbose
+        path = os.path.join(CONFIG_DIR, f"{config}.cfg")
+        out = tmp_path / "out"
+        assert main([command, "--config", path, "--out", str(out)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert sorted(lines) == sorted(f"wrote {p}" for p in out.iterdir())
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", path, "--out", str(tmp_path / "v"), "--verbose"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "unrecognized arguments: --verbose" in captured.err and captured.out == ""
+        assert not (tmp_path / "v").exists()
 
     @pytest.mark.parametrize("flag", ["--out", "--verbose"])
     def test_rates_rejects_out_and_verbose(self, tmp_path, capsys, flag):
@@ -860,6 +879,32 @@ class TestBenchmarkHooks:
 
 
 class TestImportFootprint:
+    def test_pool_loads_only_on_request(self, tmp_path):
+        # a fresh interpreter: a default run walks serially and leaves concurrent.futures,
+        # and the logging it imports, unloaded; --threads 2 starts the pool and loads both
+        minimal = os.path.join(CONFIG_DIR, "minimal.cfg")
+        script = (
+            "import sys\n"
+            "def pool_mods():\n"
+            "    return [m in sys.modules for m in ('concurrent.futures', 'logging')]\n"
+            "from rosenau.cli import main\n"
+            "print('import', pool_mods())\n"
+            f"assert main(['metrics', '--config', {minimal!r}, '--out', {str(tmp_path / 'a')!r}]) == 0\n"
+            "print('serial', pool_mods())\n"
+            f"assert main(['metrics', '--config', {minimal!r}, '--out', {str(tmp_path / 'b')!r}, "
+            "'--threads', '2']) == 0\n"
+            "print('pool', pool_mods())\n"
+        )
+        env = dict(os.environ, PYTHONPATH=SRC_DIR)
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        stages = [line for line in proc.stdout.splitlines()
+                  if line.split(" ")[0] in ("import", "serial", "pool")]
+        assert stages == ["import [False, False]", "serial [False, False]", "pool [True, True]"]
+        assert (tmp_path / "a" / "results.csv").read_bytes() == \
+            (tmp_path / "b" / "results.csv").read_bytes()
+
     def test_no_scipy_loaded(self, tmp_path):
         # a fresh interpreter: importing rosenau, a shipped-config metrics run
         # and the appendix table must all leave scipy unloaded, and only the

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rosenau import (
     GridSpec,
@@ -11,18 +13,21 @@ from rosenau import (
     default_grid,
     forward_transform,
     gaussian_field,
+    heat_propagate,
     initial_by_name,
+    kernel_by_name,
     rosenau_kernel,
     rosenau_propagate,
     truncation_order,
     wild_partial_sum,
     wild_solution,
 )
+from rosenau.analysis import INITIAL_PRESETS
 from rosenau.errors import InvalidParameterError, UnsupportedKernelError
 from rosenau.kernels import generator_symbol
 from rosenau.wild import WILD_TOL, WildTruncation, _poisson_tails, poisson_tail
 
-from conftest import binomial_atoms, window_sum_oracle
+from conftest import binomial_atoms, window_sum_oracle, write_atoms
 
 
 def brute_poisson_tail(mu, n, extra=400):
@@ -342,6 +347,44 @@ class TestScipyOracles:
         exact = rosenau_propagate(g0, k, t).values
         bound = res.truncation.tail_mass * np.max(np.abs(g0.values)) + 8 * mu * 2.0**-53
         assert np.max(np.abs(res.field.values - exact)) <= bound
+
+
+class TestSemigroup:
+    """Propagating by t1 and then by t2 is propagating by t1 + t2.  The heat and kinetic
+    multipliers compose up to rounding; a Wild sum applied twice matches one Wild sum
+    within the three certificates, each its discarded Poisson mass plus the ~mu ulps
+    that Mhat^n adds to the rounding of Mhat (the bound of
+    test_window_sum_matches_propagator)."""
+
+    CUSTOM_ATOMS = [(-2.0, 0.2), (-1.0, 0.3), (1.0, 0.3), (2.0, 0.2)]
+
+    @pytest.fixture(scope="class")
+    def custom_kernel(self, tmp_path_factory):
+        return "custom:" + write_atoms(tmp_path_factory.mktemp("atoms") / "four.txt",
+                                       self.CUSTOM_ATOMS)
+
+    @given(family=st.sampled_from(["rosenau", "central-diff", "custom"]),
+           initial=st.sampled_from(sorted(INITIAL_PRESETS)),
+           eps=st.sampled_from([0.3, 0.1]),
+           t1=st.sampled_from([0.05, 0.5, 2.0]),
+           t2=st.sampled_from([0.1, 1.0, 3.0]))
+    @settings(max_examples=30, deadline=None, database=None, derandomize=True)
+    def test_two_steps_are_one(self, custom_kernel, family, initial, eps, t1, t2):
+        k = kernel_by_name(custom_kernel if family == "custom" else family, eps, 1.0)
+        m2 = INITIAL_PRESETS[initial][1](k.sigma_sq)
+        g0 = initial_by_name(initial, default_grid(1.0, t1 + t2, n=2048, m2=m2), k.sigma_sq)
+        peak = np.max(np.abs(g0.values))
+        for name, step in (("heat", lambda f, t: heat_propagate(f, k.sigma_sq, t)),
+                           ("kinetic", lambda f, t: rosenau_propagate(f, k, t))):
+            gap = np.max(np.abs(step(step(g0, t1), t2).values - step(g0, t1 + t2).values))
+            assert gap <= 1e-14 * peak, name
+        first = wild_solution(g0, k, t1)
+        second = wild_solution(first.field, k, t2)
+        once = wild_solution(g0, k, t1 + t2)
+        assert not (first.delegated or second.delegated or once.delegated)
+        bound = sum(r.truncation.tail_mass * peak + 8 * r.truncation.mu * 2.0**-53
+                    for r in (first, second, once))
+        assert np.max(np.abs(second.field.values - once.field.values)) <= bound
 
 
 class TestLiveSpanHorner:
