@@ -1,12 +1,12 @@
 """Background velocity distributions driving the kinetic approximation.
 
 A background kernel is a probability distribution M_eps with zero mean and
-variance eps^2 gamma^2.  Its generator symbol
+variance 2 eps^2 sigma^2 / lam.  Its generator symbol
 
     A_eps(xi) = lam * (1 - symbol(xi)) / eps^2
 
-is the Fourier multiplier of the solution semigroup, and lam gamma^2 / 2 is
-the diffusivity of the limiting heat equation.  Kernels are frozen
+is the Fourier multiplier of the solution semigroup, and sigma^2 is the
+diffusivity of the limiting heat equation at every eps.  Kernels are frozen
 dataclasses: immutable after construction and safe to share across threads.
 
 There are two representations, each with closed-form moments.
@@ -16,8 +16,8 @@ There are two representations, each with closed-form moments.
   sigma^2 xi^2/(1+(eps*sigma*xi)^2) is Rosenau's, of diffusivity sigma^2.
 - Every other kernel is a finite mirror-symmetric set of atoms (v, w) given
   at unit scale and placed at eps*sigma*v.  With m2 = sum w v^2 over the unit
-  atoms, lam = 2/m2 and gamma = sigma sqrt(m2), so the limiting diffusivity
-  is sigma^2 at every eps.  The symbol is sum w cos(v xi) and 1 - symbol is
+  atoms, lam = 2/m2, so the variance eps^2 sigma^2 m2 makes the limiting
+  diffusivity sigma^2 at every eps.  The symbol is sum w cos(v xi) and 1 - symbol is
   2 sum w sin^2(v xi / 2), each +-v pair folded into one real term, so the
   generator suffers no cancellation near xi = 0.  "central-diff" is the
   two-atom instance +-1 at weight 1/2 (lam = 2), which reproduces the
@@ -59,7 +59,6 @@ class BackgroundKernel:
     epsilon: float
     sigma: float
     lam: float
-    gamma: float
     symbol: Callable[[Array], Array]
     one_minus_symbol: Callable[[Array], Array]
     atoms: Tuple[Tuple[float, float], ...] = ()
@@ -67,8 +66,8 @@ class BackgroundKernel:
 
     @property
     def sigma_sq(self) -> float:
-        """Diffusion coefficient lam*gamma^2/2 of the limiting heat equation."""
-        return 0.5 * self.lam * self.gamma**2
+        """Diffusion coefficient sigma^2 of the limiting heat equation."""
+        return self.sigma**2
 
     def label(self) -> str:
         return f"{self.family}(eps={self.epsilon:g})"
@@ -107,7 +106,6 @@ def rosenau_kernel(epsilon: float, sigma: float) -> BackgroundKernel:
         epsilon=float(epsilon),
         sigma=float(sigma),
         lam=1.0,
-        gamma=math.sqrt(2.0) * float(sigma),
         symbol=symbol,
         one_minus_symbol=one_minus,
         density=density,
@@ -170,7 +168,6 @@ def atomic_kernel(atoms, epsilon: float, sigma: float, family: str = CUSTOM) -> 
         epsilon=float(epsilon),
         sigma=float(sigma),
         lam=2.0 / m2,
-        gamma=float(sigma) * math.sqrt(m2),
         symbol=symbol,
         one_minus_symbol=one_minus,
         atoms=tuple(zip((a * v).tolist(), w.tolist())),

@@ -9,14 +9,15 @@ Only O(sqrt(mu)) orders carry mass: half of WILD_TOL bounds each tail, Horner's
 rule sums the window in real arithmetic (every kernel is mirror-symmetric, so
 Mhat is real) and Mhat^n_lo is applied once.  For the central-difference
 family the mixture has the closed form exp(-mu) I_|m|(mu) at lattice site m,
-evaluated by Miller's backward recurrence.  The module needs numpy and math only.
+evaluated by Miller's backward recurrence.  One Bernstein bound (_reach) says how
+far either mixture reaches.  The module needs numpy and math only.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
@@ -37,23 +38,28 @@ _MAX_ORDER = 10**9
 _MILLER_MARGIN = 64
 
 
+def _reach(mu: float, c: float) -> int:
+    """Least integer x where Bernstein's bound exp(-x^2 / (2 (mu + x/3))) on P(X - mu >= x),
+    X ~ Poisson(mu), and on P(S >= x), S the walk of X steps of +-1, is exp(-c) or less."""
+    if mu < 0 or not math.isfinite(mu):
+        raise InvalidParameterError("mu must be finite and nonnegative")
+    return math.ceil(c / 3.0 + math.sqrt(c * c / 9.0 + 2.0 * c * mu))
+
+
 def _pmf_window(mu: float) -> Tuple[int, int]:
     """(lo, hi) outside which the Poisson(mu) pmf is below exp(_LOG_FLOOR).
 
     Below the mean log p(mu-x)/p(mu) <= -x^2/(2 mu); above it Bennett's
-    bound (1+u) log(1+u) - u >= u^2/(2 + 2u/3), x = u mu, gives the edge.
-    40 more sites on each side cover the mode's offset from mu and the
-    pmf's prefactor.
+    bound (1+u) log(1+u) - u >= u^2/(2 + 2u/3), x = u mu, gives the edge
+    _reach(mu, -_LOG_FLOOR).  40 more sites on each side cover the mode's
+    offset from mu and the pmf's prefactor.
     """
-    if mu < 0 or not math.isfinite(mu):
-        raise InvalidParameterError("mu must be finite and nonnegative")
+    c = -_LOG_FLOOR
+    up = _reach(mu, c) + 40
     if mu == 0.0:
         return 0, 0
-    c = -_LOG_FLOOR
     mode = math.floor(mu)
-    lo = max(0, mode - math.ceil(math.sqrt(2.0 * c * mu)) - 40)
-    hi = mode + math.ceil(c / 3.0 + math.sqrt(c * c / 9.0 + 2.0 * c * mu)) + 40
-    return lo, hi
+    return max(0, mode - math.ceil(math.sqrt(2.0 * c * mu)) - 40), mode + up
 
 
 @functools.lru_cache(maxsize=1)
@@ -78,33 +84,22 @@ def _poisson_tails(mu: float) -> Tuple[int, np.ndarray, np.ndarray, np.ndarray]:
     return (lo, *tails)
 
 
-def poisson_tail(mu: float, n: int) -> float:
-    """P(X > n) for X ~ Poisson(mu)."""
-    lo, hi = _pmf_window(mu)
-    if n < lo:
-        return 1.0
-    return float(_poisson_tails(mu)[2][min(n, hi) - lo])
-
-
 @dataclass(frozen=True)
 class WildTruncation:
     """Truncation certificate: orders lowest..terms kept at intensity mu (terms
     None: exact propagator), tail_mass the Poisson mass discarded below and above.
-
-    tail_mass bounds the cut alone, not the rounding: Mhat^n amplifies the
-    rounding of Mhat about n-fold, so the field may sit up to ~mu ulps further
-    from exp(-mu (1 - Mhat)) g0hat (1.1e-11 at mu = 9.9e4 against 9.9e-13)."""
+    Mhat^n amplifies the rounding of Mhat about n-fold, so the field may sit ~mu ulps
+    further from exp(-mu (1 - Mhat)) g0hat; error_bound allows 8 mu 2^-53 for that."""
 
     terms: Optional[int]
     mu: float
     lowest: int = 0
-    tail_mass: float = field(init=False, default=0.0)
+    tail_mass: float = 0.0
 
-    def __post_init__(self):
-        if self.terms is not None:
-            lo, _, _, below = _poisson_tails(self.mu)
-            lower = below[np.clip(self.lowest - lo, 0, below.size - 1)]
-            object.__setattr__(self, "tail_mass", float(lower) + poisson_tail(self.mu, self.terms))
+    @property
+    def error_bound(self) -> float:
+        """Bound on |field - exp(-mu (1 - Mhat)) g0hat| in units of max |g0hat|."""
+        return self.tail_mass + 8.0 * self.mu * 2.0**-53
 
 
 def truncation_order(mu: float, tol: float) -> int:
@@ -159,7 +154,10 @@ def wild_partial_sum(g0: SpectralField, kernel: BackgroundKernel, t: float,
 class WildResult:
     field: SpectralField
     truncation: WildTruncation
-    delegated: bool
+
+    @property
+    def delegated(self) -> bool:  # the exact propagator stood in for the window sum
+        return self.truncation.terms is None
 
 
 def wild_solution(g0: SpectralField, kernel: BackgroundKernel, t: float) -> WildResult:
@@ -167,30 +165,32 @@ def wild_solution(g0: SpectralField, kernel: BackgroundKernel, t: float) -> Wild
 
     The window runs from n_lo, the largest order with P(X < n_lo) <= WILD_TOL/2,
     to N* = truncation_order(mu, WILD_TOL/2).  For mu > 1e5 its thousands of orders
-    add cost without insight: the exact propagator is used, flagged delegated.
+    add cost without insight: the exact propagator is used, with terms None.
     """
     mu = kernel.intensity(t)
     if mu > DELEGATION_MU:
-        return WildResult(field=rosenau_propagate(g0, kernel, t),
-                          truncation=WildTruncation(terms=None, mu=mu), delegated=True)
+        return WildResult(rosenau_propagate(g0, kernel, t), WildTruncation(terms=None, mu=mu))
     n_star = truncation_order(mu, WILD_TOL / 2)
-    lo, pmf, _, below = _poisson_tails(mu)
+    lo, pmf, above, below = _poisson_tails(mu)
     n_lo = lo + int(np.argmax(below > WILD_TOL / 2)) - 1
-    return WildResult(field=_window_sum(g0, kernel, pmf[n_lo - lo:n_star + 1 - lo], n_lo),
-                      truncation=WildTruncation(terms=n_star, mu=mu, lowest=n_lo), delegated=False)
+    tail_mass = float(below[n_lo - lo]) + float(above[n_star - lo])
+    return WildResult(_window_sum(g0, kernel, pmf[n_lo - lo:n_star + 1 - lo], n_lo),
+                      WildTruncation(terms=n_star, mu=mu, lowest=n_lo, tail_mass=tail_mass))
 
 
 def _bessel_weights(mu: float, n: int) -> np.ndarray:
     """exp(-mu) I_m(mu) for m = 0..n by Miller's backward recurrence.
 
     The ratios r_m = I_m / I_(m-1) obey r_m = 1 / (2m/mu + r_(m+1)); started
-    from r = 0 well past n they converge to machine precision and all lie
-    in (0, 1), so nothing overflows.  The weights are r_1 ... r_m products
-    scaled by w_0 from exp(mu) = I_0 + 2 sum_(m>=1) I_m, in O(n) work.
+    from r = 0 at n + _MILLER_MARGIN they converge to machine precision and
+    all lie in (0, 1), so nothing overflows.  The weights are r_1 ... r_m
+    products scaled by w_0 from exp(mu) = I_0 + 2 sum_(m>=1) I_m, in O(n) work.
     """
     if mu == 0.0:
         return np.concatenate(([1.0], np.zeros(n)))
     top = n + _MILLER_MARGIN
+    if top > _MAX_ORDER:
+        raise InvalidParameterError("Miller's recurrence would start beyond 1e9; check mu")
     ratios = np.empty(top)
     r = 0.0
     for k in range(top, 0, -1):
@@ -206,19 +206,20 @@ def cd_wild_solution(kernel: BackgroundKernel, t: float) -> MixedDistribution:
 
     The Poisson mixture of binomial atoms is the continuous-time random walk
     on the lattice (eps sigma) Z, whose weight at site m is exp(-mu) I_|m|(mu)
-    (Abramowitz-Stegun 9.6.33).  Sites beyond N* = truncation_order(mu, WILD_TOL/2)
-    need more than N* jumps, so they carry at most WILD_TOL/2.  Of the rest, the
-    smallest window |m| <= M is kept whose two tails out to N*, summed from
-    the far end, carry at most WILD_TOL/2: the retained mass lies in
-    [1 - WILD_TOL, 1] at any mu.
+    (Abramowitz-Stegun 9.6.33).  With c = log(4/WILD_TOL), exp(-c) = WILD_TOL/4 bounds
+    the mass beyond _reach(mu, c) on each side.  Of the sites out to it, the smallest
+    window |m| <= M is kept whose dropped sites, summed from the far end, carry at most
+    WILD_TOL/2: the retained mass lies in [1 - WILD_TOL, 1] at any mu.  Miller's
+    recurrence starts past _reach(mu, 2c): 5e-13 relative accuracy up to mu = 9.9e4.
     """
     if kernel.family != CENTRAL_DIFF:
         raise UnsupportedKernelError("atomic solution requires the central-difference kernel")
     _require_time(t)
     mu = kernel.intensity(t)
-    n_star = truncation_order(mu, WILD_TOL / 2)
-    weights = _bessel_weights(mu, n_star)
-    beyond = np.append(2.0 * np.cumsum(weights[:0:-1])[::-1], 0.0)  # mass at M < |m| <= N*, M = 0..N*
+    c = math.log(4.0 / WILD_TOL)
+    reach = _reach(mu, c)
+    weights = _bessel_weights(mu, _reach(mu, 2.0 * c))[:reach + 1]
+    beyond = np.append(2.0 * np.cumsum(weights[:0:-1])[::-1], 0.0)  # mass at M < |m| <= reach, M = 0..reach
     edge = int(np.argmax(beyond <= WILD_TOL / 2))
     a = kernel.epsilon * kernel.sigma
     m = np.arange(-edge, edge + 1)

@@ -90,7 +90,7 @@ class TestCriterion02ConservationTransport:
         worst_mass, worst_m2 = 0.0, 0.0
         for family in ("rosenau", "central-diff"):
             kernel = make_kernel(family, 0.1)
-            slope = kernel.lam * kernel.gamma**2
+            slope = 2.0 * kernel.sigma**2  # lam/eps^2 times the variance eps^2 2 sigma^2 / lam
             m2_0 = moment(inverse_transform(g0), 2)
             for t in times:
                 d = inverse_transform(rosenau_propagate(g0, kernel, t))

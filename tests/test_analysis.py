@@ -239,18 +239,19 @@ class TestLimitBranchFalseViolations:
     DECAY_SWEEP = ("kernel = central-diff\nsigma = {sigma}\nepsilons = 0.5 0.2 0.1 0.05\n"
                    "times = {times}\ninitial = {initial}\nchecks = heat_decay d2_bound\n")
 
-    @pytest.mark.xfail(strict=True, reason="ROADMAP item 3: the polyfit xi -> 0 limit of d_s "
-                                           "misreads d0 and the lhs by more than BOUND_SLACK")
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="ROADMAP item 3: the polyfit xi -> 0 limit of d_s "
+                              "misreads d0 and the lhs by more than BOUND_SLACK")
     @pytest.mark.parametrize("case", ["sigma-1e-3", "file"])
     def test_every_check_satisfied(self, tmp_path, case):
         if case == "sigma-1e-3":  # decay_sweep.cfg but for sigma: 5 of 35 unsatisfied
             text = self.DECAY_SWEEP.format(sigma="1e-3", times="0.5 1 2 5 10 50 100",
                                            initial="mixture-unit") + "[grid]\nN = 4096\n"
-        else:  # simulate minimal at t = 1: m2 = 3, so d0 = 0.5 exactly; 6 of 30 unsatisfied
+        else:  # simulate minimal at t = 1: m2 = 3, so d0 = 0.5 exactly; 4 of 20 unsatisfied
             minimal = parse_config("kernel = rosenau\nepsilons = 0.1\ntimes = 1\n"
                                    "initial = gaussian-unit\nmetrics = d2_selfsim\n")
             (path,) = simulate(minimal, out_dir=str(tmp_path))
-            text = self.DECAY_SWEEP.format(sigma="1.0", times="0.5 1 2 5 10 20",
+            text = self.DECAY_SWEEP.format(sigma="1.0", times="0.5 1 2 5",
                                            initial=f"file:{path}")
         checks = compute_checks(parse_config(text))
         assert [c.name for c in checks if not c.satisfied] == []

@@ -39,7 +39,7 @@ class TestFactories:
         k = bernoulli_kernel(0.5, 2.0)
         a = 0.5 * 2.0
         assert k.symbol(math.pi / a) == pytest.approx(-1.0, abs=1e-12)
-        assert k.lam == 2.0 and k.gamma == 2.0
+        assert k.lam == 2.0 and k.sigma_sq == 2.0**2
         assert kernel_moment(k, 2) == pytest.approx(a * a, rel=1e-14)
         # m4 = (eps sigma)^4, hence B = 2 eps^2 sigma^4
         assert kernel_moment(k, 4) == pytest.approx(a**4, rel=1e-14)
@@ -72,7 +72,7 @@ class TestFactories:
         k = kernel_by_name(f"custom:{path}", epsilon=0.3, sigma=1.0)
         assert k.family == "custom"
         assert k.atoms == ((-0.3, 0.5), (0.3, 0.5))
-        assert k.lam == 2.0 and k.gamma == 1.0
+        assert k.lam == 2.0 and k.sigma_sq == 1.0
 
     def test_central_diff_is_two_atom_instance(self):
         # the shared atomic sums reproduce the closed forms bit for bit
@@ -126,9 +126,15 @@ class TestMoments:
 
     def test_normalization_conditions(self):
         for k in (rosenau_kernel(0.4, 1.3), bernoulli_kernel(0.4, 1.3)):
-            target = (k.epsilon * k.gamma) ** 2
+            target = 0.4**2 * 2.0 * 1.3**2 / k.lam  # the variance eps^2 2 sigma^2 / lam
             assert kernel_moment(k, 0) == pytest.approx(1.0, abs=1e-12)
             assert kernel_moment(k, 2) == pytest.approx(target, rel=1e-8)
+
+    @pytest.mark.parametrize("sigma", [1.0, 1.5, 0.3])
+    @pytest.mark.parametrize("family", ["rosenau", "central-diff"])
+    def test_diffusivity_is_exactly_sigma_squared(self, family, sigma):
+        # exactly the value config validation uses, at every sigma
+        assert kernel_by_name(family, 0.1, sigma).sigma_sq == sigma**2
 
     def test_custom_fourth_moment_exact(self, tmp_path):
         # +-1 and +-2 at 1/4 each: unit-scale m2 = 5/2 and m4 = 17/2
@@ -215,7 +221,7 @@ class TestSymbolMeasureDuality:
 
     def test_rosenau_transform_matches_symbol(self):
         k = rosenau_kernel(0.7, 1.1)
-        scale = k.epsilon * k.gamma
+        scale = 0.7 * math.sqrt(2.0 * 1.1**2 / k.lam)
         v = np.linspace(-45 * scale, 45 * scale, 2_000_001)
         dens = k.density(v)
         for xi in (0.0, 0.5, 3.0, 17.0, 64.0):
@@ -227,9 +233,9 @@ class TestTabulatedKernel:
     def test_valid_table_roundtrip(self, tmp_path):
         rows = [(2.0, 0.125), (-1.0, 0.25), (0.0, 0.25), (1.0, 0.25), (-2.0, 0.125)]
         k = tabulated_kernel(write_atoms(tmp_path / "atoms.txt", rows), epsilon=0.5, sigma=2.0)
-        # unit-scale m2 = 3/2: lam = 4/3, gamma = 2 sqrt(3/2), limiting diffusivity sigma^2
+        # unit-scale m2 = 3/2: lam = 4/3, variance eps^2 2 sigma^2 / lam, limiting diffusivity sigma^2
         assert k.lam == pytest.approx(4.0 / 3.0, rel=1e-15)
-        assert k.gamma == pytest.approx(2.0 * math.sqrt(1.5), rel=1e-15)
+        assert kernel_moment(k, 2) == pytest.approx(0.5**2 * 2.0 * 2.0**2 / k.lam, rel=1e-15)
         assert k.sigma_sq == pytest.approx(4.0, rel=1e-15)
         assert k.atoms == ((-2.0, 0.125), (-1.0, 0.25), (0.0, 0.25), (1.0, 0.25), (2.0, 0.125))
         xi = np.linspace(-20.0, 20.0, 801)
@@ -291,7 +297,7 @@ class TestAtomicProperties:
         a = eps * sigma
         assert kernel_moment(k, 0) == pytest.approx(1.0, abs=1e-12)
         assert kernel_moment(k, 2) == pytest.approx(a**2 * math.fsum(w * v**2), rel=1e-12)
-        assert kernel_moment(k, 2) == pytest.approx((eps * k.gamma) ** 2, rel=1e-12)
+        assert kernel_moment(k, 2) == pytest.approx(eps**2 * 2.0 * sigma**2 / k.lam, rel=1e-12)
         assert k.sigma_sq == pytest.approx(sigma**2, rel=1e-12)
         assert b_epsilon(k) == pytest.approx(2.0 * a**4 * math.fsum(w * v**4) / eps**2, rel=1e-12)
         xi = np.linspace(-64.0, 64.0, 2049)

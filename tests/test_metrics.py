@@ -288,7 +288,7 @@ class TestMoment:
     def test_variance_growth_slope(self, grid, gauss_unit, family):
         make = rosenau_kernel if family == "rosenau" else bernoulli_kernel
         k = make(0.1, 1.0)
-        slope_expect = k.lam * k.gamma**2
+        slope_expect = 2.0 * 1.0**2  # lam/eps^2 times the variance eps^2 2 sigma^2 / lam
         m2 = {}
         for t in (0.0, 10.0):
             d = inverse_transform(rosenau_propagate(gauss_unit, k, t))

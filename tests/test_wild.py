@@ -25,7 +25,8 @@ from rosenau import (
 from rosenau.analysis import INITIAL_PRESETS
 from rosenau.errors import InvalidParameterError, UnsupportedKernelError
 from rosenau.kernels import generator_symbol
-from rosenau.wild import WILD_TOL, WildTruncation, _poisson_tails, poisson_tail
+from rosenau import wild
+from rosenau.wild import _MILLER_MARGIN, WILD_TOL, _poisson_tails, _reach
 
 from conftest import binomial_atoms, window_sum_oracle, write_atoms
 
@@ -57,9 +58,10 @@ class TestTruncationOrder:
 
     def test_tail_matches_oracle(self):
         for mu in (0.3, 2.0, 25.0):
+            lo, _, above, _ = _poisson_tails(mu)
+            assert lo == 0
             for n in (0, 3, 30):
-                assert poisson_tail(mu, n) == pytest.approx(
-                    brute_poisson_tail(mu, n), rel=1e-10, abs=1e-300)
+                assert above[n] == pytest.approx(brute_poisson_tail(mu, n), rel=1e-10, abs=1e-300)
 
     def test_bad_inputs(self):
         with pytest.raises(InvalidParameterError):
@@ -67,10 +69,14 @@ class TestTruncationOrder:
         with pytest.raises(InvalidParameterError):
             truncation_order(1.0, 1.5)
 
-    def test_truncation_record(self):
-        tr = WildTruncation(terms=14, mu=1.0)
-        assert 0.0 <= tr.tail_mass <= 1.0
+    def test_truncation_record(self, gauss_unit):
+        # mu = 1: nothing is cut below, so tail_mass is the upper tail beyond N* = 14
+        tr = wild_solution(gauss_unit, rosenau_kernel(1.0, 1.0), 1.0).truncation
+        assert (tr.terms, tr.lowest, tr.mu) == (14, 0, 1.0)
+        lo, _, above, _ = _poisson_tails(1.0)
+        assert tr.tail_mass == above[14 - lo]
         assert tr.tail_mass == pytest.approx(brute_poisson_tail(1.0, 14), rel=1e-10)
+        assert tr.error_bound == tr.tail_mass + 8 * 2.0**-53
 
 
 class TestWildPartialSum:
@@ -230,12 +236,12 @@ class TestCdWildSolution:
             return math.fsum(w for loc, w in oracle.items() if (lo + 0.5) * a < abs(loc) < (hi + 0.5) * a)
 
         assert mass(edge) <= WILD_TOL
-        # the certificate: the sites up to N* = truncation_order(mu, WILD_TOL/2) that
-        # the window drops carry WILD_TOL/2 at most, and the window is the smallest so
-        n_star = truncation_order(mu, WILD_TOL / 2)
-        assert mass(edge, n_star) <= WILD_TOL / 2
+        # the certificate: the sites out to the Bernstein reach that the window drops
+        # carry WILD_TOL/2 at most, and the window is the smallest so
+        reach = _reach(mu, math.log(4.0 / WILD_TOL))
+        assert mass(edge, reach) <= WILD_TOL / 2
         if edge > 0:
-            assert mass(edge - 1, n_star) > WILD_TOL / 2
+            assert mass(edge - 1, reach) > WILD_TOL / 2
 
     @pytest.mark.parametrize("t", [24.75, 25.0, float(np.nextafter(25.0, 26.0))])
     def test_mass_within_certificate(self, t):
@@ -243,9 +249,39 @@ class TestCdWildSolution:
         d = cd_wild_solution(bernoulli_kernel(0.1, 1.0), t)
         assert 1.0 - 1e-12 <= d.total_mass <= 1.0
 
+    def test_sized_by_reach_alone(self, monkeypatch):
+        # no Poisson order table: Miller starts _MILLER_MARGIN past _reach(mu, 2c)
+        def forbidden(*args):
+            raise AssertionError("the lattice window needs no Poisson order table")
+
+        monkeypatch.setattr(wild, "truncation_order", forbidden)
+        monkeypatch.setattr(wild, "_poisson_tails", forbidden)
+        sizes = []
+        bessel = wild._bessel_weights
+        monkeypatch.setattr(wild, "_bessel_weights", lambda mu, n: sizes.append(n) or bessel(mu, n))
+        k = bernoulli_kernel(0.1, 1.0)
+        d = cd_wild_solution(k, 5000.0 * k.epsilon**2 / k.lam)
+        assert [n + _MILLER_MARGIN for n in sizes] == [846]
+        assert len(d.atoms) == 2 * 511 + 1
+
+    @pytest.mark.parametrize("mu", [math.inf, 1e20])
+    def test_unreachable_intensity_rejected(self, monkeypatch, mu):
+        # mu = inf has no reach, and at 1e20 Miller would start past 1e9: both are
+        # rejected before numpy is asked for any array
+        k = bernoulli_kernel(1e-150, 1.0)
+        t = 1e10 if mu == math.inf else mu * k.epsilon**2 / k.lam
+        assert k.intensity(t) == pytest.approx(mu)
+        monkeypatch.setattr(wild, "np", None)
+        with pytest.raises(InvalidParameterError):
+            cd_wild_solution(k, t)
+
 
 # scipy.special is a test-only oracle: the package itself never imports scipy
 LADDER_MU = [0.3, 7.0, 50.0, 200.0, 792.0, 1980.0, 4950.0, 5000.0, 20000.0]
+# the largest |m| cd_wild_solution kept when it summed the dropped sites out to
+# N* = truncation_order(mu, WILD_TOL/2) rather than out to the Bernstein reach
+EDGE_OUT_TO_N_STAR = {0.3: 8, 7.0: 22, 50.0: 53, 200.0: 103, 792.0: 204, 1980.0: 322,
+                      4950.0: 509, 5000.0: 511, 20000.0: 1022, 9.9e4: 2273}
 
 
 def gammainc_truncation_order(mu, tol):
@@ -266,10 +302,11 @@ def gammainc_truncation_order(mu, tol):
 
 
 class TestScipyOracles:
-    @pytest.mark.parametrize("mu", LADDER_MU)
+    @pytest.mark.parametrize("mu", LADDER_MU + [9.9e4])
     def test_cd_weights_match_ive(self, mu):
         from scipy.special import ive
 
+        widest = EDGE_OUT_TO_N_STAR[mu]
         k = bernoulli_kernel(0.1, 1.0)
         t = mu * k.epsilon**2 / k.lam
         mu = k.intensity(t)
@@ -282,22 +319,28 @@ class TestScipyOracles:
         # relative accuracy down to the far tail, where the recurrence starts
         far = exact >= 1e-290
         assert np.max(np.abs(weights[far] / exact[far] - 1.0)) <= 1e-11
-        # the window is symmetric and the sites it drops, out to N* + 64, carry
-        # at most WILD_TOL by a correctly rounded sum
+        # the window is symmetric, no wider than the one sized out to N*, and certified by
+        # correctly rounded sums: the sites it drops out to the reach carry at most
+        # WILD_TOL/2, one site fewer would drop more, and the sites beyond the reach
+        # carry at most WILD_TOL/2 too, as Bernstein's bound says
         edge = int(np.max(sites))
         assert np.array_equal(sites, np.arange(-edge, edge + 1))
-        dropped = ive(np.arange(edge + 1, truncation_order(mu, WILD_TOL / 2) + 65), mu)
-        assert 1.0 - WILD_TOL <= d.total_mass
-        assert 2.0 * math.fsum(dropped) <= WILD_TOL
+        assert edge <= widest
+        assert 1.0 - WILD_TOL <= d.total_mass <= 1.0
+        reach = _reach(mu, math.log(4.0 / WILD_TOL))
+        assert 2.0 * math.fsum(ive(np.arange(edge + 1, reach + 1), mu)) <= WILD_TOL / 2
+        assert edge == 0 or 2.0 * math.fsum(ive(np.arange(edge, reach + 1), mu)) > WILD_TOL / 2
+        assert 2.0 * math.fsum(ive(np.arange(reach + 1, 4 * reach + 100), mu)) <= WILD_TOL / 2
 
     @pytest.mark.parametrize("mu", [200.0, 792.0, 1980.0, 4950.0, 5000.0, 20000.0])
     def test_poisson_tail_matches_gammainc(self, mu):
         from scipy.special import gammainc
 
         root = math.sqrt(mu)
+        lo, _, above, _ = _poisson_tails(mu)
         for z in (-4.0, -1.0, 0.0, 1.0, 4.0, 7.0, 12.0):
             n = int(mu + z * root)
-            assert poisson_tail(mu, n) == pytest.approx(gammainc(n + 1, mu), rel=1e-10)
+            assert above[n - lo] == pytest.approx(gammainc(n + 1, mu), rel=1e-10)
 
     @pytest.mark.parametrize("mu", LADDER_MU)
     @pytest.mark.parametrize("tol", [1e-6, 1e-12])
@@ -323,15 +366,15 @@ class TestScipyOracles:
     @pytest.mark.parametrize("family", ["rosenau", "central-diff"])
     @pytest.mark.parametrize("mu", LADDER_MU)
     def test_window_sum_matches_propagator(self, grid, gauss_unit, family, mu):
-        # the discarded Poisson mass bounds the gap at every xi, plus the
-        # conditioning of Mhat^n on the rounding of Mhat, about n ~ mu ulps
+        # the certificate bounds the gap at every xi: the discarded Poisson mass plus
+        # the conditioning of Mhat^n on the rounding of Mhat, about n ~ mu ulps
         k = (rosenau_kernel if family == "rosenau" else bernoulli_kernel)(0.1, 1.0)
         t = mu * k.epsilon**2 / k.lam
         mu = k.intensity(t)
         res = wild_solution(gauss_unit, k, t)
         assert not res.delegated
         exact = np.exp(-mu * k.one_minus_symbol(grid.xi())) * gauss_unit.values
-        bound = res.truncation.tail_mass * np.max(np.abs(gauss_unit.values)) + 8 * mu * 2.0**-53
+        bound = res.truncation.error_bound * np.max(np.abs(gauss_unit.values))
         assert np.max(np.abs(res.field.values - exact)) <= bound
 
     @pytest.mark.parametrize("mu", [5000.0, 2e4, 9.9e4])
@@ -345,7 +388,7 @@ class TestScipyOracles:
         res = wild_solution(g0, k, t)
         assert not res.delegated
         exact = rosenau_propagate(g0, k, t).values
-        bound = res.truncation.tail_mass * np.max(np.abs(g0.values)) + 8 * mu * 2.0**-53
+        bound = res.truncation.error_bound * np.max(np.abs(g0.values))
         assert np.max(np.abs(res.field.values - exact)) <= bound
 
 
@@ -353,8 +396,7 @@ class TestSemigroup:
     """Propagating by t1 and then by t2 is propagating by t1 + t2.  The heat and kinetic
     multipliers compose up to rounding; a Wild sum applied twice matches one Wild sum
     within the three certificates, each its discarded Poisson mass plus the ~mu ulps
-    that Mhat^n adds to the rounding of Mhat (the bound of
-    test_window_sum_matches_propagator)."""
+    that Mhat^n adds to the rounding of Mhat (WildTruncation.error_bound)."""
 
     CUSTOM_ATOMS = [(-2.0, 0.2), (-1.0, 0.3), (1.0, 0.3), (2.0, 0.2)]
 
@@ -382,8 +424,7 @@ class TestSemigroup:
         second = wild_solution(first.field, k, t2)
         once = wild_solution(g0, k, t1 + t2)
         assert not (first.delegated or second.delegated or once.delegated)
-        bound = sum(r.truncation.tail_mass * peak + 8 * r.truncation.mu * 2.0**-53
-                    for r in (first, second, once))
+        bound = sum(r.truncation.error_bound for r in (first, second, once)) * peak
         assert np.max(np.abs(second.field.values - once.field.values)) <= bound
 
 
