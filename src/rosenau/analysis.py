@@ -307,6 +307,8 @@ REGISTRY = {**FIELDS, **METRICS}
 # the regularized solution has a density only for these kernel families
 REGULARIZED_FAMILIES = (ROSENAU,)
 REGULARIZED_METRICS = ("l1_reg_gap", "entropy_reg")
+# the metrics that read ``density``, the kinetic solution inverted as a density alone
+DENSITY_METRICS = ("m2", "m4")
 
 # check name -> (the metric that is its lhs, and at t = 0 its d0; checks of (kernel, g0, times,
 # reader of that metric at t)); a check whose metric is keyed by t alone runs once, at the first eps

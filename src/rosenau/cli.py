@@ -1,8 +1,9 @@
 """Command-line front end.
 
-Subcommands: simulate, metrics, check, rates, appendix, plot.  Exit codes:
-0 ok, 1 numerical failure (the message names the failing sweep point),
-2 usage or configuration error.
+Subcommands: simulate, metrics and check run a config's sweep; rates and plot
+read the results CSV that metrics writes; appendix prints the growth table.
+Exit codes: 0 ok, 1 numerical failure (the message names the failing sweep
+point), 2 usage or configuration error.
 """
 
 from __future__ import annotations
@@ -17,8 +18,9 @@ from typing import List, Optional
 
 from . import analysis
 from .config import ExperimentConfig, load_config
-from .errors import ConfigError, RosenauError
-from .runner import CSV_HEADER, RunError, compute_rows, run, simulate
+from .errors import ConfigError, InvalidDataError, RosenauError
+from .runner import CSV_HEADER, Row, run, simulate
+from .spectral import GridSpec
 
 
 def _checked(convert, ok, what: str):
@@ -35,15 +37,12 @@ def _checked(convert, ok, what: str):
     return parse
 
 
-def _add_common(p: argparse.ArgumentParser, threads: bool = True,
-                writes: bool = True) -> argparse.ArgumentParser:
+def _add_common(p: argparse.ArgumentParser, threads: bool = True) -> None:
     p.add_argument("--config", required=True, help="experiment config file")
     if threads:
         p.add_argument("--threads", type=_checked(int, lambda v: v >= 0, "0 (auto) or positive"),
                        default=1, help="worker threads, 1 = serial (default), 0 = one per core")
-    if writes:
-        p.add_argument("--out", default=None, help="output directory (overrides config)")
-    return p
+    p.add_argument("--out", default=None, help="output directory (overrides config)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -56,10 +55,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sub.add_parser("metrics", help="compute metric series to CSV"))
     _add_common(sub.add_parser("check", help="run the decay bound checks"))
 
-    p_rates = _add_common(sub.add_parser("rates", help="fit decay exponents from a metric series"),
-                          writes=False)
+    p_rates = sub.add_parser("rates", help="fit decay exponents to a results CSV")
+    p_rates.add_argument("--csv", required=True, help="results.csv produced by `metrics`")
     p_rates.add_argument("--quantity", default=None,
-                         help="metric to fit (default: every metric in the config)")
+                         help="quantity to fit (default: every quantity in the CSV)")
     p_rates.add_argument("--window", nargs=2, type=float, default=(5.0, 100.0),
                          metavar=("T_LO", "T_HI"), help="fit window, T_LO < T_HI")
 
@@ -94,24 +93,23 @@ def _load(args) -> ExperimentConfig:
 
 
 def _cmd_rates(args) -> int:
-    cfg = _load(args)
-    if args.quantity:
-        cfg.metrics = [args.quantity]
-        cfg.lines.pop("metrics", None)  # the name now comes from --quantity
-    quantities = sorted(cfg.metrics)
-    if not quantities:
-        raise ConfigError("no metrics configured and no --quantity given")
-    cfg.validate()
-    rows = compute_rows(cfg, threads=args.threads)
-    window = tuple(args.window)
-    for quantity in quantities:
-        for eps in sorted(cfg.epsilons):
-            series = [(r.t, r.value) for r in rows
-                      if r.quantity == quantity and r.epsilon == eps]
-            fit = analysis.rate_fit(series, window=window)
-            print(f"{quantity} eps={eps:g}: exponent {fit.exponent:+.4f} "
-                  f"prefactor {fit.prefactor:.6g} r2 {fit.r_squared:.6f} "
-                  f"window [{fit.window[0]:g}, {fit.window[1]:g}] n={fit.n_points}")
+    rows = _read_rows(args.csv)
+    held = sorted({r.quantity for r in rows})
+    if not held or args.quantity not in (None, *held):
+        wanted = f"quantity {args.quantity!r}" if args.quantity else "any quantity"
+        raise ConfigError(f"--csv: {args.csv}: no rows of {wanted}; it holds: {' '.join(held) or 'none'}")
+    lines = []  # every series is fitted before the first line is printed
+    for quantity in [args.quantity] if args.quantity else held:
+        for eps in sorted({r.epsilon for r in rows if r.quantity == quantity}):
+            series = [(r.t, r.value) for r in rows if r.quantity == quantity and r.epsilon == eps]
+            try:
+                fit = analysis.rate_fit(series, window=tuple(args.window))
+            except InvalidDataError as exc:
+                raise ConfigError(f"--csv: {args.csv}: {quantity} eps={eps:g}: {exc}") from exc
+            lines.append(f"{quantity} eps={eps:g}: exponent {fit.exponent:+.4f} "
+                         f"prefactor {fit.prefactor:.6g} r2 {fit.r_squared:.6f} "
+                         f"window [{fit.window[0]:g}, {fit.window[1]:g}] n={fit.n_points}")
+    print("\n".join(lines))
     return 0
 
 
@@ -125,17 +123,14 @@ def _cmd_appendix(args) -> int:
     return 0
 
 
-def _cmd_plot(args) -> int:
-    from .runner import Row
-    from .spectral import GridSpec
-    from .svg import write_plots
-
+def _read_rows(path: str) -> List[Row]:
+    """The rows of a results CSV.  A file that cannot be read, lacks a column of the
+    schema or holds an invalid value is a usage error naming --csv (and the line)."""
     rows: List[Row] = []
-    with _file_of("--csv", args.csv), open(args.csv) as fh:
+    with _file_of("--csv", path), open(path) as fh:
         reader = csv.DictReader(fh)
         if missing := [c for c in CSV_HEADER.split(",") if c not in (reader.fieldnames or [])]:
-            raise ConfigError(f"--csv: {args.csv}: not a results CSV, "
-                              f"no column {' '.join(missing)}")
+            raise ConfigError(f"--csv: {path}: not a results CSV, no column {' '.join(missing)}")
         for rec in reader:
             try:
                 num = {key: float(rec[key]) for key in ("epsilon", "t", "value", "argsup", "grid_L")}
@@ -146,7 +141,14 @@ def _cmd_plot(args) -> int:
                     quantity=rec["quantity"], value=num["value"], argsup=num["argsup"],
                     grid=GridSpec(num["grid_L"], int(rec["grid_N"]))))
             except ValueError as exc:  # also GridSpec's InvalidParameterError
-                raise ConfigError(f"--csv: {args.csv}: line {reader.line_num}: {exc}") from exc
+                raise ConfigError(f"--csv: {path}: line {reader.line_num}: {exc}") from exc
+    return rows
+
+
+def _cmd_plot(args) -> int:
+    from .svg import write_plots
+
+    rows = _read_rows(args.csv)
     with _file_of("--out", args.out):
         os.makedirs(args.out, exist_ok=True)
         paths = write_plots(rows, args.out).values()
@@ -185,16 +187,13 @@ def main(argv: Optional[List[str]] = None) -> int:
             return _cmd_rates(args)
         if args.command == "appendix":
             return _cmd_appendix(args)
-        if args.command == "plot":
-            return _cmd_plot(args)
-        parser.error(f"unknown command {args.command!r}")
+        return _cmd_plot(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (RunError, RosenauError) as exc:
+    except RosenauError as exc:  # RunError names the sweep point
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 1
-    return 0
 
 
 if __name__ == "__main__":

@@ -22,6 +22,7 @@ from .kernels import BackgroundKernel, kernel_by_name
 from .metrics import moment
 from .spectral import (
     DEFAULT_GRID_N,
+    LEAK_TOL,
     GridSpec,
     SpectralField,
     default_grid,
@@ -81,14 +82,17 @@ def _input_file(cfg: ExperimentConfig, key: str):
         raise ConfigError(f"{key}: {exc}", cfg.lines.get(key)) from exc
 
 
-def _setup(cfg: ExperimentConfig) -> Tuple[Dict[float, BackgroundKernel], SpectralField]:
+def _setup(cfg: ExperimentConfig,
+           density: bool = False) -> Tuple[Dict[float, BackgroundKernel], SpectralField]:
     """The kernel of each eps and the initial-datum transform they share, on a
     grid that holds every time; no eps changes the diffusivity sigma_sq.
 
     The grid comes from the config alone: file: data keep their own grid,
-    presets take [grid] L and N, sized by default from the datum's m2.
+    presets take [grid] L and N, sized by default from the datum's m2.  With
+    ``density``, every sweep point must also leave at most LEAK_TOL of the
+    mass on the datum's atoms, which the inverse FFT would fold into the density.
     """
-    times, eps0 = sorted(cfg.times), cfg.epsilons[0]
+    times, eps0, atoms = sorted(cfg.times), cfg.epsilons[0], 0.0
     kernels = {}
     for eps in cfg.epsilons:
         with _sweep_point(cfg, eps, times), _input_file(cfg, "kernel"):
@@ -99,6 +103,7 @@ def _setup(cfg: ExperimentConfig) -> Tuple[Dict[float, BackgroundKernel], Spectr
             with _input_file(cfg, "initial"):
                 dist = load_distribution(cfg.initial.split(":", 1)[1])
             m2, g0 = moment(dist, 2), forward_transform(dist)
+            atoms = sum(abs(w) for _, w in dist.atoms) if density else 0.0
         else:
             m2 = analysis.INITIAL_PRESETS[cfg.initial][1](kernel.sigma_sq)
             points = cfg.N or DEFAULT_GRID_N
@@ -108,6 +113,14 @@ def _setup(cfg: ExperimentConfig) -> Tuple[Dict[float, BackgroundKernel], Spectr
     for t in times:
         with _sweep_point(cfg, eps0, [t]):
             require_grid_contains(g0.grid, m2 + 2.0 * kernel.sigma_sq * t)
+    for eps in sorted(cfg.epsilons) if atoms else ():  # presets carry no atoms
+        for t in times:
+            # an atom keeps e^-mu of its mass under rosenau and all of it under an atomic kernel
+            kept = atoms * (1.0 if kernels[eps].atoms else math.exp(-kernels[eps].intensity(t)))
+            if kept > LEAK_TOL:
+                with _sweep_point(cfg, eps, [t]):
+                    raise RosenauError(f"the datum's atoms keep mass {kept:.3e} > {LEAK_TOL:g}, "
+                                       "which an inverse FFT would spread over the density")
     return kernels, g0
 
 
@@ -130,10 +143,10 @@ def _sweep(cfg: ExperimentConfig, threads: int) -> Tuple[List[Row], List[analysi
     metrics alone; each check reads its lhs and its d0 off the walk.  The sweep
     points of one time share its t-keyed fields; the pool maps over times, at
     most one worker per time, so no memo is shared between threads."""
-    kernels, g0 = _setup(cfg)
     times, names = sorted(cfg.times), sorted(cfg.checks)
     checked = sorted({analysis.CHECKS[n][0] for n in names})
     quantities = sorted({*cfg.metrics, *checked})
+    kernels, g0 = _setup(cfg, density=not set(quantities).isdisjoint(analysis.DENSITY_METRICS))
     walk = [0.0, *times] if names else times  # t = 0, never a config time, gives each d0
 
     def work(t):
@@ -224,7 +237,7 @@ def simulate(cfg: ExperimentConfig, out_dir: Optional[str] = None) -> List[str]:
     """Solve the kinetic equation at every sweep point and dump distributions."""
     out = out_dir or cfg.out
     os.makedirs(out, exist_ok=True)
-    kernels, g0 = _setup(cfg)
+    kernels, g0 = _setup(cfg, density=True)
     written = []
     for eps in sorted(cfg.epsilons):
         for t in sorted(cfg.times):

@@ -3,10 +3,12 @@
 Sign convention, shared package-wide:  fhat(xi) = integral of exp(-i xi v) f(v) dv.
 A SpectralField samples fhat on the centered frequency grid of a GridSpec;
 a MixedDistribution is the physical-space counterpart, a uniform-grid density
-plus a finite list of weighted Dirac atoms.  Atoms are tracked symbolically
-end to end and never pushed through the numerical inverse transform: the
-fundamental solution of the central-difference family is purely atomic and
-inverting Dirac combs numerically is meaningless.
+plus a finite list of weighted Dirac atoms.  The forward transform adds each
+atom exactly, but ``inverse_transform`` inverts the whole field as a density.
+A datum's atoms keep e^-mu of their mass under the exponential kernel and all
+of it under an atomic kernel, whose fundamental solution is purely atomic; the
+inverse FFT would spread that mass over the grid.  So the runner computes no
+density where the atoms keep more than LEAK_TOL.
 
 All operations are pure (input -> new output) and thread-safe.
 """

@@ -1,8 +1,11 @@
 import math
+import sys
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
+from rosenau.errors import InfiniteDistanceError, RosenauError
 from rosenau import (
     GridSpec,
     bernoulli_kernel,
@@ -166,23 +169,54 @@ def check_rhs_oracle(check, family, params, d0):
     raise ValueError(f"no rhs oracle for {check!r}")
 
 
+class OracleReport(NamedTuple):
+    value: float
+    argsup: float
+
+
+# the d_s cutoff and noise floor, copied so that a fault in rosenau.metrics cannot hide in the oracle
+ORACLE_SMALL_XI_BINS = 8
+ORACLE_NOISE_FLOOR = 1e-13
+
+
+def _oracle_small_xi_part(x, delta, s):
+    """The xi -> 0 part of d_s, both fits always run: a copy of ``metrics._small_xi_part``
+    from before its fits could be skipped."""
+    good = delta > ORACLE_NOISE_FLOOR
+    if np.count_nonzero(good) < 6:
+        return 0.0
+    order = np.argsort(x[good])
+    xg, dg = x[good][order], delta[good][order]
+    ratio = dg / xg**s
+    raw_sup = float(np.max(ratio))
+    inner = float(np.sort(ratio[:3])[1])
+    outer = float(np.sort(ratio[-3:])[1])
+    p = np.polyfit(np.log(xg[:4]), np.log(dg[:4]), 1)[0]
+    if p < s - 0.35 and inner > 3.0 * outer:
+        raise InfiniteDistanceError(f"|difference| ~ |xi|^{p:.2f} near 0 but s = {s}")
+    if not (s - 0.35 <= p <= s + 0.35):
+        return raw_sup
+    if not math.isfinite(raw_sup) or xg[-1] ** 8 < sys.float_info.min:
+        raise RosenauError(f"bins at |xi| <= {xg[-1]:.3g} are too close to 0")
+    coeffs = np.polyfit(xg**2, ratio, 2)
+    return max(raw_sup, min(max(float(coeffs[-1]), 0.0), 2.0 * raw_sup))
+
+
 def full_grid_ds_distance(f1, f2, s):
     """d_s over every node of the grid, both signs of xi: a copy of the N-point
     ``ds_distance`` that the half-line one replaced, kept as its oracle."""
-    from rosenau.metrics import SMALL_XI_BINS, MetricReport, _small_xi_part
-
     grid = f1.grid
     absxi = np.abs(grid.xi())
-    cutoff = SMALL_XI_BINS * grid.dxi
+    cutoff = ORACLE_SMALL_XI_BINS * grid.dxi
     outer = absxi >= cutoff
     inner = (absxi > 0.5 * grid.dxi) & (absxi < cutoff)
     delta = np.abs(f1.values - f2.values)
     ratio = delta[outer] / absxi[outer] ** s
     k = int(np.argmax(ratio))
     grid_sup = float(ratio[k])
-    limit = _small_xi_part(absxi[inner], delta[inner], s)
+    limit = _oracle_small_xi_part(absxi[inner], delta[inner], s)
     value, argsup = (limit, 0.0) if limit > grid_sup else (grid_sup, float(absxi[outer][k]))
-    return MetricReport(value, argsup)
+    return OracleReport(value, argsup)
 
 
 def hermitian_defect_oracle(values):

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 import threading
@@ -17,7 +18,7 @@ from rosenau.cli import main
 from rosenau.config import ExperimentConfig, load_config, parse_config
 from rosenau.errors import ConfigError
 from rosenau.kernels import kernel_by_name
-from rosenau import analysis, metrics, runner, spectral
+from rosenau import analysis, cli, metrics, runner, spectral
 from rosenau.analysis import d2_bound_check, d3_bound_check, exact_decay_check
 from rosenau.runner import CSV_HEADER, RunError, compute_checks, compute_rows, run
 from rosenau.spectral import load_distribution
@@ -32,6 +33,23 @@ PERFBENCH_DIR = os.path.join(os.path.dirname(__file__), "..", "perfbench")
 def sha256(path):
     with open(path, "rb") as fh:
         return hashlib.sha256(fh.read()).hexdigest()
+
+
+# results CSVs that `plot` and `rates` both reject, and the end of the error each gives
+BAD_CSVS = [
+    (None, "No such file or directory"),
+    ("kernel,epsilon,t,value\nrosenau,0.1,1,0.5\n",
+     "not a results CSV, no column quantity argsup grid_L grid_N"),
+    (CSV_HEADER + "\nrosenau,0.1,1,mass,abc,0,40,4096\n",
+     "line 2: could not convert string to float: 'abc'"),
+    (CSV_HEADER + "\nrosenau,0.1,1,mass,1,0,40,100\n",
+     "line 2: grid points must be a power of two"),
+    (CSV_HEADER + "\nrosenau,0.1,1,d2_selfsim,inf,0,40,4096\n",
+     "line 2: value must be finite, got inf"),
+    (CSV_HEADER + "\nrosenau,nan,1,d2_selfsim,0.5,0,40,4096\n",
+     "line 2: epsilon must be finite, got nan"),
+]
+BAD_CSV_IDS = ["missing", "columns", "value", "grid_N", "value-inf", "epsilon-nan"]
 
 
 class TestConfigParsing:
@@ -99,6 +117,12 @@ class TestConfigParsing:
         ("[grid]\nN = 8", "N:"),
         ("[grid]\nN = auto", "N: bad value"),
         ("epsilons = 1e-170", "epsilons"),
+        ("kernel = gaussian", "kernel: unknown kernel 'gaussian'"),
+        ("initial = uniform", "initial: unknown initial datum 'uniform'"),
+        ("times = logspace 1 10", "times: bad value: logspace needs exactly"),
+        ("times = logspace 10 1 5", "times: bad value: logspace needs 0 < lo < hi"),
+        ("[output]", "unknown section [output]"),
+        ("kernel rosenau", "expected key = value, got 'kernel rosenau'"),
     ])
     def test_invalid_value_is_config_error(self, tmp_path, capsys, line, key):
         text = f"metrics = mass\n{line}\n"
@@ -110,6 +134,15 @@ class TestConfigParsing:
         path.write_text(text)
         assert main(["metrics", "--config", str(path), "--out", str(tmp_path)]) == 2
         assert f"line {bad_line}" in capsys.readouterr().err
+
+    def test_empty_config_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "empty.cfg"
+        path.write_text("# nothing but a comment\n\n")
+        with pytest.raises(ConfigError, match="empty configuration"):
+            load_config(str(path))
+        assert main(["metrics", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert f"config error: {path}: empty configuration" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_sigma_scales_custom_kernel(self, tmp_path):
         table = write_atoms(tmp_path / "atoms.txt", [(-1.0, 0.25), (0.0, 0.5), (1.0, 0.25)])
@@ -422,6 +455,16 @@ class TestCli:
         records = [json.loads(l) for l in (tmp_path / "checks.jsonl").read_text().splitlines()]
         assert all(r["satisfied"] for r in records)
 
+    def test_check_unsatisfied_exit_1(self, tmp_path, capsys, monkeypatch):
+        # a negative slack fails every check; the records are written all the same
+        monkeypatch.setattr(analysis, "BOUND_SLACK", -1.0)
+        assert main(["check", "--config", os.path.join(CONFIG_DIR, "decay_sweep.cfg"),
+                     "--out", str(tmp_path)]) == 1
+        assert ("numerical failure: 35 of 35 bound checks unsatisfied; "
+                "first: d2-bound central-diff eps=0.05 t=0.5") in capsys.readouterr().err
+        records = [json.loads(l) for l in (tmp_path / "checks.jsonl").read_text().splitlines()]
+        assert len(records) == 35 and not any(r["satisfied"] for r in records)
+
     def test_simulate_writes_loadable_distributions(self, tmp_path):
         rc = main(["simulate", "--config", os.path.join(CONFIG_DIR, "minimal.cfg"),
                    "--out", str(tmp_path)])
@@ -438,11 +481,28 @@ class TestCli:
         )
         cfg_path = tmp_path / "rates.cfg"
         cfg_path.write_text(cfg_text)
-        rc = main(["rates", "--config", str(cfg_path), "--quantity", "d2_selfsim_heat"])
+        assert main(["metrics", "--config", str(cfg_path), "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        rc = main(["rates", "--csv", str(tmp_path / "results.csv"), "--quantity", "d2_selfsim_heat"])
         assert rc == 0
         line = capsys.readouterr().out.strip()
         exponent = float(line.split("exponent")[1].split()[0])
         assert exponent == pytest.approx(-1.0, abs=0.1)
+
+    def test_readme_cli_block_runs(self, tmp_path, monkeypatch):
+        # every line of the README's CLI block, in order from the repository root, with out/
+        # in tmp_path; the block shows each subcommand
+        root = Path(__file__).resolve().parent.parent
+        section = (root / "README.md").read_text().split("\n## CLI\n", 1)[1]
+        block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+        commands = [shlex.split(line, comments=True) for line in block.splitlines()]
+        assert all(argv[0] == "rosenau" for argv in commands)
+        assert {argv[1] for argv in commands} == {"simulate", "metrics", "check", "rates",
+                                                  "appendix", "plot"}
+        monkeypatch.chdir(root)
+        for argv in commands:
+            argv = [str(tmp_path / a[4:]) if a.startswith("out/") else a for a in argv[1:]]
+            assert main(argv) == 0, argv
 
     def test_appendix_table_monotone(self, capsys):
         rc = main(["appendix", "--s", "0.9", "--tmax", "1000", "--points", "7"])
@@ -467,12 +527,72 @@ class TestCli:
         assert main(["metrics", "--config", str(bad)]) == 2
         assert "line 2" in capsys.readouterr().err
 
-    def test_rates_unknown_quantity_exit_2(self, capsys):
-        rc = main(["rates", "--config", os.path.join(CONFIG_DIR, "minimal.cfg"),
-                   "--quantity", "bogus"])
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert "config error" in err and "'bogus'" in err and "d2_selfsim" in err
+    def test_rates_unknown_quantity_exit_2(self, tmp_path, capsys):
+        # a quantity the CSV does not hold, known metric or not; the error lists those it holds
+        assert main(["metrics", "--config", os.path.join(CONFIG_DIR, "minimal.cfg"),
+                     "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        csv_path = tmp_path / "results.csv"
+        for quantity in ("bogus", "m2"):
+            assert main(["rates", "--csv", str(csv_path), "--quantity", quantity]) == 2
+            captured = capsys.readouterr()
+            assert captured.err == (f"config error: --csv: {csv_path}: no rows of quantity "
+                                    f"{quantity!r}; it holds: d2_selfsim\n")
+            assert captured.out == ""
+
+    def test_rates_fits_the_rows_compute_rows_gives(self, tmp_path, capsys):
+        # %.17g round-trips every double: the CSV's rows are compute_rows' rows, bit for bit
+        path = os.path.join(CONFIG_DIR, "regularized_l1.cfg")
+        rows = compute_rows(load_config(path))
+        assert main(["metrics", "--config", path, "--out", str(tmp_path)]) == 0
+        read = cli._read_rows(str(tmp_path / "results.csv"))
+        assert read == rows
+
+        def fits(rows):
+            keys = sorted({(r.quantity, r.epsilon) for r in rows})
+            return [analysis.rate_fit([(r.t, r.value) for r in rows if (r.quantity, r.epsilon) == key],
+                                      window=(5.0, 200.0)) for key in keys]
+
+        assert len(fits(read)) == 4 and fits(read) == fits(rows)
+        capsys.readouterr()
+        assert main(["rates", "--csv", str(tmp_path / "results.csv"), "--quantity", "l1_heat_gap",
+                     "--window", "5", "200"]) == 0
+        assert capsys.readouterr().out == ("l1_heat_gap eps=0.2: exponent -1.0266 prefactor 0.275856 "
+                                           "r2 0.999866 window [5, 200] n=6\n")
+
+    @pytest.mark.parametrize("config,first,got", [
+        ("minimal", "d2_selfsim eps=0.1", 1),
+        ("decay_sweep", "d2_gap eps=0.05", 4),
+        ("regularized_l1", "l1_heat_gap eps=0.2", 4),
+    ])
+    def test_rates_default_window_exit_2(self, tmp_path, capsys, config, first, got):
+        # no shipped config has 5 times in [5, 100]: the first series is named, nothing printed
+        assert main(["metrics", "--config", os.path.join(CONFIG_DIR, f"{config}.cfg"),
+                     "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        csv_path = tmp_path / "results.csv"
+        assert main(["rates", "--csv", str(csv_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (f"config error: --csv: {csv_path}: {first}: need at least 5 points "
+                                f"in window [5, 100], got {got}\n")
+        assert captured.out == ""
+
+    def test_rates_nonpositive_value_exit_2(self, tmp_path, capsys):
+        csv_path = tmp_path / "results.csv"
+        csv_path.write_text(CSV_HEADER + "\n" + "".join(
+            f"rosenau,0.1,{t},d2_gap,{0.0 if t == 50 else 1.0 / t},0,40,4096\n" for t in (5, 10, 20, 50, 100)))
+        assert main(["rates", "--csv", str(csv_path)]) == 2
+        assert capsys.readouterr().err == (f"config error: --csv: {csv_path}: d2_gap eps=0.1: "
+                                           "rate fit requires positive values\n")
+
+    @pytest.mark.parametrize("flag,value", [("--config", "configs/minimal.cfg"), ("--threads", "2")])
+    def test_rates_rejects_config_and_threads(self, tmp_path, capsys, flag, value):
+        # rates reads the CSV that metrics wrote: it runs no sweep, so it takes neither flag
+        with pytest.raises(SystemExit) as exc:
+            main(["rates", "--csv", str(tmp_path / "results.csv"), flag, value])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert f"unrecognized arguments: {flag} {value}" in captured.err and captured.out == ""
 
     def test_file_initial_runs_on_its_own_grid(self, tmp_path):
         sim = tmp_path / "sim"
@@ -493,18 +613,49 @@ class TestCli:
 
     def test_atoms_only_file_runs_exactly(self, tmp_path):
         # the N = 0 form: atoms at +-sqrt(2), weight 1/2, so m2 = 2 = 2 sigma^2; the
-        # self-similar metrics are finite and m2 moves exactly to 2 + 2 t
+        # self-similar metrics are finite and m2 moves exactly to 2 + 2 t.  At eps = 0.2
+        # the atoms keep e^-50 of the mass by t = 2, so the density holds all of it
         dist = tmp_path / "atoms.txt"
-        dist.write_text(f"40 0 2\n{-math.sqrt(2.0)!r} 0.5\n{math.sqrt(2.0)!r} 0.5\n")
+        dist.write_text(f"60 0 2\n{-math.sqrt(2.0)!r} 0.5\n{math.sqrt(2.0)!r} 0.5\n")
         cfg = tmp_path / "atoms.cfg"
-        cfg.write_text(f"kernel = rosenau\nepsilons = 0.2\ntimes = 0.5 2\n"
+        cfg.write_text(f"kernel = rosenau\nepsilons = 0.2\ntimes = 2 5\n"
                        f"initial = file:{dist}\nmetrics = d2_selfsim d2_gap mass m2\n")
         assert main(["metrics", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
         rows = [row.split(",") for row in
                 (tmp_path / "out" / "results.csv").read_text().splitlines()[1:]]
         assert len(rows) == 8 and all(math.isfinite(float(row[4])) for row in rows)
         m2 = {float(row[2]): float(row[4]) for row in rows if row[3] == "m2"}
-        assert m2 == {0.5: pytest.approx(3.0, rel=1e-9), 2.0: pytest.approx(6.0, rel=1e-9)}
+        assert m2 == {2.0: pytest.approx(6.0, rel=1e-9), 5.0: pytest.approx(12.0, rel=1e-9)}
+
+    @pytest.mark.parametrize("command,kernel,eps,metrics", [
+        ("metrics", "rosenau", "0.2", "m2"),
+        ("metrics", "rosenau", "0.2", "m4 mass"),
+        ("simulate", "rosenau", "0.2", "mass"),
+        ("simulate", "rosenau", "1", "mass"),
+        ("simulate", "central-diff", "0.2", "mass"),
+    ])
+    def test_atoms_kept_by_a_density_exit_1(self, tmp_path, capsys, command, kernel, eps, metrics):
+        # at t = 0.5 the atoms keep e^-mu of their mass under rosenau (3.7e-6 at eps = 0.2,
+        # where the inverted density dips to -1.1e-8) and all of it under central-diff
+        dist = tmp_path / "atoms.txt"
+        dist.write_text(f"40 0 2\n{-math.sqrt(2.0)!r} 0.5\n{math.sqrt(2.0)!r} 0.5\n")
+        cfg = tmp_path / "atoms.cfg"
+        cfg.write_text(f"kernel = {kernel}\nepsilons = {eps}\ntimes = 0.5 2\n"
+                       f"initial = file:{dist}\nmetrics = {metrics}\n")
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"sweep point (kernel={kernel}, eps={eps}, t=0.5): the datum's atoms keep mass" in err
+        assert not out.exists() or os.listdir(out) == []
+
+    def test_atoms_pass_where_no_density_is_read(self, tmp_path):
+        # mass and the d_s metrics read the transform alone, so the atoms' mass is exact there
+        dist = tmp_path / "atoms.txt"
+        dist.write_text(f"40 0 2\n{-math.sqrt(2.0)!r} 0.5\n{math.sqrt(2.0)!r} 0.5\n")
+        cfg = tmp_path / "atoms.cfg"
+        cfg.write_text(f"kernel = central-diff\nepsilons = 1\ntimes = 0.5 2\n"
+                       f"initial = file:{dist}\nmetrics = mass d2_selfsim\n")
+        assert main(["metrics", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
 
     def test_file_initial_with_nan_exit_2(self, tmp_path, capsys):
         dist = tmp_path / "nan.txt"
@@ -515,6 +666,20 @@ class TestCli:
         assert main(["metrics", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert "line 4" in err and "initial" in err and "non-finite" in err
+        assert not os.path.exists(tmp_path / "out" / "results.csv")
+
+    @pytest.mark.parametrize("content,message", [
+        ("40 0\n", "truncated distribution file"),
+        ("40 0 2\n1.0 0.5\n", "expected 7 tokens for N=0, n_atoms=2, got 5"),
+    ], ids=["header", "token-count"])
+    def test_malformed_file_initial_exit_2(self, tmp_path, capsys, content, message):
+        dist = tmp_path / "bad.txt"
+        dist.write_text(content)
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"kernel = rosenau\nepsilons = 0.1\ntimes = 1\n"
+                       f"initial = file:{dist}\nmetrics = mass\n")
+        assert main(["metrics", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert f"config error: line 4: initial: {dist}: {message}" in capsys.readouterr().err
         assert not os.path.exists(tmp_path / "out" / "results.csv")
 
     @pytest.mark.parametrize("content", [
@@ -596,19 +761,7 @@ class TestCli:
                      "--out", str(out)]) == 2
         assert f"config error: --out: {out}: " in capsys.readouterr().err
 
-    @pytest.mark.parametrize("text,message", [
-        (None, "No such file or directory"),
-        ("kernel,epsilon,t,value\nrosenau,0.1,1,0.5\n",
-         "not a results CSV, no column quantity argsup grid_L grid_N"),
-        (CSV_HEADER + "\nrosenau,0.1,1,mass,abc,0,40,4096\n",
-         "line 2: could not convert string to float: 'abc'"),
-        (CSV_HEADER + "\nrosenau,0.1,1,mass,1,0,40,100\n",
-         "line 2: grid points must be a power of two"),
-        (CSV_HEADER + "\nrosenau,0.1,1,d2_selfsim,inf,0,40,4096\n",
-         "line 2: value must be finite, got inf"),
-        (CSV_HEADER + "\nrosenau,nan,1,d2_selfsim,0.5,0,40,4096\n",
-         "line 2: epsilon must be finite, got nan"),
-    ], ids=["missing", "columns", "value", "grid_N", "value-inf", "epsilon-nan"])
+    @pytest.mark.parametrize("text,message", BAD_CSVS, ids=BAD_CSV_IDS)
     def test_plot_bad_csv_exit_2(self, tmp_path, capsys, text, message):
         csv_path = tmp_path / "results.csv"
         if text is not None:
@@ -616,6 +769,16 @@ class TestCli:
         assert main(["plot", "--csv", str(csv_path), "--out", str(tmp_path / "svg")]) == 2
         assert f"config error: --csv: {csv_path}: {message}" in capsys.readouterr().err
         assert not (tmp_path / "svg").exists()
+
+    @pytest.mark.parametrize("text,message", BAD_CSVS, ids=BAD_CSV_IDS)
+    def test_rates_bad_csv_exit_2(self, tmp_path, capsys, text, message):
+        # plot and rates read a results CSV through one reader, with the same errors
+        csv_path = tmp_path / "results.csv"
+        if text is not None:
+            csv_path.write_text(text)
+        assert main(["rates", "--csv", str(csv_path)]) == 2
+        captured = capsys.readouterr()
+        assert f"config error: --csv: {csv_path}: {message}" in captured.err and captured.out == ""
 
     @pytest.mark.parametrize("command", ["metrics", "check", "simulate"])
     def test_numerical_failure_exit_1(self, tmp_path, capsys, command):
@@ -671,7 +834,7 @@ class TestCli:
         assert f"sweep point (kernel={kernel}, eps=0.1, t={times})" in proc.stderr
         assert "Traceback" not in proc.stderr
 
-    @pytest.mark.parametrize("command", ["metrics", "check", "rates"])
+    @pytest.mark.parametrize("command", ["metrics", "check"])
     def test_negative_threads_exit_2(self, tmp_path, capsys, command):
         with pytest.raises(SystemExit) as exc:
             main([command, "--config", os.path.join(CONFIG_DIR, "decay_sweep.cfg"),
@@ -684,8 +847,7 @@ class TestCli:
     @pytest.mark.parametrize("window", [("nan", "5"), ("50", "5"), ("5", "5"), ("5", "nan")])
     def test_rates_bad_window_exit_2(self, capsys, window):
         with pytest.raises(SystemExit) as exc:
-            main(["rates", "--config", os.path.join(CONFIG_DIR, "decay_sweep.cfg"),
-                  "--window", *window])
+            main(["rates", "--csv", "results.csv", "--window", *window])
         assert exc.value.code == 2
         captured = capsys.readouterr()
         assert "usage:" in captured.err and "argument --window:" in captured.err
@@ -740,7 +902,7 @@ class TestCli:
         # rates prints its fits and writes no file, so it takes neither flag
         args = [flag, str(tmp_path / "r")] if flag == "--out" else [flag]
         with pytest.raises(SystemExit) as exc:
-            main(["rates", "--config", os.path.join(CONFIG_DIR, "regularized_l1.cfg"),
+            main(["rates", "--csv", str(tmp_path / "results.csv"),
                   "--quantity", "l1_heat_gap", "--window", "5", "200", *args])
         assert exc.value.code == 2
         captured = capsys.readouterr()
