@@ -9,8 +9,6 @@ point), 2 usage or configuration error.
 from __future__ import annotations
 
 import argparse
-import csv
-import math
 import os
 import sys
 from contextlib import contextmanager
@@ -19,8 +17,7 @@ from typing import List, Optional
 from . import analysis
 from .config import ExperimentConfig, load_config
 from .errors import ConfigError, InvalidDataError, RosenauError
-from .runner import CSV_HEADER, Row, run, simulate
-from .spectral import GridSpec
+from .runner import read_rows, run, simulate
 
 
 def _checked(convert, ok, what: str):
@@ -69,8 +66,6 @@ def build_parser() -> argparse.ArgumentParser:
                                                f"in (0, {analysis.APPENDIX_T_MAX:g}]"),
                        default=1000.0)
     p_app.add_argument("--points", type=_checked(int, lambda v: v >= 2, "at least 2"), default=13)
-    p_app.add_argument("--panels", type=_checked(int, lambda v: v >= 2, "at least 2"),
-                       default=128)
 
     p_plot = sub.add_parser("plot", help="render SVG decay plots from a results CSV")
     p_plot.add_argument("--csv", required=True, help="results.csv produced by `metrics`")
@@ -93,7 +88,7 @@ def _load(args) -> ExperimentConfig:
 
 
 def _cmd_rates(args) -> int:
-    rows = _read_rows(args.csv)
+    rows = read_rows(args.csv)
     held = sorted({r.quantity for r in rows})
     if not held or args.quantity not in (None, *held):
         wanted = f"quantity {args.quantity!r}" if args.quantity else "any quantity"
@@ -117,38 +112,16 @@ def _cmd_appendix(args) -> int:
     times = [0.0] + [args.tmax ** (k / (args.points - 1)) for k in range(args.points)]
     print(f"{'t':>12} {'I_s':>14} {'B_s':>12} {'B_s/(1+t)^0.1':>14} {'balanced':>12}")
     for t in times:
-        rep = analysis.appendix_report(args.s, t, panels=args.panels)
+        rep = analysis.appendix_report(args.s, t)
         print(f"{t:12.4g} {rep.integral:14.6e} {rep.value:12.6g} "
               f"{rep.normalized:14.6g} {rep.value_balanced:12.6g}")
     return 0
 
 
-def _read_rows(path: str) -> List[Row]:
-    """The rows of a results CSV.  A file that cannot be read, lacks a column of the
-    schema or holds an invalid value is a usage error naming --csv (and the line)."""
-    rows: List[Row] = []
-    with _file_of("--csv", path), open(path) as fh:
-        reader = csv.DictReader(fh)
-        if missing := [c for c in CSV_HEADER.split(",") if c not in (reader.fieldnames or [])]:
-            raise ConfigError(f"--csv: {path}: not a results CSV, no column {' '.join(missing)}")
-        for rec in reader:
-            try:
-                num = {key: float(rec[key]) for key in ("epsilon", "t", "value", "argsup", "grid_L")}
-                if bad := [key for key, x in num.items() if not math.isfinite(x)]:
-                    raise ValueError(f"{bad[0]} must be finite, got {rec[bad[0]]}")
-                rows.append(Row(
-                    kernel=rec["kernel"], epsilon=num["epsilon"], t=num["t"],
-                    quantity=rec["quantity"], value=num["value"], argsup=num["argsup"],
-                    grid=GridSpec(num["grid_L"], int(rec["grid_N"]))))
-            except ValueError as exc:  # also GridSpec's InvalidParameterError
-                raise ConfigError(f"--csv: {path}: line {reader.line_num}: {exc}") from exc
-    return rows
-
-
 def _cmd_plot(args) -> int:
     from .svg import write_plots
 
-    rows = _read_rows(args.csv)
+    rows = read_rows(args.csv)
     with _file_of("--out", args.out):
         os.makedirs(args.out, exist_ok=True)
         paths = write_plots(rows, args.out).values()
@@ -168,20 +141,17 @@ def main(argv: Optional[List[str]] = None) -> int:
         parser.error(f"argument --window: must be T_LO < T_HI, got {args.window[0]!r} "
                      f"{args.window[1]!r}")
     try:
-        if args.command == "simulate":
+        if args.command in ("simulate", "metrics", "check"):
             cfg = _load(args)
+            if args.command != "simulate":  # simulate reads neither list; the others need their own
+                key, other = ("metrics", "checks") if args.command == "metrics" else ("checks", "metrics")
+                if not getattr(cfg, key):
+                    raise ConfigError(f"{key}: none configured; `rosenau {args.command}` needs a "
+                                      f"`{key} = ...` line")
+                setattr(cfg, other, [])
             with _file_of("--out" if args.out else "out", args.out or cfg.out):
-                paths = simulate(cfg, out_dir=args.out)
-            return _report(paths)
-        if args.command in ("metrics", "check"):
-            cfg = _load(args)
-            key, other = ("metrics", "checks") if args.command == "metrics" else ("checks", "metrics")
-            if not getattr(cfg, key):
-                raise ConfigError(f"{key}: none configured; `rosenau {args.command}` needs a "
-                                  f"`{key} = ...` line")
-            setattr(cfg, other, [])
-            with _file_of("--out" if args.out else "out", args.out or cfg.out):
-                paths = run(cfg, out_dir=args.out, threads=args.threads).values()
+                paths = (simulate(cfg, out_dir=args.out) if args.command == "simulate" else
+                         run(cfg, out_dir=args.out, threads=args.threads).values())
             return _report(paths)
         if args.command == "rates":
             return _cmd_rates(args)

@@ -69,8 +69,6 @@ class ExperimentConfig:
             values = getattr(self, key)
             if len(set(values)) != len(values):
                 fail(key, f"values must be unique, got {' '.join(map(str, values))}")
-        if not self.metrics and not self.checks:
-            raise ConfigError("nothing to do: no metrics and no checks requested")
         family = CUSTOM if self.kernel.startswith("custom:") else self.kernel
         if family not in (ROSENAU, CENTRAL_DIFF, CUSTOM):
             fail("kernel", f"unknown kernel {self.kernel!r}")

@@ -1,4 +1,5 @@
-"""Sweep execution: metrics and checks over (kernel, eps, t), CSV/JSONL output.
+"""Sweep execution: metrics and checks over (kernel, eps, t), CSV/JSONL output,
+and the reader of that CSV.
 
 Each time is one task computing every eps at that t, and the tasks may run
 on a thread pool; results are merged by sorted key so the written bytes do
@@ -8,6 +9,7 @@ pipeline is seed-free, which makes reruns byte-identical.
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 import os
@@ -85,19 +87,18 @@ def _input_file(cfg: ExperimentConfig, key: str):
 def _setup(cfg: ExperimentConfig,
            density: bool = False) -> Tuple[Dict[float, BackgroundKernel], SpectralField]:
     """The kernel of each eps and the initial-datum transform they share, on a
-    grid that holds every time; no eps changes the diffusivity sigma_sq.
+    grid that holds every time; every kernel has the diffusivity sigma^2.
 
     The grid comes from the config alone: file: data keep their own grid,
     presets take [grid] L and N, sized by default from the datum's m2.  With
     ``density``, every sweep point must also leave at most LEAK_TOL of the
     mass on the datum's atoms, which the inverse FFT would fold into the density.
     """
-    times, eps0, atoms = sorted(cfg.times), cfg.epsilons[0], 0.0
+    times, eps0, sigma_sq, atoms = sorted(cfg.times), cfg.epsilons[0], cfg.sigma**2, 0.0
     kernels = {}
     for eps in cfg.epsilons:
         with _sweep_point(cfg, eps, times), _input_file(cfg, "kernel"):
             kernels[eps] = kernel_by_name(cfg.kernel, eps, cfg.sigma)
-    kernel = kernels[eps0]
     with _sweep_point(cfg, eps0, times):
         if cfg.initial.startswith("file:"):
             with _input_file(cfg, "initial"):
@@ -105,22 +106,23 @@ def _setup(cfg: ExperimentConfig,
             m2, g0 = moment(dist, 2), forward_transform(dist)
             atoms = sum(abs(w) for _, w in dist.atoms) if density else 0.0
         else:
-            m2 = analysis.INITIAL_PRESETS[cfg.initial][1](kernel.sigma_sq)
+            m2 = analysis.INITIAL_PRESETS[cfg.initial][1](sigma_sq)
             points = cfg.N or DEFAULT_GRID_N
             grid = (GridSpec(cfg.L, points) if cfg.L is not None else
-                    default_grid(math.sqrt(kernel.sigma_sq), times[-1], n=points, m2=m2))
-            g0 = analysis.initial_by_name(cfg.initial, grid, kernel.sigma_sq)
+                    default_grid(math.sqrt(sigma_sq), times[-1], n=points, m2=m2))
+            g0 = analysis.initial_by_name(cfg.initial, grid, sigma_sq)
     for t in times:
         with _sweep_point(cfg, eps0, [t]):
-            require_grid_contains(g0.grid, m2 + 2.0 * kernel.sigma_sq * t)
+            require_grid_contains(g0.grid, m2 + 2.0 * sigma_sq * t)
     for eps in sorted(cfg.epsilons) if atoms else ():  # presets carry no atoms
-        for t in times:
-            # an atom keeps e^-mu of its mass under rosenau and all of it under an atomic kernel
-            kept = atoms * (1.0 if kernels[eps].atoms else math.exp(-kernels[eps].intensity(t)))
-            if kept > LEAK_TOL:
-                with _sweep_point(cfg, eps, [t]):
-                    raise RosenauError(f"the datum's atoms keep mass {kept:.3e} > {LEAK_TOL:g}, "
-                                       "which an inverse FFT would spread over the density")
+        # an atom keeps all of its mass under an atomic kernel and e^-mu under rosenau,
+        # which falls with t, so the first time decides
+        kernel = kernels[eps]
+        kept = atoms * (1.0 if kernel.atoms else math.exp(-kernel.intensity(times[0])))
+        if kept > LEAK_TOL:
+            with _sweep_point(cfg, eps, times[:1]):
+                raise RosenauError(f"the datum's atoms keep mass {kept:.3e} > {LEAK_TOL:g}, "
+                                   "which an inverse FFT would spread over the density")
     return kernels, g0
 
 
@@ -194,6 +196,32 @@ def write_csv(rows: Sequence[Row], path: str) -> None:
             fh.write(r.csv() + "\n")
 
 
+def read_rows(path: str) -> List[Row]:
+    """The rows of a results CSV that write_csv wrote.  A file that cannot be read, lacks
+    a column of the schema or holds an invalid value is a ConfigError naming --csv (and
+    the line)."""
+    rows: List[Row] = []
+    try:
+        with open(path) as fh:
+            reader = csv.DictReader(fh)
+            if missing := [c for c in CSV_HEADER.split(",") if c not in (reader.fieldnames or [])]:
+                raise ConfigError(f"--csv: {path}: not a results CSV, no column {' '.join(missing)}")
+            for rec in reader:
+                try:
+                    num = {key: float(rec[key]) for key in ("epsilon", "t", "value", "argsup", "grid_L")}
+                    if bad := [key for key, x in num.items() if not math.isfinite(x)]:
+                        raise ValueError(f"{bad[0]} must be finite, got {rec[bad[0]]}")
+                    rows.append(Row(
+                        kernel=rec["kernel"], epsilon=num["epsilon"], t=num["t"],
+                        quantity=rec["quantity"], value=num["value"], argsup=num["argsup"],
+                        grid=GridSpec(num["grid_L"], int(rec["grid_N"]))))
+                except ValueError as exc:  # also GridSpec's InvalidParameterError
+                    raise ConfigError(f"--csv: {path}: line {reader.line_num}: {exc}") from exc
+    except OSError as exc:
+        raise ConfigError(f"--csv: {path}: {exc.strerror or exc}") from exc
+    return rows
+
+
 def write_checks(checks: Sequence[analysis.BoundCheck], path: str) -> None:
     with open(path, "w") as fh:
         for c in checks:
@@ -208,13 +236,14 @@ def write_checks(checks: Sequence[analysis.BoundCheck], path: str) -> None:
 
 
 def run(cfg: ExperimentConfig, out_dir: Optional[str] = None, threads: int = 1) -> Dict[str, str]:
-    """Execute a config: results.csv, checks.jsonl, one SVG per plotted quantity."""
+    """Execute a config: results.csv, checks.jsonl, one SVG per plotted quantity.
+    The output directory is created only once the sweep has succeeded."""
     from .svg import write_plots
 
+    rows, checks = _sweep(cfg, threads)
     out = out_dir or cfg.out
     os.makedirs(out, exist_ok=True)
     artifacts: Dict[str, str] = {}
-    rows, checks = _sweep(cfg, threads)
 
     if cfg.metrics:
         csv_path = os.path.join(out, "results.csv")
@@ -234,10 +263,11 @@ def run(cfg: ExperimentConfig, out_dir: Optional[str] = None, threads: int = 1) 
 
 
 def simulate(cfg: ExperimentConfig, out_dir: Optional[str] = None) -> List[str]:
-    """Solve the kinetic equation at every sweep point and dump distributions."""
+    """Solve the kinetic equation at every sweep point and dump distributions.
+    The output directory is created only once the setup has succeeded."""
+    kernels, g0 = _setup(cfg, density=True)
     out = out_dir or cfg.out
     os.makedirs(out, exist_ok=True)
-    kernels, g0 = _setup(cfg, density=True)
     written = []
     for eps in sorted(cfg.epsilons):
         for t in sorted(cfg.times):

@@ -1,9 +1,10 @@
 """Byte-for-byte contract: the shipped configs reproduce the stored outputs.
 
 The files in tests/golden/ were written by `rosenau metrics` and
-`rosenau check` on the shipped configs, and the sha256 digests below by
-`rosenau simulate`; a refactor must leave them intact.  Bytes pin what was
-captured, not what is true, so every golden row is also compared with an
+`rosenau check` on the shipped configs and by `rosenau appendix` with its
+defaults, and the sha256 digests below by `rosenau simulate`; a refactor
+must leave them intact.  Bytes pin what was captured, not what is true, so
+every golden row of a sweep is also compared with an
 independent closed-form oracle from conftest, which imports nothing from
 rosenau; the one quantity without a closed form is compared with its own
 sweep on a refined grid instead, a convergence check.
@@ -56,6 +57,13 @@ def test_simulate_minimal_bytes(tmp_path):
     assert written == SIMULATE_MINIMAL_SHA256
 
 
+def test_appendix_default_table_bytes(capsys):
+    # the growth table that `rosenau appendix` prints with its default values
+    assert main(["appendix"]) == 0
+    with open(os.path.join(GOLDEN_DIR, "appendix.stdout"), "rb") as fh:
+        assert capsys.readouterr().out.encode() == fh.read()
+
+
 # quantity -> (oracle of (initial, family, eps, t) at sigma = 1, relative tolerance); each
 # tolerance is one the goldens meet, and a later change may tighten it, never loosen it.
 # Both presets have m2 = 1, so the profile's d2 limit is d0 = |1 - 2 sigma^2| / 2 = 0.5.
@@ -92,7 +100,10 @@ def _close(value, expected, rtol):
     return abs(value - expected) <= rtol * abs(expected)
 
 
-@pytest.mark.parametrize("golden", sorted(os.listdir(GOLDEN_DIR)))
+# the sweep goldens; the appendix table's quadrature is checked against a refined one
+# in test_acceptance
+@pytest.mark.parametrize("golden", sorted(f for f in os.listdir(GOLDEN_DIR)
+                                          if f.endswith((".results.csv", ".checks.jsonl"))))
 def test_golden_rows_match_independent_oracles(golden):
     config, _, kind = golden.partition(".")
     cfg = load_config(os.path.join(CONFIG_DIR, f"{config}.cfg"))
