@@ -171,12 +171,19 @@ def l1_norm(d: MixedDistribution) -> float:
     return dens + sum(abs(w) for _, w in d.atoms)
 
 
+@functools.lru_cache(maxsize=16)
+def _moment_weights(grid: GridSpec, k: int) -> np.ndarray:
+    """|v|^k on the grid's velocity nodes, shared per (grid, k) and read-only."""
+    w = np.abs(grid.v()) ** k
+    w.flags.writeable = False
+    return w
+
+
 def moment(d: MixedDistribution, k: int) -> float:
     """k-th absolute moment, of |v|^k: atom sum plus grid quadrature of the density part."""
     if k < 0 or int(k) != k:
         raise InvalidParameterError("moment order must be a nonnegative integer")
-    w = np.abs(d.grid.v()) ** k
-    total = d.grid.dv * float(np.sum(w * d.density))
+    total = d.grid.dv * float(np.sum(_moment_weights(d.grid, k) * d.density))
     for loc, mass in d.atoms:
         total += mass * abs(loc) ** k
     return total

@@ -96,6 +96,9 @@ def default_grid(sigma: float, t_max: float, n: Optional[int] = None,
 class SpectralField:
     """Sampled Fourier transform on a GridSpec.
 
+    ``values`` keep the dtype their source gives, as float64 or complex128: real for
+    the presets and every multiplier of them (mirror-symmetric laws have real, even
+    transforms), complex for ``forward_transform`` of sampled data.
     ``analytic``, when present, evaluates the same transform exactly off the
     grid: a closed form for the presets, the chirp-z sum of ``forward_transform``
     for sampled data.  Propagators compose it so that rescaling stays exact.
@@ -106,7 +109,8 @@ class SpectralField:
     analytic: Optional[Callable[[Array], Array]] = None
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=complex)
+        vals = np.asarray(self.values)
+        vals = vals.astype(complex if np.iscomplexobj(vals) else float, copy=False)
         if vals.shape != (self.grid.points,):
             raise InvalidParameterError(
                 f"values shape {vals.shape} does not match grid ({self.grid.points},)"
@@ -161,12 +165,12 @@ class MixedDistribution:
 
 def field_from_symbol(grid: GridSpec, fn: Callable[[Array], Array]) -> SpectralField:
     """Sample an analytic transform on the grid, keeping the closure."""
-    return SpectralField(grid=grid, values=np.asarray(fn(grid.xi()), dtype=complex), analytic=fn)
+    return SpectralField(grid=grid, values=fn(grid.xi()), analytic=fn)
 
 
 def delta_field(grid: GridSpec) -> SpectralField:
     """Transform of the unit Dirac mass at the origin (constant 1)."""
-    return field_from_symbol(grid, lambda xi: np.ones_like(np.asarray(xi, dtype=float), dtype=complex))
+    return field_from_symbol(grid, lambda xi: np.ones_like(np.asarray(xi, dtype=float)))
 
 
 def gaussian_field(grid: GridSpec, variance: float) -> SpectralField:
@@ -263,13 +267,18 @@ def inverse_transform(f: SpectralField) -> MixedDistribution:
         raise SymmetryError(
             f"field is not Hermitian-symmetric (defect {defect:.3e}, scale {scale:.3e})"
         )
-    # fftshift, ifft, / dv and ifftshift in one FFT-order work array; N is even,
-    # so both shifts swap the halves
+    # fftshift and ifft in one complex FFT-order work array, filled from real or complex
+    # samples; N is even, so both shifts swap the halves
     half = grid.points // 2
-    work = np.concatenate((vals[half:], vals[:half]))
+    work = np.empty(grid.points, dtype=complex)
+    work[:half], work[half:] = vals[half:], vals[:half]
     np.fft.ifft(work, out=work)
-    np.divide(work, grid.dv, out=work)
-    dens[:half], dens[half:] = work.real[half:], work.real[:half]
+    # ifftshift into dens, then the real part of work / dv as numpy's complex division
+    # gives it, NaN and signed zeros included: dv is real, so (im * 0 + re) * (1 / dv)
+    for out, src in ((dens[:half], work[half:]), (dens[half:], work[:half])):
+        np.multiply(src.imag, 0.0, out=out)
+        out += src.real
+    dens *= 1.0 / grid.dv
     return MixedDistribution(grid=grid, density=dens)
 
 
@@ -299,7 +308,7 @@ def _live(values: Array) -> slice:
 
 def _multiply_live(values: Array, nodes: Array, live: slice, mult_fn: Callable[[Array], Array]) -> Array:
     """values * mult_fn(nodes), mult_fn evaluated on the live span of values alone.  Multipliers are
-    finite, so outside it values * m is a zero: the one values * 1 gives when m >= 0, complex too."""
+    finite, so outside it values * m is a zero: the one values * 1 gives when m >= 0, in either dtype."""
     mult = np.asarray(mult_fn(nodes[live]))
     out = values * np.ones((), mult.dtype)
     np.multiply(values[live], mult, out=out[live])
@@ -311,7 +320,7 @@ def _multiply(f: SpectralField, mult_fn: Callable[[Array], Array]) -> SpectralFi
     analytic = None
     if f.analytic is not None:
         base = f.analytic
-        analytic = lambda z: np.asarray(base(z), dtype=complex) * np.asarray(mult_fn(z))
+        analytic = lambda z: np.asarray(base(z)) * np.asarray(mult_fn(z))
     return SpectralField(grid=f.grid, values=values, analytic=analytic)
 
 
@@ -433,6 +442,9 @@ def load_distribution(path: str) -> MixedDistribution:
         raise InvalidParameterError(f"{path}: truncated distribution file")
     points = int(tokens[1])
     n_atoms = int(tokens[2])
+    for key, count in (("N", points), ("n_atoms", n_atoms)):
+        if count < 0:
+            raise InvalidParameterError(f"{path}: header {key} must be nonnegative, got {count}")
     need = 3 + points + 2 * n_atoms
     if len(tokens) != need:
         raise InvalidParameterError(

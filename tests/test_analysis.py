@@ -39,7 +39,7 @@ from rosenau import (
     rosenau_propagate,
 )
 from rosenau import metrics
-from rosenau.analysis import APPENDIX_T_MAX, INITIAL_PRESETS, initial_by_name
+from rosenau.analysis import APPENDIX_T_MAX, INITIAL_PRESETS, METRICS, initial_by_name
 from rosenau.config import ExperimentConfig, parse_config
 from rosenau.errors import (
     InfiniteDistanceError,
@@ -438,6 +438,34 @@ class TestLiveSpan:
         for field, mult in ((heat_propagate(f, 1.0, 0.5), heat_multiplier(1.0, 0.5)),
                             (rosenau_propagate(f, kernel, 0.5), kinetic_multiplier(kernel, 0.5))):
             assert np.array_equal(self.bits(field.values), self.bits(multiply_oracle(f, mult)))
+
+
+class TestRealFields:
+    """Preset fields store float64 samples; a complex128 copy of the datum, +0 imaginary
+    parts and the same closure, gives every registry metric the same bits."""
+
+    @staticmethod
+    def outcome(point, name):
+        try:
+            return [float(x).hex() for x in getattr(point, name)]
+        except (InfiniteDistanceError, UnsupportedKernelError) as exc:
+            return type(exc).__name__
+
+    @pytest.mark.parametrize("initial", ["mixture-unit", "mixture-matched"])
+    @pytest.mark.parametrize("family", ["rosenau", "central-diff"])
+    def test_complex_datum_gives_the_same_bits(self, family, initial):
+        kernel = kernel_by_name(family, 0.2, 1.5)
+        m2 = INITIAL_PRESETS[initial][1](kernel.sigma_sq)
+        grid = default_grid(kernel.sigma, 10.0, n=256, m2=m2)
+        g0 = initial_by_name(initial, grid, kernel.sigma_sq)
+        g0c = SpectralField(g0.grid, g0.values.astype(complex), g0.analytic)
+        assert g0.values.dtype == np.float64 and g0c.values.dtype == np.complex128
+        for t in (0.0, 0.5, 2.0, 10.0):
+            real, cplx = (SweepPoint(kernel, f, kernel.sigma_sq, t) for f in (g0, g0c))
+            for name in METRICS:
+                assert self.outcome(real, name) == self.outcome(cplx, name), (name, t)
+            assert real.sol.values.dtype == np.float64 and cplx.sol.values.dtype == np.complex128
+
 
 class TestRateFit:
     def test_exact_power_law(self):

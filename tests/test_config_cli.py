@@ -667,7 +667,9 @@ class TestCli:
     @pytest.mark.parametrize("content,message", [
         ("40 0\n", "truncated distribution file"),
         ("40 0 2\n1.0 0.5\n", "expected 7 tokens for N=0, n_atoms=2, got 5"),
-    ], ids=["header", "token-count"])
+        ("10 -2 0\n0.1\n", "header N must be nonnegative, got -2"),
+        ("10 16 -1\n" + "0.1\n" * 14, "header n_atoms must be nonnegative, got -1"),
+    ], ids=["header", "token-count", "negative-N", "negative-atoms"])
     def test_malformed_file_initial_exit_2(self, tmp_path, capsys, content, message):
         dist = tmp_path / "bad.txt"
         dist.write_text(content)

@@ -31,10 +31,10 @@ from rosenau.errors import (
     ResampleError,
     SymmetryError,
 )
-from rosenau.analysis import frame_scale
+from rosenau.analysis import INITIAL_PRESETS, frame_scale, initial_by_name
 from rosenau.spectral import (EXP_UNDERFLOW, SYM_TOL, _exp, _hermitian_defect,
                               field_from_symbol, mass_leak_estimate, require_grid_contains)
-from rosenau.wild import cd_wild_solution, wild_partial_sum
+from rosenau.wild import cd_wild_solution, wild_partial_sum, wild_solution
 
 from conftest import hermitian_defect_oracle, inverse_transform_oracle
 from test_acceptance import FIT_TIMES
@@ -355,6 +355,29 @@ class TestInverseTransform:
         assert any(raised) and not all(raised)
 
     @pytest.mark.parametrize("n", [16, 4096, 65536])
+    def test_real_fields_match_the_oracle_on_their_complex_cast(self, n):
+        # float64 samples, the real parts of the oracle fields with their signed zeros and
+        # NaN, invert to the bits the complex oracle gives their complex128 cast
+        g = GridSpec(10.0 + 0.01 * n, n)
+        raised = []
+        for vals in (v.real.copy() for v in oracle_fields(g)):
+            cast = vals.astype(complex)
+            assert bits(_hermitian_defect(vals)) == bits(hermitian_defect_oracle(cast))
+            f = SpectralField(grid=g, values=vals)
+            assert f.values.dtype == np.float64
+            try:
+                want = inverse_transform_oracle(SpectralField(grid=g, values=cast))
+            except SymmetryError:
+                raised.append(True)
+                with pytest.raises(SymmetryError):
+                    inverse_transform(f)
+                continue
+            raised.append(False)
+            got = inverse_transform(f)
+            assert np.array_equal(bits(got.density), bits(want)) and got.atoms == ()
+        assert any(raised) and not all(raised)
+
+    @pytest.mark.parametrize("n", [16, 4096, 65536])
     def test_symmetry_threshold_is_the_oracles(self, n):
         # |v_k - conj(v_N-k)| = d off xi = 0 and 2 d at xi = 0, against a peak of exactly
         # 1: a defect of SYM_TOL passes, the next double above it raises
@@ -439,11 +462,23 @@ class TestDilate:
         assert peak < 16 * 2**20
         assert vars(g0).keys() == attrs.keys()
 
-    def test_at_keeps_the_closure_dtype(self, grid):
-        # a preset's closure is real; fields built from it still hold complex samples
-        assert gaussian_field(grid, 1.0).at(grid.xi()).dtype == np.float64
-        assert gaussian_field(grid, 1.0).values.dtype == np.complex128
-        assert dilate(gaussian_field(grid, 1.0), 0.5).values.dtype == np.complex128
+    def test_at_keeps_the_closure_dtype(self, grid, ros_kernel):
+        # preset closures are real, and every field built from them stores float64 samples,
+        # their products with the real multipliers too; sampled data keep the FFT's complex128
+        g0 = gaussian_field(grid, 1.0)
+        assert g0.at(grid.xi()).dtype == np.float64
+        real = [initial_by_name(name, grid) for name in INITIAL_PRESETS] + [
+            g0, delta_field(grid), heat_propagate(g0, 1.0, 0.5),
+            rosenau_propagate(g0, ros_kernel, 0.5), regularized_solution(g0, ros_kernel, 0.5),
+            regularized_propagator(ros_kernel, 0.5, grid), singular_split(ros_kernel, 0.5, grid)[0],
+            dilate(g0, 0.5), dilate(rosenau_propagate(g0, ros_kernel, 0.5), 0.5)]
+        for f in real:
+            assert f.values.dtype == np.float64 and f.at(grid.xi()).dtype == np.float64
+        assert wild_solution(g0, ros_kernel, 0.5).field.values.dtype == np.float64
+        sampled = forward_transform(inverse_transform(g0))
+        assert sampled.values.dtype == np.complex128
+        assert rosenau_propagate(sampled, ros_kernel, 0.5).values.dtype == np.complex128
+        assert SpectralField(grid, np.ones(grid.points, dtype=int)).values.dtype == np.float64
 
 
 class TestGridMonitor:
