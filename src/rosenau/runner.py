@@ -17,6 +17,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from numpy.linalg import LinAlgError
+
 from . import analysis
 from .config import ExperimentConfig
 from .errors import ConfigError, RosenauError
@@ -65,12 +67,13 @@ class Row:
 
 @contextmanager
 def _sweep_point(cfg: ExperimentConfig, eps: float, times: Sequence[float]):
-    """Re-raise a numerical failure as RunError naming the sweep point."""
+    """Re-raise a numerical failure as RunError naming the sweep point: a RosenauError, and
+    the overflow or failed fit of a float or numpy step that no guard of its own foresaw."""
     try:
         yield
     except ConfigError:
         raise
-    except RosenauError as exc:
+    except (RosenauError, ArithmeticError, LinAlgError) as exc:
         at = f"t={times[0]:g}" if len(times) == 1 else f"t in {list(times)}"
         raise RunError(f"sweep point (kernel={cfg.kernel}, eps={eps:g}, {at}): {exc}") from exc
 

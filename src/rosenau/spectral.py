@@ -15,6 +15,7 @@ All operations are pure (input -> new output) and thread-safe.
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import math
 from dataclasses import dataclass
@@ -252,6 +253,20 @@ def _hermitian_defect(values: Array) -> float:
     return float(np.max(np.abs(diff)))
 
 
+@functools.cache
+def _keep_fft_scratch() -> bool:
+    """Once per process, fix glibc's mmap and trim thresholds at 32 and 64 MiB (its dynamic
+    threshold's cap, and twice it), so the FFT scratch an inverse frees stays in the heap instead
+    of faulting back in zeroed.  Setting either one stops glibc's dynamic rule, so both are set.
+    False, and nothing raised, where mallopt is missing or refuses (macOS, Windows, musl)."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return False
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    return bool(mallopt(-3, 32 << 20)) and bool(mallopt(-1, 64 << 20))  # M_MMAP_THRESHOLD, M_TRIM_THRESHOLD
+
+
 def inverse_transform(f: SpectralField) -> MixedDistribution:
     """Invert to a density by inverse FFT; the field must carry no atoms.
 
@@ -272,6 +287,7 @@ def inverse_transform(f: SpectralField) -> MixedDistribution:
     half = grid.points // 2
     work = np.empty(grid.points, dtype=complex)
     work[:half], work[half:] = vals[half:], vals[:half]
+    _keep_fft_scratch()
     np.fft.ifft(work, out=work)
     # ifftshift into dens, then the real part of work / dv as numpy's complex division
     # gives it, NaN and signed zeros included: dv is real, so (im * 0 + re) * (1 / dv)
@@ -440,11 +456,10 @@ def load_distribution(path: str) -> MixedDistribution:
         tokens = fh.read().split()
     if len(tokens) < 3:
         raise InvalidParameterError(f"{path}: truncated distribution file")
-    points = int(tokens[1])
-    n_atoms = int(tokens[2])
-    for key, count in (("N", points), ("n_atoms", n_atoms)):
-        if count < 0:
-            raise InvalidParameterError(f"{path}: header {key} must be nonnegative, got {count}")
+    for key, token in (("N", tokens[1]), ("n_atoms", tokens[2])):
+        if not token.isdecimal():
+            raise InvalidParameterError(f"{path}: header {key} must be a nonnegative integer, got {token!r}")
+    points, n_atoms = int(tokens[1]), int(tokens[2])
     need = 3 + points + 2 * n_atoms
     if len(tokens) != need:
         raise InvalidParameterError(

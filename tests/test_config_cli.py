@@ -667,9 +667,11 @@ class TestCli:
     @pytest.mark.parametrize("content,message", [
         ("40 0\n", "truncated distribution file"),
         ("40 0 2\n1.0 0.5\n", "expected 7 tokens for N=0, n_atoms=2, got 5"),
-        ("10 -2 0\n0.1\n", "header N must be nonnegative, got -2"),
-        ("10 16 -1\n" + "0.1\n" * 14, "header n_atoms must be nonnegative, got -1"),
-    ], ids=["header", "token-count", "negative-N", "negative-atoms"])
+        ("10 -2 0\n0.1\n", "header N must be a nonnegative integer, got '-2'"),
+        ("10 16 -1\n" + "0.1\n" * 14, "header n_atoms must be a nonnegative integer, got '-1'"),
+        ("10 16.0 0\n" + "0.1\n" * 16, "header N must be a nonnegative integer, got '16.0'"),
+        ("10 abc 0\n", "header N must be a nonnegative integer, got 'abc'"),
+    ], ids=["header", "token-count", "negative-N", "negative-atoms", "float-N", "word-N"])
     def test_malformed_file_initial_exit_2(self, tmp_path, capsys, content, message):
         dist = tmp_path / "bad.txt"
         dist.write_text(content)
@@ -847,6 +849,26 @@ class TestCli:
         assert proc.returncode == 1, proc.stderr
         assert f"sweep point (kernel={kernel}, eps=0.1, t={times})" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("command,text,point", [
+        # the d3 rhs (1 + t)^1.5 overflows a float
+        ("check", "kernel = rosenau\nsigma = 1e-150\nepsilons = 1e-6\ntimes = 1e300\n"
+                  "initial = mixture-matched\nchecks = d3_bound\n", "kernel=rosenau, eps=1e-06, t=1e+300"),
+        # the d_s limit fit's SVD does not converge
+        ("metrics", "kernel = central-diff\nsigma = 1e-150\nepsilons = 1e150\ntimes = 1e6\n"
+                    "initial = mixture-matched\nmetrics = d2_gap\n", "kernel=central-diff, eps=1e+150, t=1e+06"),
+    ], ids=["d3-rhs-overflow", "d2-gap-svd"])
+    def test_float_and_fit_failures_name_the_sweep_point_exit_1(self, tmp_path, command, text, point):
+        cfg = tmp_path / "edge.cfg"
+        cfg.write_text(text)
+        env = dict(os.environ, PYTHONPATH=SRC_DIR)
+        proc = subprocess.run([sys.executable, "-m", "rosenau.cli", command, "--config", str(cfg),
+                               "--out", str(tmp_path / "out")],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 1, proc.stderr
+        assert f"numerical failure: sweep point ({point})" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["metrics", "check"])
     def test_negative_threads_exit_2(self, tmp_path, capsys, command):

@@ -268,7 +268,8 @@ class TestTabulatedKernel:
         ([(0.0, 1.0)], "second moment"),
         ([(-1e200, 0.5), (1e200, 0.5)], "second moment"),
         ([(-1.0, 0.5, 0.0), (1.0, 0.5, 0.0)], "rows of"),
-    ], ids=["negative", "nan", "inf", "duplicate", "degenerate", "m2-overflow", "columns"])
+        ([(-1.0, 0.5 + 5e-11), (1.0, 0.5 + 5e-11)], "unit mass"),  # 1e-10 off, 100x the tolerance
+    ], ids=["negative", "nan", "inf", "duplicate", "degenerate", "m2-overflow", "columns", "mass-1e-10"])
     def test_invalid_atoms_rejected(self, rows, match):
         with pytest.raises(InvalidKernelError, match=match):
             atomic_kernel(rows, 0.1, 1.0)

@@ -1,5 +1,9 @@
 import itertools
 import math
+import os
+import platform
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -38,6 +42,25 @@ from rosenau.wild import cd_wild_solution, wild_partial_sum, wild_solution
 
 from conftest import hermitian_defect_oracle, inverse_transform_oracle
 from test_acceptance import FIT_TIMES
+
+SRC_DIR = os.path.join(os.path.dirname(__file__), "..", "src")
+
+# 20 steady-state inverses at N = 65536 in a fresh process, with the allocator helper or
+# ("off") without it: the helper's result, their minor faults, and the last density's digest
+STEADY_INVERSES = """
+import hashlib, resource, sys
+from rosenau import spectral
+if sys.argv[1] == "off":
+    spectral._keep_fft_scratch = lambda: False
+f = spectral.gaussian_field(spectral.GridSpec(600.0, 65536), 1.0)
+for _ in range(3):
+    d = spectral.inverse_transform(f)
+start = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(20):
+    d = spectral.inverse_transform(f)
+faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - start
+print(spectral._keep_fft_scratch(), faults, hashlib.sha256(d.density.tobytes()).hexdigest())
+"""
 
 
 def bits(x):
@@ -397,6 +420,21 @@ class TestInverseTransform:
                     assert d == limit
                     inverse_transform(f)
 
+    @pytest.mark.skipif(sys.platform != "linux" or platform.libc_ver()[0] != "glibc",
+                        reason="the mmap and trim thresholds are glibc's; elsewhere the helper does nothing")
+    def test_fft_scratch_stays_resident(self):
+        # glibc's default thresholds give the FFT scratch back every call, about 480 faults each
+        runs = {}
+        for mode in ("off", "on"):
+            proc = subprocess.run([sys.executable, "-c", STEADY_INVERSES, mode],
+                                  env=dict(os.environ, PYTHONPATH=SRC_DIR),
+                                  capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            runs[mode] = proc.stdout.split()
+        assert runs["off"][0] == "False" and runs["on"][0] == "True"
+        assert int(runs["on"][1]) <= 20, runs
+        assert runs["on"][2] == runs["off"][2]  # the same density bits
+
     def test_positivity_of_regular_part(self, grid, gauss_unit, ros_kernel):
         for t in (0.5, 2.0):
             reg = inverse_transform(regularized_solution(gauss_unit, ros_kernel, t))
@@ -435,6 +473,11 @@ class TestDilate:
         g = GridSpec(40.0 * math.sqrt(11.0), 4096)
         sol = rosenau_propagate(gaussian_field(g, 1.0), rosenau_kernel(0.1, 1.0), 1.0)
         return MixedDistribution(g, inverse_transform(sol).density, ((3.5 * g.dv, 0.25),))
+
+    def test_file_datum_rejects_just_past_nyquist(self, off_node_datum):
+        # the band edge is Nyquist to 1e-12 relative; 1e-9 past it would alias
+        with pytest.raises(ResampleError, match="outside the sampled band"):
+            forward_transform(off_node_datum).at(np.array([off_node_datum.grid.nyquist * (1.0 + 1e-9)]))
 
     def test_file_datum_exact_off_the_grid(self, off_node_datum):
         # the chirp-z closure against the direct sum sum_j dv f_j exp(-i xi v_j) + w exp(-i xi loc)
