@@ -33,6 +33,10 @@ from .spectral import GridSpec, MixedDistribution, SpectralField, _live, gaussia
 SMALL_XI_BINS = 8
 # |delta| below this is roundoff, not signal: every field is a probability transform, |f| <= 1
 NOISE_FLOOR = 1e-13
+# the limit fit's |xi| range: its xi^4 column's norm, sqrt(sum xi^8), stays a normal double
+# above the low end, and the column itself stays finite below the high end
+FIT_XI_MIN = sys.float_info.min ** 0.125
+FIT_XI_MAX = sys.float_info.max ** 0.25
 
 
 class MetricReport(NamedTuple):
@@ -78,9 +82,11 @@ def _small_xi_part(x: np.ndarray, delta: np.ndarray, s: float,
         )
     if not (s - 0.35 <= p <= s + 0.35):
         return raw_sup
-    # the fit divides by the norm of its xi^4 column, sqrt(sum xi^8): keep it a normal double
-    if not math.isfinite(raw_sup) or xg[-1] ** 8 < sys.float_info.min:
+    if not math.isfinite(raw_sup) or xg[-1] < FIT_XI_MIN:
         raise RosenauError(f"bins at |xi| <= {xg[-1]:.3g} are too close to 0 to extrapolate "
+                           f"the d_{s:g} limit in double precision")
+    if xg[-1] > FIT_XI_MAX:
+        raise RosenauError(f"bins at |xi| up to {xg[-1]:.3g} are too far from 0 to extrapolate "
                            f"the d_{s:g} limit in double precision")
     coeffs = np.polyfit(xg**2, ratio, 2)
     limit = min(max(float(coeffs[-1]), 0.0), 2.0 * raw_sup)

@@ -178,7 +178,10 @@ def _sweep(cfg: ExperimentConfig, threads: int) -> Tuple[List[Row], List[analysi
     for eps, name in jobs:
         metric, build = analysis.CHECKS[name]
         with _sweep_point(cfg, eps, times):
-            checks.extend(build(kernels[eps], g0, times, lambda t: values[eps, t, metric]))
+            for check in build(kernels[eps], g0, times, lambda t: values[eps, t, metric]):
+                if not math.isfinite(check.rhs):  # lhs and d0 are rows, which _point_rows checked
+                    raise RosenauError(f"{check.name}: rhs is not finite: {check.rhs!r}")
+                checks.append(check)
     return [r for r in rows if r.t > 0 and r.quantity in cfg.metrics], checks
 
 

@@ -6,12 +6,8 @@ import numpy as np
 import pytest
 
 from rosenau.errors import InfiniteDistanceError, RosenauError
-from rosenau import (
-    GridSpec,
-    bernoulli_kernel,
-    gaussian_field,
-    rosenau_kernel,
-)
+from rosenau.kernels import bernoulli_kernel, rosenau_kernel
+from rosenau.spectral import GridSpec, gaussian_field
 
 
 @pytest.fixture(scope="session")
@@ -156,16 +152,28 @@ def l1_heat_gap_oracle(t, sigma=1.0):
 
 # c / 2 of the d2 bound's term sqrt(c sigma^2 / 2) sigma, c = 3 (central-diff) and 1 (rosenau)
 D2_HALF_C = {"central-diff": 1.5, "rosenau": 0.5}
+# m4 / (eps sigma)^4 of the background: two atoms at +-eps sigma, and the exponential density's 4!
+M4_SCALED = {"central-diff": 1.0, "rosenau": 24.0}
+
+
+def b_eps_oracle(family, eps, sigma):
+    """B_eps = 2 m4 / eps^2 of the family's background at (eps, sigma)."""
+    return 2.0 * M4_SCALED[family] * (eps * sigma) ** 4 / eps**2
 
 
 def check_rhs_oracle(check, family, params, d0):
-    """The rhs of a heat_decay or d2_bound record, recomputed from its formula."""
+    """The rhs of a heat_decay, d2_bound or d3_bound record, recomputed from its formula;
+    a d3_bound record's params carry no sigma, so its caller adds one."""
     t = params["t"]
     if check == "heat-decay":
         return d0 / (1.0 + t)
     if check == "d2-bound":
         c = math.sqrt(D2_HALF_C[family] * params["sigma"] ** 2) * params["sigma"]
         return d0 / (1.0 + t) + c * params["eps"] * math.sqrt(t) / (1.0 + t)
+    if check == "d3-bound":
+        b_eps = b_eps_oracle(family, params["eps"], params["sigma"])
+        return (d0 / (1.0 + t) ** 1.5
+                + 13.0 * math.sqrt(2.0) / 24.0 * b_eps**0.75 * (math.sqrt(t) / (1.0 + t)) ** 1.5)
     raise ValueError(f"no rhs oracle for {check!r}")
 
 

@@ -12,31 +12,13 @@ import math
 
 import numpy as np
 
-from rosenau import (
-    GridSpec,
-    SweepPoint,
-    appendix_report,
-    b_epsilon,
-    bernoulli_kernel,
-    d2_bound_check,
-    d3_bound_check,
-    delta_field,
-    exact_decay_check,
-    gaussian_initial,
-    inverse_transform,
-    kernel_by_name,
-    mixture_initial,
-    moment,
-    rate_fit,
-    regularized_propagator,
-    rosenau_kernel,
-    rosenau_propagate,
-    singular_split,
-    truncation_order,
-    wild_partial_sum,
-)
-from rosenau.metrics import CONVEX_FUNCTIONALS, convex_functional
-from rosenau.spectral import regularized_solution
+from rosenau.analysis import (SweepPoint, appendix_report, d2_bound_check, d3_bound_check,
+                              exact_decay_check, gaussian_initial, mixture_initial, rate_fit)
+from rosenau.kernels import b_epsilon, bernoulli_kernel, kernel_by_name, rosenau_kernel
+from rosenau.metrics import CONVEX_FUNCTIONALS, convex_functional, moment
+from rosenau.spectral import (GridSpec, delta_field, inverse_transform, regularized_propagator,
+                              regularized_solution, rosenau_propagate, singular_split)
+from rosenau.wild import truncation_order, wild_partial_sum
 
 from conftest import selfsim_gap_oracle
 

@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import math
 import struct
+import types
 
 import numpy as np
 import pytest
@@ -9,37 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from rosenau import (
-    GridSpec,
-    SpectralField,
-    SweepPoint,
-    appendix_report,
-    bernoulli_kernel,
-    d2_bound_check,
-    d3_bound_check,
-    default_grid,
-    delta_field,
-    ds_distance,
-    exact_decay_check,
-    forward_transform,
-    frame_scale,
-    gaussian_field,
-    gaussian_initial,
-    gaussian_reference,
-    heat_propagate,
-    inverse_transform,
-    kernel_by_name,
-    load_distribution,
-    l1_norm,
-    mixture_initial,
-    moment,
-    rate_fit,
-    rescale,
-    rosenau_kernel,
-    rosenau_propagate,
-)
 from rosenau import metrics
-from rosenau.analysis import APPENDIX_T_MAX, INITIAL_PRESETS, METRICS, initial_by_name
+from rosenau.analysis import (APPENDIX_T_MAX, INITIAL_PRESETS, METRICS, SweepPoint, appendix_report,
+                              d2_bound_check, d3_bound_check, exact_decay_check, frame_scale,
+                              gaussian_initial, initial_by_name, mixture_initial, rate_fit, rescale)
 from rosenau.config import ExperimentConfig, parse_config
 from rosenau.errors import (
     InfiniteDistanceError,
@@ -47,13 +21,17 @@ from rosenau.errors import (
     InvalidParameterError,
     UnsupportedKernelError,
 )
-from rosenau.kernels import b_epsilon
+from rosenau.kernels import b_epsilon, bernoulli_kernel, kernel_by_name, rosenau_kernel
+from rosenau.metrics import ds_distance, l1_norm, moment
 from rosenau.runner import compute_checks, compute_rows, simulate
-from rosenau.spectral import (MixedDistribution, field_from_symbol, heat_multiplier,
-                              kinetic_multiplier, regularized_solution, save_distribution)
+from rosenau.spectral import (GridSpec, MixedDistribution, SpectralField, default_grid, delta_field,
+                              field_from_symbol, forward_transform, gaussian_field,
+                              gaussian_reference, heat_multiplier, heat_propagate,
+                              inverse_transform, kinetic_multiplier, load_distribution,
+                              regularized_solution, rosenau_propagate, save_distribution)
 
-from conftest import (full_grid_ds_distance, multiply_oracle, rescaled_oracle,
-                      write_atoms)
+from conftest import (b_eps_oracle, check_rhs_oracle, full_grid_ds_distance, multiply_oracle,
+                      rescaled_oracle, write_atoms)
 
 
 class TestInitialData:
@@ -103,6 +81,11 @@ class TestRescale:
         import rosenau
 
         assert not hasattr(rosenau, "RescaledSolution")
+        # the package holds its submodules and its version: each name has one import path
+        public = {n: v for n, v in vars(rosenau).items() if not n.startswith("_")}
+        assert all(isinstance(v, types.ModuleType) for v in public.values()), sorted(public)
+        assert {"analysis", "kernels", "metrics", "spectral", "wild"} <= set(public)
+        assert isinstance(rosenau.__version__, str)
 
     def test_mass_invariant(self, gauss_unit):
         assert rescale(gauss_unit, 7.0).mass == pytest.approx(gauss_unit.mass, abs=1e-13)
@@ -194,7 +177,6 @@ class TestD3BoundCheck:
         # for the two-atom family B = 2 eps^2 sigma^4 so the suboptimal term
         # carries eps^(3/2)
         from rosenau.analysis import D3_PREFACTOR
-        from rosenau import b_epsilon
 
         t = 10.0
         term = {}
@@ -208,6 +190,35 @@ class TestD3BoundCheck:
         g0 = gaussian_initial(grid, 1.0)  # m2 = 1 != 2 sigma^2
         with pytest.raises(InfiniteDistanceError):
             d3_bound_check(k, g0, [1.0])
+
+
+class TestCheckRhsMatchesFormula:
+    """Every check's rhs against README's formula, at d0 and lhs read off a ``value``
+    reader so no sweep runs."""
+
+    @pytest.mark.parametrize("family", ["central-diff", "rosenau"])
+    @pytest.mark.parametrize("check", ["heat-decay", "d2-bound", "d3-bound"])
+    def test_rhs(self, family, check):
+        times = [0.5, 10.0, 100.0]
+
+        def value(t):
+            return 0.37 / (1.0 + t) ** 0.8
+
+        for eps, sigma in itertools.product([0.03, 0.1, 0.5], [1.0, 2.0]):
+            k = kernel_by_name(family, eps, sigma)
+            if check == "heat-decay":
+                records = exact_decay_check(None, k.sigma_sq, times, value)
+            elif check == "d2-bound":
+                records = d2_bound_check(k, None, times, value)
+            else:
+                records = d3_bound_check(k, None, times, value)
+                assert records[0].params["b_eps"] == pytest.approx(
+                    b_eps_oracle(family, eps, sigma), rel=1e-13, abs=0.0)
+            assert [c.params["t"] for c in records] == times
+            for c in records:
+                assert c.name.split()[0] == check and c.lhs == value(c.params["t"])
+                want = check_rhs_oracle(check, family, {**c.params, "sigma": sigma}, value(0.0))
+                assert c.rhs == pytest.approx(want, rel=1e-13, abs=0.0), (c, want)
 
 
 class TestChecksAtTimeZero:
@@ -531,9 +542,6 @@ class TestL1Convergence:
         # ||f||_1 <= C ||f||_2^(4/5) (int v^2 |f|)^(1/5): the measured ratio
         # stays finite and essentially constant (~1.52) along the series;
         # the constant is observed, not asserted
-        from rosenau import MixedDistribution, heat_propagate
-        from rosenau.spectral import SpectralField, regularized_solution
-
         k = rosenau_kernel(0.2, 1.0)
         g0 = gaussian_initial(wide_grid, 1.0)
         ratios = []
@@ -637,6 +645,21 @@ class TestAppendix:
         rep = appendix_report(s, t)
         assert rep.integral == pytest.approx(oracle, rel=1e-6)
 
+    @pytest.mark.parametrize("s", [0.5, 0.9])
+    @pytest.mark.parametrize("t", [1.0, 10.0, 1000.0])
+    def test_integral_matches_quad_on_the_unit_interval(self, s, t):
+        # w = 1/(1+xi^2) maps the whole line to
+        # I_s = int_0^1 (1-w)^(s-1/2) w^(-s-3/2) (e^(-t(1-w)) - e^(-t))^2 dw,
+        # so nothing is cut off; quad takes w^(1/2-s) (1-w)^(s-1/2) as its weight
+        def f(w):
+            # (e^(-t(1-w)) - e^(-t)) / w, written without cancellation
+            b = math.exp(-t * (1.0 - w)) * (-math.expm1(-t * w) / w if w > 0.0 else t)
+            return b * b
+
+        oracle = quad(f, 0.0, 1.0, weight="alg", wvar=(0.5 - s, s - 0.5),
+                      epsabs=0.0, epsrel=1e-13, limit=200)[0]
+        assert appendix_report(s, t).integral == pytest.approx(oracle, rel=1e-9, abs=0.0)
+
     def test_stable_under_panel_doubling(self):
         for t in (1.0, 100.0, 1000.0):
             a = appendix_report(0.9, t, panels=128).value
@@ -672,4 +695,3 @@ class TestAppendix:
     def test_finite_up_to_the_time_limit(self, s):
         rep = appendix_report(s, APPENDIX_T_MAX)
         assert 0.0 < rep.integral and math.isfinite(rep.value)
-        assert rep.tail_bound == 0.0

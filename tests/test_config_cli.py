@@ -851,13 +851,10 @@ class TestCli:
         assert "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize("command,text,point", [
-        # the d3 rhs (1 + t)^1.5 overflows a float
-        ("check", "kernel = rosenau\nsigma = 1e-150\nepsilons = 1e-6\ntimes = 1e300\n"
-                  "initial = mixture-matched\nchecks = d3_bound\n", "kernel=rosenau, eps=1e-06, t=1e+300"),
-        # the d_s limit fit's SVD does not converge
+        # the d_s limit fit's |xi|^4 column would overflow, so its SVD would not converge
         ("metrics", "kernel = central-diff\nsigma = 1e-150\nepsilons = 1e150\ntimes = 1e6\n"
                     "initial = mixture-matched\nmetrics = d2_gap\n", "kernel=central-diff, eps=1e+150, t=1e+06"),
-    ], ids=["d3-rhs-overflow", "d2-gap-svd"])
+    ], ids=["d2-gap-svd"])
     def test_float_and_fit_failures_name_the_sweep_point_exit_1(self, tmp_path, command, text, point):
         cfg = tmp_path / "edge.cfg"
         cfg.write_text(text)
@@ -866,9 +863,35 @@ class TestCli:
                                "--out", str(tmp_path / "out")],
                               env=env, capture_output=True, text=True, timeout=60)
         assert proc.returncode == 1, proc.stderr
-        assert f"numerical failure: sweep point ({point})" in proc.stderr
-        assert "Traceback" not in proc.stderr
+        # one line, refused before the fit: no numpy warning, no LAPACK complaint
+        (line,) = proc.stderr.splitlines()
+        assert line.startswith(f"numerical failure: sweep point ({point}): ")
+        assert "too far from 0" in line
+        assert "Warning" not in proc.stderr and "DLASCL" not in proc.stderr
         assert not (tmp_path / "out").exists()
+
+    def test_d3_rhs_past_the_float_power_range_exit_0(self, tmp_path):
+        # (1 + t)^1.5 overflows a float at t = 1e300; the d0 term is then 0 and the
+        # record stays finite: every d3 distance and B_eps underflow to 0 at sigma = 1e-150
+        cfg = tmp_path / "edge.cfg"
+        cfg.write_text("kernel = rosenau\nsigma = 1e-150\nepsilons = 1e-6\ntimes = 1e300\n"
+                       "initial = mixture-matched\nchecks = d3_bound\n")
+        assert main(["check", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        written = (tmp_path / "out" / "checks.jsonl").read_text().splitlines()
+        (record,) = [json.loads(line) for line in written]
+        assert record["name"] == "d3-bound rosenau eps=1e-06 t=1e+300"
+        assert (record["lhs"], record["rhs"], record["margin"]) == (0.0, 0.0, 0.0)
+        assert record["params"]["b_eps"] == 0.0 and record["satisfied"] is True
+
+    def test_non_finite_rhs_names_the_check_exit_1(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setitem(analysis.D2_CONSTANTS, "central-diff", math.inf)
+        out = tmp_path / "out"
+        assert main(["check", "--config", os.path.join(CONFIG_DIR, "decay_sweep.cfg"),
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "sweep point (kernel=central-diff, eps=0.05, t in [" in err
+        assert "d2-bound central-diff eps=0.05 t=0.5: rhs is not finite: inf" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["metrics", "check"])
     def test_negative_threads_exit_2(self, tmp_path, capsys, command):

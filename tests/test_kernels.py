@@ -5,17 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rosenau import (
-    atomic_kernel,
-    b_epsilon,
-    bernoulli_kernel,
-    generator_symbol,
-    kernel_by_name,
-    kernel_moment,
-    rosenau_kernel,
-    tabulated_kernel,
-)
 from rosenau.errors import InvalidKernelError, InvalidParameterError
+from rosenau.kernels import (atomic_kernel, b_epsilon, bernoulli_kernel, generator_symbol,
+                             kernel_by_name, kernel_moment, rosenau_kernel, tabulated_kernel)
 
 from conftest import simpson_moment, write_atoms
 

@@ -5,28 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rosenau import (
-    GridSpec,
-    MixedDistribution,
-    b_epsilon,
-    bernoulli_kernel,
-    convex_functional,
-    delta_field,
-    dilate,
-    ds_distance,
-    gaussian_field,
-    gaussian_reference,
-    heat_propagate,
-    inverse_transform,
-    l1_norm,
-    moment,
-    rosenau_kernel,
-    rosenau_propagate,
-)
-from rosenau.errors import InfiniteDistanceError, InvalidParameterError, UndefinedFunctionalError
 from rosenau import metrics
-from rosenau.metrics import CONVEX_FUNCTIONALS, HalfLine, MetricReport
-from rosenau.spectral import SpectralField, field_from_symbol
+from rosenau.errors import InfiniteDistanceError, InvalidParameterError, UndefinedFunctionalError
+from rosenau.kernels import b_epsilon, bernoulli_kernel, rosenau_kernel
+from rosenau.metrics import (CONVEX_FUNCTIONALS, HalfLine, MetricReport, convex_functional,
+                             ds_distance, l1_norm, moment)
+from rosenau.spectral import (GridSpec, MixedDistribution, SpectralField, delta_field, dilate,
+                              field_from_symbol, gaussian_field, gaussian_reference, heat_propagate,
+                              inverse_transform, rosenau_propagate)
 
 from conftest import full_grid_ds_distance
 

@@ -9,35 +9,20 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from rosenau import (
-    GridSpec,
-    MixedDistribution,
-    SpectralField,
-    bernoulli_kernel,
-    default_grid,
-    delta_field,
-    dilate,
-    forward_transform,
-    gaussian_field,
-    heat_propagate,
-    inverse_transform,
-    load_distribution,
-    regularized_propagator,
-    regularized_solution,
-    rosenau_kernel,
-    rosenau_propagate,
-    save_distribution,
-    singular_split,
-)
+from rosenau.analysis import INITIAL_PRESETS, frame_scale, initial_by_name
 from rosenau.errors import (
     GridTooSmallError,
     InvalidParameterError,
     ResampleError,
     SymmetryError,
 )
-from rosenau.analysis import INITIAL_PRESETS, frame_scale, initial_by_name
-from rosenau.spectral import (EXP_UNDERFLOW, SYM_TOL, _exp, _hermitian_defect,
-                              field_from_symbol, mass_leak_estimate, require_grid_contains)
+from rosenau.kernels import bernoulli_kernel, rosenau_kernel
+from rosenau.spectral import (EXP_UNDERFLOW, GridSpec, MixedDistribution, SYM_TOL, SpectralField,
+                              _exp, _hermitian_defect, default_grid, delta_field, dilate,
+                              field_from_symbol, forward_transform, gaussian_field, heat_propagate,
+                              inverse_transform, load_distribution, mass_leak_estimate,
+                              regularized_propagator, regularized_solution, require_grid_contains,
+                              rosenau_propagate, save_distribution, singular_split)
 from rosenau.wild import cd_wild_solution, wild_partial_sum, wild_solution
 
 from conftest import hermitian_defect_oracle, inverse_transform_oracle
@@ -557,8 +542,6 @@ class TestSerialization:
         assert load_distribution(str(path)).total_mass == pytest.approx(1.0)
 
     def test_atoms_only_compact_form(self, tmp_path):
-        from rosenau import bernoulli_kernel, cd_wild_solution
-
         # the N = 0 input form: header "L 0 n_atoms", then the atom pairs alone
         d = cd_wild_solution(bernoulli_kernel(0.5, 1.0), 0.8)
         path = tmp_path / "wild_atoms.txt"

@@ -5,28 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rosenau import (
-    GridSpec,
-    MixedDistribution,
-    bernoulli_kernel,
-    cd_wild_solution,
-    default_grid,
-    forward_transform,
-    gaussian_field,
-    heat_propagate,
-    initial_by_name,
-    kernel_by_name,
-    rosenau_kernel,
-    rosenau_propagate,
-    truncation_order,
-    wild_partial_sum,
-    wild_solution,
-)
-from rosenau.analysis import INITIAL_PRESETS
-from rosenau.errors import InvalidParameterError, UnsupportedKernelError
-from rosenau.kernels import generator_symbol
 from rosenau import wild
-from rosenau.wild import _MILLER_MARGIN, WILD_TOL, _poisson_tails, _reach
+from rosenau.analysis import INITIAL_PRESETS, initial_by_name
+from rosenau.errors import InvalidParameterError, UnsupportedKernelError
+from rosenau.kernels import bernoulli_kernel, generator_symbol, kernel_by_name, rosenau_kernel
+from rosenau.spectral import (GridSpec, MixedDistribution, default_grid, forward_transform,
+                              gaussian_field, heat_propagate, rosenau_propagate)
+from rosenau.wild import (WILD_TOL, _MILLER_MARGIN, _poisson_tails, _reach, cd_wild_solution,
+                          truncation_order, wild_partial_sum, wild_solution)
 
 from conftest import binomial_atoms, window_sum_oracle, write_atoms
 
