@@ -22,14 +22,13 @@ from .errors import (
     UnsupportedKernelError,
 )
 from .kernels import CENTRAL_DIFF, ROSENAU, BackgroundKernel, b_epsilon
-from .metrics import (CONVEX_FUNCTIONALS, HalfLine, MetricReport, convex_functional, ds_distance,
-                      half_frame, l1_norm, moment)
+from .metrics import (CONVEX_FUNCTIONALS, HalfLineProduct, MetricReport, convex_functional,
+                      ds_distance, envelope, half_frame, l1_norm, moment)
 from .spectral import (
     GridSpec,
     SpectralField,
     _exp,
     _live,
-    _multiply_live,
     _require_time,
     dilate,
     field_from_symbol,
@@ -38,6 +37,7 @@ from .spectral import (
     heat_propagate,
     inverse_transform,
     kinetic_multiplier,
+    multiplier_bounded,
     regularized_solution,
     rosenau_propagate,
 )
@@ -248,9 +248,9 @@ class SweepPoint:
     """Everything one (eps, t) sweep point computes, each entry built at most once.
 
     Entries of ``REGISTRY`` keyed by t alone (z = V(t) xi, ``datum`` = g0 at z, its
-    ``live`` span, ``heat``, ``h_heat``, ``ref``, ``l1_heat_gap``, ``d2_selfsim_heat``) live in
-    ``shared``, one memo for every eps at t; the others (``sol``, ``reg``,
-    ``h_kin``, ``density`` and the kinetic metrics) live on the point.
+    ``live`` span and ``envelope``, ``heat``, ``h_heat``, ``ref``, ``l1_heat_gap``,
+    ``d2_selfsim_heat``) live in ``shared``, one memo for every eps at t; the others (``sol``,
+    ``reg``, ``h_kin``, ``density`` and the kinetic metrics) live on the point.
     Builders look names up when they run, so tracers that rebind them see
     every call.
     """
@@ -269,8 +269,16 @@ class SweepPoint:
             store[name] = build(self)
         return store[name]
 
-    def rescaled(self, mult: Callable[[np.ndarray], np.ndarray]) -> HalfLine:
-        return HalfLine(self.g0.grid, _multiply_live(self.datum, self.z, self.live, mult), self.live)
+    def rescaled(self, mult: Callable[[np.ndarray], np.ndarray],
+                 kernel: Optional[BackgroundKernel] = None) -> HalfLineProduct:
+        """datum * mult, mult the kinetic multiplier of kernel at t (the heat multiplier where
+        kernel is None), filled on demand; it carries the datum's envelope as its own where
+        mult is certified to lie in [0, 1] on the live span."""
+        live = self.live
+        reach = abs(float(self.z[live.start])) if live.start < live.stop else 0.0
+        bounded = multiplier_bounded(kernel, self.t, reach)
+        return HalfLineProduct(self.g0.grid, self.datum, self.z, live, mult,
+                               self.envelope if bounded else None)
 
 
 def _regularized(p: SweepPoint) -> SpectralField:
@@ -280,17 +288,19 @@ def _regularized(p: SweepPoint) -> SpectralField:
     return regularized_solution(p.g0, p.kernel, p.t)
 
 
-# field -> (keyed by t alone, builder of a SweepPoint); z, datum, live, h_heat, ref, h_kin: xi <= 0
+# field -> (keyed by t alone, builder of a SweepPoint); z, datum, live, envelope, h_heat, ref, h_kin:
+# xi <= 0
 FIELDS: Dict[str, Tuple[bool, Callable[[SweepPoint], object]]] = {
     "z": (True, lambda p: frame_scale(p.t) * half_frame(p.g0.grid, p.sigma_sq)[0]),
     "datum": (True, lambda p: p.g0.at(p.z)),
     "live": (True, lambda p: _live(p.datum)),
+    "envelope": (True, lambda p: envelope(p.datum)),
     "heat": (True, lambda p: heat_propagate(p.g0, p.sigma_sq, p.t)),
     "h_heat": (True, lambda p: p.rescaled(heat_multiplier(p.sigma_sq, p.t))),
     "ref": (True, lambda p: half_frame(p.g0.grid, p.sigma_sq)[1]),
     "sol": (False, lambda p: rosenau_propagate(p.g0, p.kernel, p.t)),
     "reg": (False, _regularized),
-    "h_kin": (False, lambda p: p.rescaled(kinetic_multiplier(p.kernel, p.t))),
+    "h_kin": (False, lambda p: p.rescaled(kinetic_multiplier(p.kernel, p.t), p.kernel)),
     "density": (False, lambda p: inverse_transform(p.sol)),
 }
 

@@ -72,6 +72,19 @@ class BackgroundKernel:
     def label(self) -> str:
         return f"{self.family}(eps={self.epsilon:g})"
 
+    def generator_defined(self, reach: float) -> bool:
+        """True when ``generator_symbol`` is a number, never NaN, at every |xi| <= reach.  It is
+        NaN where the exponential family's (eps sigma xi)^2 overflows (inf / inf), where an
+        atom's location times xi overflows (the sine of inf), and at 1 - symbol = 0 when lam
+        overflows (inf * 0).  A kernel of neither family is not certified."""
+        if self.atoms:
+            peak = max(abs(loc) for loc, _ in self.atoms)
+            return math.isfinite(self.lam) and peak * reach < math.inf
+        if self.family == ROSENAU:
+            a_reach = self.epsilon * self.sigma * reach
+            return a_reach * a_reach < math.inf
+        return False
+
     def intensity(self, t: float) -> float:
         """Poisson jump intensity mu = lam t / eps^2 accumulated by time t."""
         return self.lam * t / self.epsilon**2

@@ -7,6 +7,8 @@ The d_s distance between probability distributions is
 finite when moments agree up to the order determined by s.  |f1hat - f2hat| is even in
 xi for real measures, so the sup is taken over the grid's xi <= 0, and only over the
 union of the two fields' live spans there (``HalfLine.live``): outside it both are zero.
+Two half-line fields with envelopes are scanned only out to a horizon beyond which no bin can
+hold the sup (``ds_distance``), and a ``HalfLineProduct`` computes no sample beyond it.
 On a grid the sup often sits at xi -> 0 where the ratio is noise-dominated, so the bins
 below 8 grid spacings are excluded from the raw scan and an extrapolated small-frequency
 limit (driven by the first mismatched moment) is taken into the reported maximum instead;
@@ -37,6 +39,14 @@ NOISE_FLOOR = 1e-13
 # above the low end, and the column itself stays finite below the high end
 FIT_XI_MIN = sys.float_info.min ** 0.125
 FIT_XI_MAX = sys.float_info.max ** 0.25
+# a d_s scan of two HalfLines with envelopes starts on this many innermost outer bins of their span;
+# the count sets the speed alone, never a bit of the result
+HORIZON_CORE = 256
+# an envelope holds one running maximum per block of this many samples
+ENVELOPE_BLOCK = 256
+# relative margin of the horizon's comparison: a few ulps of the rounding of complex moduli and of
+# |xi|^s, and of an exp(y <= 0) that a platform may round above 1
+HORIZON_SLACK = 16 * sys.float_info.epsilon
 
 
 class MetricReport(NamedTuple):
@@ -93,13 +103,61 @@ def _small_xi_part(x: np.ndarray, delta: np.ndarray, s: float,
     return max(raw_sup, limit)
 
 
-class HalfLine(NamedTuple):
+class HalfLine:
     """A transform at the grid's xi <= 0, indices 0..N/2 of grid.xi(), and the slice ``live``
-    of those values outside which every value is a zero (None: found on use)."""
+    of those values outside which every value is a zero (None: found on use).  ``upto`` gives
+    the values with those from an index to xi = 0 final, and ``envelope`` bounds them."""
 
-    grid: GridSpec
-    values: np.ndarray
-    live: Optional[slice] = None
+    def __init__(self, grid: GridSpec, values: np.ndarray, live: Optional[slice] = None):
+        self.grid, self.live, self._values = grid, live, values
+
+    @property
+    def values(self) -> np.ndarray:
+        return self.upto(0)
+
+    def upto(self, start: int) -> np.ndarray:
+        """The values, final from index ``start`` to xi = 0; here all of them are."""
+        return self._values
+
+    @functools.cached_property
+    def envelope(self) -> Optional[np.ndarray]:
+        """``envelope(values)``, found on first use."""
+        return envelope(self._values)
+
+
+def envelope(values: np.ndarray) -> np.ndarray:
+    """Running maxima of |values| over blocks of ENVELOPE_BLOCK samples from index 0: entry
+    k // ENVELOPE_BLOCK bounds |values[j]| at every j <= k.  Nondecreasing, and NaN from the
+    block of the first NaN on."""
+    starts = np.arange(0, values.size, ENVELOPE_BLOCK)
+    return np.maximum.accumulate(np.maximum.reduceat(np.abs(values), starts))
+
+
+class HalfLineProduct(HalfLine):
+    """datum * mult(nodes) on xi <= 0, each sample computed once, on first use, from xi = 0
+    outward, with the arithmetic of ``spectral._multiply_live`` for a real multiplier: mult is
+    evaluated on the datum's live span alone, and outside it the sample is datum * 1.
+
+    ``envelope`` is the datum's, given when 0 <= mult <= 1 on the live span, so that
+    |fl(datum * mult)| <= |datum| bounds every sample; None otherwise, and then no d_s scan of
+    the field stops at a horizon."""
+
+    def __init__(self, grid: GridSpec, datum: np.ndarray, nodes: np.ndarray, live: slice,
+                 mult: Callable[[np.ndarray], np.ndarray], bound: Optional[np.ndarray]):
+        super().__init__(grid, np.empty(datum.shape, np.result_type(datum, float)), live)
+        for dead in (slice(0, live.start), slice(live.stop, None)):
+            np.multiply(datum[dead], np.ones((), float), out=self._values[dead])
+        self._datum, self._nodes, self._mult = datum, nodes, mult
+        self._done = datum.size  # the samples from here to xi = 0 are final
+        self.envelope = bound
+
+    def upto(self, start: int) -> np.ndarray:
+        if start < self._done:
+            seg = slice(max(start, self.live.start), min(self._done, self.live.stop))
+            if seg.start < seg.stop:
+                np.multiply(self._datum[seg], self._mult(self._nodes[seg]), out=self._values[seg])
+            self._done = start
+        return self._values
 
 
 _LAYOUT_LOCK = threading.Lock()  # pool threads missing a cache at once would each build
@@ -110,12 +168,13 @@ def _half_frame(grid: GridSpec, sigma_sq: float) -> Tuple[np.ndarray, HalfLine]:
     xi = grid.xi()[: grid.points // 2 + 1]
     values = gaussian_reference(grid, sigma_sq).at(xi)
     ref = HalfLine(grid, values, _live(values))
-    xi.flags.writeable = ref.values.flags.writeable = False
+    xi.flags.writeable = ref.values.flags.writeable = ref.envelope.flags.writeable = False
     return xi, ref
 
 
 def half_frame(grid: GridSpec, sigma_sq: float) -> Tuple[np.ndarray, HalfLine]:
-    """The grid's xi <= 0 and exp(-sigma_sq xi^2) on them, built once per (grid, sigma_sq)."""
+    """The grid's xi <= 0 and exp(-sigma_sq xi^2) on them, with its envelope, built once per
+    (grid, sigma_sq)."""
     with _LAYOUT_LOCK:
         return _half_frame(grid, sigma_sq)
 
@@ -141,12 +200,34 @@ def _half_live(f: SpectralField | HalfLine, half: int) -> slice:
     return slice(min(f._span.start, half), min(f._span.stop, half))
 
 
+def _horizon(e1: np.ndarray, e2: np.ndarray, pows: np.ndarray, lo: int, hi: int,
+             floor: float) -> int:
+    """An index h in [lo, hi] with (e1 + e2) / pows below ``floor`` at h - 1 (unless h = lo), found
+    by bisection, e1 and e2 read at the index's envelope block.  Envelopes bound every sample
+    up to their index and pows falls with it, so that bound also holds, up to the rounding of
+    pows, at every outer bin below h - 1."""
+    while lo < hi:
+        mid = (lo + hi) // 2
+        block = mid // ENVELOPE_BLOCK
+        if (e1[block] + e2[block]) / pows[mid] < floor:  # a NaN bound is never below floor
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
+
+
 def ds_distance(f1: SpectralField | HalfLine, f2: SpectralField | HalfLine, s: float) -> MetricReport:
     """Fourier distance of order s of two fields on one grid, the sup taken over xi <= 0, since
     |f1hat - f2hat| is even for real measures: the first N/2 + 1 values of each field.  Both
     fields are zero outside the union of their live spans, so the scan covers that alone.
     Both must be transforms of probability distributions, |fhat| <= fhat(0) = 1: the
-    ``NOISE_FLOOR`` of the small-xi limit is absolute."""
+    ``NOISE_FLOOR`` of the small-xi limit is absolute.
+
+    Two ``HalfLine`` fields with envelopes e1, e2 are scanned from a core of the innermost
+    outer bins, whose largest ratio s0 is a lower bound on the grid sup, out to a horizon:
+    past it every bin has (e1 + e2) / |xi|^s below s0, so its ratio |f1 - f2| / |xi|^s, at
+    most that bound as rounding is monotone, is below the sup and cannot be its first argmax.
+    Value and argsup are those of the whole span's scan."""
     if not 0.0 < s < math.inf:
         raise InvalidParameterError(f"order s must be positive and finite, got {s}")
     if f1.grid != f2.grid:
@@ -156,18 +237,32 @@ def ds_distance(f1: SpectralField | HalfLine, f2: SpectralField | HalfLine, s: f
         n_outer, abs_outer, pow_outer, inner, abs_inner = _ds_layout(grid, s)
     spans = [sp for sp in (_half_live(f1, half), _half_live(f2, half)) if sp.start < sp.stop]
     lo, hi = (min(sp.start for sp in spans), max(sp.stop for sp in spans)) if spans else (0, 0)
+    envelopes = [f.envelope if isinstance(f, HalfLine) else None for f in (f1, f2)]
+    bounded = all(e is not None for e in envelopes) and pow_outer[-1] > 0.0
     if not pow_outer[-1] > 0.0:  # |xi|^s underflows: the full scan's 0 / 0 is a NaN to keep
         lo, hi = 0, max(hi, n_outer)
-    v1, v2 = f1.values[lo:hi], f2.values[lo:hi]
-
     top = max(min(hi, n_outer), lo)
-    ratio = np.abs(v1[:top - lo] - v2[:top - lo]) / pow_outer[lo:top]
-    k = int(np.argmax(ratio)) if ratio.size else 0
-    grid_sup = float(ratio[k]) if ratio.size else 0.0
+
+    def upto(a: int) -> Tuple[np.ndarray, np.ndarray]:  # values final from index a to xi = 0
+        return tuple(f.upto(a) if isinstance(f, HalfLine) else f.values for f in (f1, f2))
+
+    def ratio(a: int, b: int) -> np.ndarray:
+        v1, v2 = upto(a)
+        return np.abs(v1[a:b] - v2[a:b]) / pow_outer[a:b]
+
+    start = max(lo, top - HORIZON_CORE) if bounded else lo
+    scan = ratio(start, top)
+    s0 = float(np.max(scan)) if scan.size else 0.0
+    if start > lo:  # s0 = 0 bounds nothing, and a NaN s0 is the whole span's sup
+        horizon = _horizon(*envelopes, pow_outer, lo, start, s0 * (1.0 - HORIZON_SLACK)) \
+            if s0 > 0.0 else lo
+        scan, start = np.concatenate((ratio(horizon, start), scan)), horizon
+    k = int(np.argmax(scan)) if scan.size else 0
+    grid_sup = float(scan[k]) if scan.size else 0.0
     # the ratio is 0 outside the span: where it is 0 throughout, the full scan's argmax is bin 0
-    argsup = float(abs_outer[lo + k]) if grid_sup != 0.0 else float(abs_outer[0])
-    delta_inner = np.abs(f1.values[inner] - f2.values[inner])
-    limit = _small_xi_part(abs_inner, delta_inner, s, grid_sup)
+    argsup = float(abs_outer[start + k]) if grid_sup != 0.0 else float(abs_outer[0])
+    v1, v2 = upto(start)
+    limit = _small_xi_part(abs_inner, np.abs(v1[inner] - v2[inner]), s, grid_sup)
     return MetricReport(limit, 0.0) if limit > grid_sup else MetricReport(grid_sup, argsup)
 
 

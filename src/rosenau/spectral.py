@@ -353,6 +353,14 @@ def kinetic_multiplier(kernel: BackgroundKernel, t: float) -> Callable[[Array], 
     return lambda xi: _exp(-generator_symbol(kernel, xi) * t)
 
 
+def multiplier_bounded(kernel: Optional[BackgroundKernel], t: float, reach: float) -> bool:
+    """True when the kinetic multiplier of kernel at t, or the heat multiplier where kernel is
+    None, lies in [0, 1] at every |xi| <= reach.  Both are exp(-r t) with a rate r >= 0, so
+    this holds when t > 0 and r is never NaN there (the heat rate sigma^2 xi^2 never is).  At
+    t = 0 a rate that overflows to inf gives inf * 0, a NaN, so t = 0 is never certified."""
+    return t > 0.0 and (kernel is None or kernel.generator_defined(reach))
+
+
 def heat_propagate(f: SpectralField, sigma_sq: float, t: float) -> SpectralField:
     """Multiply by the heat multiplier exp(-sigma_sq xi^2 t)."""
     _require_time(t)

@@ -7,7 +7,7 @@ import pytest
 
 from rosenau.errors import InfiniteDistanceError, RosenauError
 from rosenau.kernels import bernoulli_kernel, rosenau_kernel
-from rosenau.spectral import GridSpec, gaussian_field
+from rosenau.spectral import GridSpec, SpectralField, gaussian_field
 
 
 @pytest.fixture(scope="session")
@@ -208,6 +208,11 @@ def _oracle_small_xi_part(x, delta, s):
         raise RosenauError(f"bins at |xi| <= {xg[-1]:.3g} are too close to 0")
     coeffs = np.polyfit(xg**2, ratio, 2)
     return max(raw_sup, min(max(float(coeffs[-1]), 0.0), 2.0 * raw_sup))
+
+
+def mirrored(grid, half_values):
+    """The full-grid field whose xi <= 0 half is half_values, mirrored onto xi > 0."""
+    return SpectralField(grid, np.concatenate((half_values, half_values[grid.points // 2 - 1:0:-1])))
 
 
 def full_grid_ds_distance(f1, f2, s):

@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import math
 import struct
+import sys
 import types
 
 import numpy as np
@@ -10,15 +11,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from rosenau import metrics
+from rosenau import analysis, metrics, runner
 from rosenau.analysis import (APPENDIX_T_MAX, INITIAL_PRESETS, METRICS, SweepPoint, appendix_report,
                               d2_bound_check, d3_bound_check, exact_decay_check, frame_scale,
                               gaussian_initial, initial_by_name, mixture_initial, rate_fit, rescale)
+from rosenau.cli import main
 from rosenau.config import ExperimentConfig, parse_config
 from rosenau.errors import (
+    ConfigError,
     InfiniteDistanceError,
     InvalidDataError,
     InvalidParameterError,
+    RosenauError,
     UnsupportedKernelError,
 )
 from rosenau.kernels import b_epsilon, bernoulli_kernel, kernel_by_name, rosenau_kernel
@@ -28,10 +32,11 @@ from rosenau.spectral import (GridSpec, MixedDistribution, SpectralField, defaul
                               field_from_symbol, forward_transform, gaussian_field,
                               gaussian_reference, heat_multiplier, heat_propagate,
                               inverse_transform, kinetic_multiplier, load_distribution,
-                              regularized_solution, rosenau_propagate, save_distribution)
+                              multiplier_bounded, regularized_solution, rosenau_propagate,
+                              save_distribution, _multiply_live)
 
-from conftest import (b_eps_oracle, check_rhs_oracle, full_grid_ds_distance, multiply_oracle,
-                      rescaled_oracle, write_atoms)
+from conftest import (b_eps_oracle, check_rhs_oracle, full_grid_ds_distance, mirrored,
+                      multiply_oracle, rescaled_oracle, write_atoms)
 
 
 class TestInitialData:
@@ -449,6 +454,170 @@ class TestLiveSpan:
         for field, mult in ((heat_propagate(f, 1.0, 0.5), heat_multiplier(1.0, 0.5)),
                             (rosenau_propagate(f, kernel, 0.5), kinetic_multiplier(kernel, 0.5))):
             assert np.array_equal(self.bits(field.values), self.bits(multiply_oracle(f, mult)))
+
+
+# the ends of what config.validate admits for sigma and each eps: squares normal and finite
+SQUARE_MIN, SQUARE_MAX = math.sqrt(sys.float_info.min), math.sqrt(sys.float_info.max)
+
+SWEEP_SELFSIM = """[experiment]
+kernel = central-diff
+sigma = 1.0
+epsilons = 0.5 0.2 0.1 0.05
+times = {times}
+initial = mixture-unit
+metrics = d2_selfsim d2_gap d2_selfsim_heat
+checks = heat_decay d2_bound
+[grid]
+N = {N}
+"""
+
+
+SWEEP = runner._sweep  # the real sweep, for eager_sweep under a patched runner._sweep
+
+
+def live_product(point, mult):
+    """The rescaled field's values as whole-array ``_multiply_live`` gives them: datum * 1 outside
+    the live span, where a NaN multiplier would make rescaled_oracle's 0 * m a NaN."""
+    return _multiply_live(point.datum, point.z, point.live, mult)
+
+
+def eager_sweep(cfg, monkeypatch, product=rescaled_oracle):
+    """runner._sweep with every rescaled field multiplied whole, by default on the whole half
+    line (``rescaled_oracle``), and every d_s a full-grid scan (``full_grid_ds_distance``)."""
+    with monkeypatch.context() as mp:
+        mp.setattr(SweepPoint, "rescaled", lambda p, mult, kernel=None: metrics.HalfLine(
+            p.g0.grid, product(p, mult)))
+        mp.setattr(analysis, "ds_distance", lambda f1, f2, s: full_grid_ds_distance(
+            mirrored(f1.grid, f1.values), mirrored(f2.grid, f2.values), s))
+        return SWEEP(cfg, 1)
+
+
+def hex_rows(rows, checks):
+    return ([(r.epsilon, r.t, r.quantity, float(r.value).hex(), float(r.argsup).hex()) for r in rows],
+            [(c.name, float(c.lhs).hex(), float(c.rhs).hex()) for c in checks])
+
+
+class TestHorizon:
+    """The d_s scans of the rescaled fields stop at a horizon, which needs 0 <= m <= 1 of the
+    heat and kinetic multipliers (``multiplier_bounded``); rows and checks keep the bits of the
+    eager path, NaN samples included."""
+
+    ATOM_SETS = ([(-2.0, 0.1), (-0.5, 0.2), (0.0, 0.4), (0.5, 0.2), (2.0, 0.1)],
+                 [(-1e150, 0.5), (1e150, 0.5)],
+                 [(-1e-160, 0.5), (1e-160, 0.5)])  # m2 = 1e-320, so lam = 2 / m2 overflows
+
+    @pytest.fixture(scope="class")
+    def atom_files(self, tmp_path_factory):
+        folder = tmp_path_factory.mktemp("atoms")
+        return [write_atoms(folder / f"set{i}.txt", rows) for i, rows in enumerate(self.ATOM_SETS)]
+
+    def test_validate_admits_both_ends(self):
+        ExperimentConfig(sigma=SQUARE_MIN, epsilons=[SQUARE_MIN, SQUARE_MAX]).validate()
+        ExperimentConfig(sigma=SQUARE_MAX).validate()
+        for bad in (math.nextafter(SQUARE_MIN, 0.0), math.nextafter(SQUARE_MAX, math.inf)):
+            with pytest.raises(ConfigError):
+                ExperimentConfig(sigma=bad).validate()
+
+    extremes = st.one_of(st.sampled_from([SQUARE_MIN, 1e-3, 1.0, 1e3, SQUARE_MAX]),
+                         st.floats(SQUARE_MIN, SQUARE_MAX))
+
+    @given(family=st.sampled_from(["heat", "rosenau", "central-diff", "custom"]),
+           atoms=st.integers(0, len(ATOM_SETS) - 1), sigma=extremes, eps=extremes,
+           t=st.one_of(st.sampled_from([0.0, 5e-324, 1e-300, 1e-3, 1.0, 1e3, 1e300,
+                                        sys.float_info.max]),
+                       st.floats(0.0, sys.float_info.max)),
+           z=st.lists(st.one_of(st.sampled_from([0.0, -0.0, 1.0, 1e154, 1e300]),
+                                st.floats(allow_nan=False, allow_infinity=False)),
+                      min_size=1, max_size=16))
+    @settings(max_examples=400, deadline=None, database=None, derandomize=True)
+    def test_multipliers_lie_in_the_unit_interval_where_certified(self, atom_files, family, atoms,
+                                                                  sigma, eps, t, z):
+        name = f"custom:{atom_files[atoms]}" if family == "custom" else family
+        z = np.array(z)
+        with np.errstate(all="ignore"):
+            kernel = None if family == "heat" else kernel_by_name(name, eps, sigma)
+            m = (heat_multiplier(sigma * sigma, t) if kernel is None else kinetic_multiplier(kernel, t))(z)
+        if multiplier_bounded(kernel, t, float(np.max(np.abs(z)))):
+            assert np.all((m >= 0.0) & (m <= 1.0)), m  # NaN fails too
+
+    def test_certificate_holds_on_ordinary_input_and_fails_where_the_premise_breaks(self, atom_files):
+        ordinary = [None, rosenau_kernel(0.1, 1.0), bernoulli_kernel(0.1, 1.0),
+                    kernel_by_name(f"custom:{atom_files[0]}", 0.1, 1.0)]
+        assert all(multiplier_bounded(k, t, 1e4) for k in ordinary for t in (1e-300, 1.0, 1e300))
+        assert not any(multiplier_bounded(k, 0.0, 1.0) for k in ordinary)
+        # exp(-r * 0) is NaN where r overflows; rosenau's (eps sigma xi)^2 overflows at eps = 1e154
+        # and xi = 2, and lam of atoms with m2 = 1e-320 overflows
+        broken = [(None, 0.0, 1e160), (rosenau_kernel(1e154, 1.0), 1.0, 2.0),
+                  (kernel_by_name(f"custom:{atom_files[2]}", 1.0, 1.0), 1.0, 1e-3)]
+        with np.errstate(all="ignore"):
+            for kernel, t, xi in broken:
+                mult = heat_multiplier(1.0, t) if kernel is None else kinetic_multiplier(kernel, t)
+                assert np.isnan(mult(np.array([0.0, xi]))).any()
+                assert not multiplier_bounded(kernel, t, xi)
+
+    def test_premise_break_keeps_the_full_scan(self, tmp_path, capsys, monkeypatch):
+        # rosenau at eps = 1e154 on the default grid: the kinetic multiplier is NaN inside the
+        # datum's live span, so h_kin carries no envelope and the run fails as a full scan does
+        text = ("[experiment]\nkernel = rosenau\nepsilons = 1e154\ntimes = 1 10\n"
+                "initial = gaussian-unit\nmetrics = d2_selfsim\n")
+        cfg = parse_config(text)
+        kernels, g0 = runner._setup(cfg)
+        point = SweepPoint(kernels[1e154], g0, 1.0, 1.0)
+        assert point.h_kin.envelope is None and point.h_heat.envelope is not None
+        with np.errstate(all="ignore"):
+            with pytest.raises(RosenauError, match="d2_selfsim is not finite"):
+                eager_sweep(cfg, monkeypatch, live_product)
+            path = tmp_path / "big.cfg"
+            path.write_text(text)
+            messages = []
+            for sweep in (lambda c, _: eager_sweep(c, monkeypatch, live_product), runner._sweep):
+                with monkeypatch.context() as mp:
+                    mp.setattr(runner, "_sweep", sweep)
+                    assert main(["metrics", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+                messages.append(capsys.readouterr().err)
+        assert messages[0] == messages[1] and "sweep point (kernel=rosenau, eps=1e+154, t=1)" in messages[1]
+
+    def test_nan_datum_beyond_the_horizon(self, tmp_path, capsys, monkeypatch):
+        # a NaN at the outermost nonzero datum sample, past where each d_s of the first sweep
+        # point stops for the finite datum: the run still fails there, with the eager path's message
+        text = SWEEP_SELFSIM.format(times="0.5 5", N=4096)
+        cfg = parse_config(text)
+        kernels, g0 = runner._setup(cfg)
+        point = SweepPoint(kernels[0.5], g0, 1.0, 0.5)
+        for metric in ("d2_selfsim", "d2_gap", "d2_selfsim_heat"):
+            getattr(point, metric)
+        assert min(point.h_kin._done, point.h_heat._done) > point.live.start
+        initial = runner.analysis.initial_by_name
+
+        def with_nan(*args):
+            g0 = initial(*args)
+
+            def analytic(xi):
+                out = g0.analytic(xi)
+                out[np.flatnonzero(out)[0]] = math.nan
+                return out
+
+            return field_from_symbol(g0.grid, analytic)
+
+        monkeypatch.setattr(runner.analysis, "initial_by_name", with_nan)
+        path = tmp_path / "sweep.cfg"
+        path.write_text(text)
+        messages = []
+        for sweep in (lambda c, _: eager_sweep(c, monkeypatch, live_product), runner._sweep):
+            with monkeypatch.context() as mp:
+                mp.setattr(runner, "_sweep", sweep)
+                assert main(["metrics", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+            messages.append(capsys.readouterr().err)
+        assert messages[0] == messages[1]
+        assert "sweep point (kernel=central-diff, eps=0.5, t=0.5): d2_gap is not finite: value nan" \
+            in messages[1]
+
+    def test_sweep_selfsim_keeps_the_bits_of_the_eager_path(self, monkeypatch):
+        # the benchmark's sweep at N = 65536 on a few times: every d_s row and check
+        cfg = parse_config(SWEEP_SELFSIM.format(times="0.5 3.7 100", N=65536))
+        lazy = hex_rows(*runner._sweep(cfg, 1))
+        assert len(lazy[0]) == 4 * 3 * 3 and len(lazy[1]) == 5 * 3
+        assert lazy == hex_rows(*eager_sweep(cfg, monkeypatch))
 
 
 class TestRealFields:

@@ -1014,8 +1014,9 @@ class TestBenchmarkHooks:
     def test_traced_sweep_counts_every_d_s(self):
         # decay_sweep under the installed tracer: every d_s the sweep computes, each
         # distinct metric row and each check's d0 at t = 0, passes through the wrapped
-        # ds_distance; the kinetic symbol is evaluated on the live span of the datum, which
-        # at N = 4096 is every one of the N/2 + 1 nodes xi <= 0 at every t
+        # ds_distance.  At N = 4096 the datum's live span is every one of the N/2 + 1 nodes
+        # xi <= 0 at every t, and the d_s horizon leaves the kinetic symbol fewer than those;
+        # the count repeats exactly from run to run
         script = (
             "import json, tracing\n"
             "tracer = tracing.Tracer('hooks')\n"
@@ -1027,10 +1028,13 @@ class TestBenchmarkHooks:
             "                  'rows': [(r.epsilon, r.t, r.quantity) for r in rows]}))\n"
         )
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC_DIR, PERFBENCH_DIR]))
-        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                              text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        out = json.loads(proc.stdout.splitlines()[-1])
+        runs = []
+        for _ in range(2):
+            proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                                  text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            runs.append(json.loads(proc.stdout.splitlines()[-1]))
+        out = runs[0]
         cfg = load_config(os.path.join(CONFIG_DIR, "decay_sweep.cfg"))
         ds_metrics = {"d2_selfsim", "d3_selfsim", "d2_gap", "d2_selfsim_heat"}
         assert ds_metrics >= set(cfg.metrics) >= {analysis.CHECKS[n][0] for n in cfg.checks}
@@ -1042,13 +1046,15 @@ class TestBenchmarkHooks:
         assert out["counts"]["metrics.ds_calls"] == len(ds_rows) + d0_points
         # h_kin at every (eps, t) and at t = 0 for each eps's d2_bound d0
         n_eps = len(cfg.epsilons)
-        assert out["counts"]["kernels.symbol_elems"] == (
-            (cfg.N // 2 + 1) * n_eps * (len(cfg.times) + 1))
+        live_spans = (cfg.N // 2 + 1) * n_eps * (len(cfg.times) + 1)
+        assert 0 < out["counts"]["kernels.symbol_elems"] < live_spans
+        assert runs[1]["counts"] == out["counts"]
 
-    def test_traced_symbol_count_is_the_live_span(self):
+    def test_traced_symbol_count_is_below_the_live_span(self):
         # minimal under the installed tracer: its datum underflows to 0 inside the half
-        # line, so the kinetic symbol is evaluated on the live spans alone; their lengths
-        # come here from the datum closure on the half-line z, with their own span finder
+        # line, so the kinetic symbol is evaluated within the live spans alone, and the d_s
+        # horizon stops short of their outer ends; the live spans' lengths come here from
+        # the datum closure on the half-line z, with their own span finder
         script = (
             "import json, tracing\n"
             "tracer = tracing.Tracer('hooks')\n"
@@ -1072,7 +1078,7 @@ class TestBenchmarkHooks:
             nonzero = np.flatnonzero(g0.analytic(xi / math.sqrt(1.0 + t)))
             spans.append(int(nonzero[-1] - nonzero[0] + 1) if nonzero.size else 0)
         n_eps = len(cfg.epsilons)
-        assert counts["kernels.symbol_elems"] == n_eps * sum(spans) < half * n_eps * len(cfg.times)
+        assert 0 < counts["kernels.symbol_elems"] < n_eps * sum(spans) < half * n_eps * len(cfg.times)
 
     def test_traced_l1_sweep_sees_every_inverse(self):
         # regularized_l1 under the installed tracer: every inverse transform the sweep

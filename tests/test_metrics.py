@@ -5,16 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rosenau import metrics
+from rosenau import metrics, spectral
 from rosenau.errors import InfiniteDistanceError, InvalidParameterError, UndefinedFunctionalError
 from rosenau.kernels import b_epsilon, bernoulli_kernel, rosenau_kernel
-from rosenau.metrics import (CONVEX_FUNCTIONALS, HalfLine, MetricReport, convex_functional,
-                             ds_distance, l1_norm, moment)
+from rosenau.metrics import (CONVEX_FUNCTIONALS, HalfLine, HalfLineProduct, MetricReport,
+                             convex_functional, ds_distance, envelope, l1_norm, moment)
 from rosenau.spectral import (GridSpec, MixedDistribution, SpectralField, delta_field, dilate,
                               field_from_symbol, gaussian_field, gaussian_reference, heat_propagate,
                               inverse_transform, rosenau_propagate)
 
-from conftest import full_grid_ds_distance
+from conftest import full_grid_ds_distance, mirrored
 
 
 def symmetric_mixture_field(grid, a, var):
@@ -100,11 +100,6 @@ class TestDsDistance:
         assert metrics._half_frame.cache_info().misses == len(grids)
 
 
-def mirrored(grid, half_values):
-    """The full-grid field whose xi <= 0 half is half_values, mirrored onto xi > 0."""
-    return SpectralField(grid, np.concatenate((half_values, half_values[grid.points // 2 - 1:0:-1])))
-
-
 def report_or_error(d_s):
     try:
         return [float(x).hex() for x in d_s()]
@@ -150,31 +145,112 @@ def half_line_pairs(draw):
     return grid, pair
 
 
+def unit_multiplier(kind, rng, z):
+    """Samples in [0, 1] on the nodes z, exact 0 and 1 among them."""
+    if kind == "gaussian":
+        return np.exp(-rng.uniform(0.0, 2.0) * z * z)
+    m = rng.random(z.size)
+    pick = rng.random(z.size)
+    m[pick < 0.2] = 0.0
+    m[pick > 0.8] = 1.0
+    return m
+
+
+def product_field(grid, datum, m, nodes=None):
+    """datum * m as a HalfLineProduct with the datum's envelope; the multiplier reads m at the
+    nodes it is given (indices by default) and records every one it is evaluated at."""
+    nodes = np.arange(datum.size, dtype=float) if nodes is None else nodes
+    seen = []
+
+    def mult(x):
+        idx = np.searchsorted(nodes, x)
+        seen.extend(idx.tolist())
+        return m[idx]
+
+    return HalfLineProduct(grid, datum, nodes, metrics._live(datum), mult, envelope(datum)), seen
+
+
 class TestSpanLimitedScan:
-    """ds_distance scans only the union of the fields' live spans; value and argsup keep
-    the bits of the full-grid scan (``full_grid_ds_distance``, whose limit part runs both
-    fits always), and the same exception is raised where one is."""
+    """ds_distance scans only the union of the fields' live spans, and with envelopes only out to
+    the horizon; value and argsup keep the bits of the full-grid scan (``full_grid_ds_distance``,
+    whose limit part runs both fits always), and the same exception is raised where one is."""
 
     @given(pair=half_line_pairs(), s=st.sampled_from([0.5, 1.0, 2.0, 3.0]),
-           modes=st.tuples(*[st.sampled_from(["half", "half with live", "spectral"])] * 2),
-           pad=st.tuples(st.integers(0, 3), st.integers(0, 3)))
-    @settings(max_examples=200, deadline=None, database=None, derandomize=True)
-    def test_bits_of_the_full_grid_scan(self, pair, s, modes, pad):
+           modes=st.tuples(*[st.sampled_from(["half", "half with live", "spectral", "rescaled"])] * 2),
+           pad=st.tuples(st.integers(0, 3), st.integers(0, 3)),
+           mults=st.tuples(*[st.sampled_from(["gaussian", "random"])] * 2),
+           core=st.sampled_from([1, 8, metrics.HORIZON_CORE]),
+           block=st.sampled_from([1, 16, metrics.ENVELOPE_BLOCK]))
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    def test_bits_of_the_full_grid_scan(self, pair, s, modes, pad, mults, core, block):
         grid, values = pair
         half = grid.points // 2 + 1
+        rng = np.random.default_rng(half)
+        products = []
 
-        def field(v, mode):
+        def field(v, mode, kind):
             if mode == "spectral":
-                return mirrored(grid, v)
+                return mirrored(grid, v), v
             if mode == "half":
-                return HalfLine(grid, v)
+                return HalfLine(grid, v), v
+            if mode == "rescaled":  # the scan's values are the product
+                m = unit_multiplier(kind, rng, grid.xi()[:half])
+                f, seen = product_field(grid, v, m)
+                products.append((f, v, m, seen))
+                return f, v * m
             span = metrics._live(v)  # a live slice may be wider than the nonzero span
             return HalfLine(grid, v, slice(max(span.start - pad[0], 0), min(span.stop + pad[1], half))
-                            if span.start < span.stop else slice(0, pad[0]))
+                            if span.start < span.stop else slice(0, pad[0])), v
 
-        got = report_or_error(lambda: ds_distance(*(field(v, m) for v, m in zip(values, modes)), s))
-        want = report_or_error(lambda: full_grid_ds_distance(*(mirrored(grid, v) for v in values), s))
+        # the core and the envelope blocks set how far the scan reaches, never a bit of its result
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(metrics, "HORIZON_CORE", core)
+            mp.setattr(metrics, "ENVELOPE_BLOCK", block)
+            fields, scanned = zip(*(field(v, m, k) for v, m, k in zip(values, modes, mults)))
+            got = report_or_error(lambda: ds_distance(*fields, s))
+        want = report_or_error(lambda: full_grid_ds_distance(*(mirrored(grid, v) for v in scanned), s))
         assert got == want
+        for f, v, m, seen in products:  # each sample once, as _multiply_live computes it
+            assert len(seen) == len(set(seen))
+            whole = spectral._multiply_live(v, np.arange(half, dtype=float), metrics._live(v),
+                                            lambda x: m[x.astype(int)])
+            assert np.array_equal(f.values.view(np.uint8), whole.view(np.uint8))
+
+    def test_horizon_skips_samples_and_keeps_bits(self):
+        # a rescaled mixture against the profile at N = 4096: the scan stops well inside the
+        # live span, and a NaN sample out there still makes the result a NaN at its bin
+        grid = GridSpec(400.0, 4096)
+        half = grid.points // 2 + 1
+        z = grid.xi()[:half]
+        datum = np.cos(0.8 * z) * np.exp(-0.15 * z * z)
+        m = np.exp(-0.4 * z * z)
+        ref = HalfLine(grid, np.exp(-z * z))
+        f, seen = product_field(grid, datum, m, z)
+        live = metrics._live(datum)
+        want = full_grid_ds_distance(mirrored(grid, datum * m), mirrored(grid, ref.values), 2.0)
+        assert ds_distance(f, ref, 2.0) == want
+        assert live.start < min(seen) and len(seen) < (live.stop - live.start) / 2
+        nan_at = (live.start + min(seen)) // 2
+        datum[nan_at] = math.nan
+        f, _ = product_field(grid, datum, m, z)
+        got = ds_distance(f, ref, 2.0)
+        assert math.isnan(got.value) and got.argsup == -z[nan_at]
+        want = full_grid_ds_distance(mirrored(grid, datum * m), mirrored(grid, ref.values), 2.0)
+        assert [float(x).hex() for x in got] == [float(x).hex() for x in want]
+
+    def test_a_tie_beyond_the_core_is_the_first_argmax(self):
+        # ratios of exactly 1 at a core bin and at two bins far beyond it, against a zero field,
+        # where each ratio equals its bound: no margin may skip the outermost, the first argmax
+        grid = GridSpec(400.0, 4096)
+        half = grid.points // 2 + 1
+        n_outer, _, pows, _, _ = metrics._ds_layout(grid, 2.0)
+        v = np.zeros(half)
+        ties = [300, 900, n_outer - 10]
+        v[ties] = pows[ties]
+        assert all(v[k] / pows[k] == 1.0 for k in ties) and ties[1] < n_outer - metrics.HORIZON_CORE
+        f, _ = product_field(grid, v, np.ones(half))
+        for f1 in (HalfLine(grid, v), f):
+            assert ds_distance(f1, HalfLine(grid, np.zeros(half)), 2.0) == (1.0, -grid.xi()[300])
 
     def test_all_zero_ratio_peaks_at_the_first_outer_bin(self):
         grid = GridSpec(20.0, 256)
