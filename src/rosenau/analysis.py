@@ -22,13 +22,12 @@ from .errors import (
     UnsupportedKernelError,
 )
 from .kernels import CENTRAL_DIFF, ROSENAU, BackgroundKernel, b_epsilon
-from .metrics import (CONVEX_FUNCTIONALS, HalfLineProduct, MetricReport, convex_functional,
-                      ds_distance, envelope, half_frame, l1_norm, moment)
+from .metrics import (CONVEX_FUNCTIONALS, HalfLineProduct, MetricReport, closure_line,
+                      convex_functional, ds_distance, half_frame, l1_norm, moment)
 from .spectral import (
     GridSpec,
     SpectralField,
     _exp,
-    _live,
     _require_time,
     dilate,
     field_from_symbol,
@@ -51,8 +50,8 @@ BOUND_SLACK = 1e-12
 
 def gaussian_initial(grid: GridSpec, second_moment: float = 1.0) -> SpectralField:
     """Centered Gaussian datum with the requested second moment."""
-    if second_moment <= 0:
-        raise InvalidParameterError("second moment must be positive")
+    if not 0.0 < second_moment < math.inf:
+        raise InvalidParameterError(f"second moment must be positive and finite, got {second_moment!r}")
     return gaussian_field(grid, second_moment)
 
 
@@ -64,8 +63,8 @@ def mixture_initial(grid: GridSpec, second_moment: float = 1.0) -> SpectralField
     m4 = 3 m2^2 - 2 a^4 = 2 m2^2, strictly between the atomic (m2^2) and Gaussian
     (3 m2^2) extremes, which fixes a^2 = m2 / sqrt(2) and s^2 = m2 - a^2.
     """
-    if second_moment <= 0:
-        raise InvalidParameterError("second moment must be positive")
+    if not 0.0 < second_moment < math.inf:
+        raise InvalidParameterError(f"second moment must be positive and finite, got {second_moment!r}")
     a_sq = math.sqrt(0.5) * second_moment
     a, s = math.sqrt(a_sq), math.sqrt(second_moment - a_sq)
     s_var = s * s
@@ -74,7 +73,13 @@ def mixture_initial(grid: GridSpec, second_moment: float = 1.0) -> SpectralField
         x = np.asarray(xi, dtype=float)
         return np.cos(a * x) * _exp(-0.5 * s_var * x * x)
 
-    return field_from_symbol(grid, fn)
+    def modulus(xi):
+        # |cos| <= 1 wherever its argument is finite, and then |cos * e| <= e as rounded; where
+        # a x overflows (an outer tail of |xi|) the cosine is NaN
+        x = np.asarray(xi, dtype=float)
+        return np.where(np.isfinite(a * x), _exp(-0.5 * s_var * x * x), np.inf)
+
+    return field_from_symbol(grid, fn, modulus)
 
 
 # preset name -> (datum of (grid, m2), its second moment m2 given the kernel's
@@ -247,9 +252,10 @@ def l1_distance(f1: SpectralField, f2: SpectralField) -> float:
 class SweepPoint:
     """Everything one (eps, t) sweep point computes, each entry built at most once.
 
-    Entries of ``REGISTRY`` keyed by t alone (z = V(t) xi, ``datum`` = g0 at z, its
-    ``live`` span and ``envelope``, ``heat``, ``h_heat``, ``ref``, ``l1_heat_gap``,
-    ``d2_selfsim_heat``) live in ``shared``, one memo for every eps at t; the others (``sol``,
+    Entries of ``REGISTRY`` keyed by t alone (z = V(t) xi, ``datum`` = g0 at z as a
+    ``metrics.HalfLine`` with its ``live`` span and ``envelope``, filled on demand where g0 has
+    a modulus, ``heat``, ``h_heat``, ``ref``, ``l1_heat_gap``, ``d2_selfsim_heat``) live in
+    ``shared``, one memo for every eps at t; the others (``sol``,
     ``reg``, ``h_kin``, ``density`` and the kinetic metrics) live on the point.
     Builders look names up when they run, so tracers that rebind them see
     every call.
@@ -269,16 +275,28 @@ class SweepPoint:
             store[name] = build(self)
         return store[name]
 
+    @property
+    def live(self) -> slice:
+        """The datum's live span, ``datum.live``."""
+        return self.datum.live
+
     def rescaled(self, mult: Callable[[np.ndarray], np.ndarray],
                  kernel: Optional[BackgroundKernel] = None) -> HalfLineProduct:
         """datum * mult, mult the kinetic multiplier of kernel at t (the heat multiplier where
         kernel is None), filled on demand; it carries the datum's envelope as its own where
-        mult is certified to lie in [0, 1] on the live span."""
-        live = self.live
-        reach = abs(float(self.z[live.start])) if live.start < live.stop else 0.0
-        bounded = multiplier_bounded(kernel, self.t, reach)
-        return HalfLineProduct(self.g0.grid, self.datum, self.z, live, mult,
-                               self.envelope if bounded else None)
+        mult is certified to lie in [0, 1] on the datum's live span.  Where that span may be
+        wider than the nonzero one and the certificate fails, the span is narrowed to the
+        nonzero one and certified again, so an uncertified mult meets no extra sample."""
+        datum = self.datum
+
+        def bounded() -> bool:
+            live = datum.live
+            reach = abs(float(self.z[live.start])) if live.start < live.stop else 0.0
+            return multiplier_bounded(kernel, self.t, reach)
+
+        certified = bounded() or (datum.narrow() and bounded())
+        return HalfLineProduct(datum, self.z, datum.live, mult,
+                               datum.envelope if certified else None)
 
 
 def _regularized(p: SweepPoint) -> SpectralField:
@@ -288,13 +306,10 @@ def _regularized(p: SweepPoint) -> SpectralField:
     return regularized_solution(p.g0, p.kernel, p.t)
 
 
-# field -> (keyed by t alone, builder of a SweepPoint); z, datum, live, envelope, h_heat, ref, h_kin:
-# xi <= 0
+# field -> (keyed by t alone, builder of a SweepPoint); z, datum, h_heat, ref, h_kin: xi <= 0
 FIELDS: Dict[str, Tuple[bool, Callable[[SweepPoint], object]]] = {
     "z": (True, lambda p: frame_scale(p.t) * half_frame(p.g0.grid, p.sigma_sq)[0]),
-    "datum": (True, lambda p: p.g0.at(p.z)),
-    "live": (True, lambda p: _live(p.datum)),
-    "envelope": (True, lambda p: envelope(p.datum)),
+    "datum": (True, lambda p: closure_line(p.g0, p.z)),
     "heat": (True, lambda p: heat_propagate(p.g0, p.sigma_sq, p.t)),
     "h_heat": (True, lambda p: p.rescaled(heat_multiplier(p.sigma_sq, p.t))),
     "ref": (True, lambda p: half_frame(p.g0.grid, p.sigma_sq)[1]),

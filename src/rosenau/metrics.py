@@ -8,7 +8,10 @@ finite when moments agree up to the order determined by s.  |f1hat - f2hat| is e
 xi for real measures, so the sup is taken over the grid's xi <= 0, and only over the
 union of the two fields' live spans there (``HalfLine.live``): outside it both are zero.
 Two half-line fields with envelopes are scanned only out to a horizon beyond which no bin can
-hold the sup (``ds_distance``), and a ``HalfLineProduct`` computes no sample beyond it.
+hold the sup (``ds_distance``), and a ``HalfLineProduct`` computes no sample beyond it.  Nor does
+its datum where the datum's field has a ``modulus`` (``closure_line``): the datum is then a
+``HalfLineClosure``, filled on demand, whose envelope comes from the modulus and whose ``live``
+span, a superset of the nonzero one, from that envelope.
 On a grid the sup often sits at xi -> 0 where the ratio is noise-dominated, so the bins
 below 8 grid spacings are excluded from the raw scan and an extrapolated small-frequency
 limit (driven by the first mismatched moment) is taken into the reported maximum instead;
@@ -20,6 +23,7 @@ the noise floor on |f1hat - f2hat| is absolute.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 import sys
@@ -35,10 +39,10 @@ from .spectral import GridSpec, MixedDistribution, SpectralField, _live, gaussia
 SMALL_XI_BINS = 8
 # |delta| below this is roundoff, not signal: every field is a probability transform, |f| <= 1
 NOISE_FLOOR = 1e-13
-# the limit fit's |xi| range: its xi^4 column's norm, sqrt(sum xi^8), stays a normal double
-# above the low end, and the column itself stays finite below the high end
+# the limit fit's |xi| range: its xi^4 column's norm, sqrt(sum xi^8) over at most 14 inner bins,
+# stays a normal double above the low end and a finite one below the high end
 FIT_XI_MIN = sys.float_info.min ** 0.125
-FIT_XI_MAX = sys.float_info.max ** 0.25
+FIT_XI_MAX = (sys.float_info.max / 14.0) ** 0.125
 # a d_s scan of two HalfLines with envelopes starts on this many innermost outer bins of their span;
 # the count sets the speed alone, never a bit of the result
 HORIZON_CORE = 256
@@ -108,7 +112,7 @@ class HalfLine:
     of those values outside which every value is a zero (None: found on use).  ``upto`` gives
     the values with those from an index to xi = 0 final, and ``envelope`` bounds them."""
 
-    def __init__(self, grid: GridSpec, values: np.ndarray, live: Optional[slice] = None):
+    def __init__(self, grid: GridSpec, values: Optional[np.ndarray], live: Optional[slice] = None):
         self.grid, self.live, self._values = grid, live, values
 
     @property
@@ -124,6 +128,12 @@ class HalfLine:
         """``envelope(values)``, found on first use."""
         return envelope(self._values)
 
+    def narrow(self) -> bool:
+        """Set ``live`` to the first to last nonzero value; True when that changed it."""
+        live = _live(self.values)
+        changed, self.live = live != self.live, live
+        return changed
+
 
 def envelope(values: np.ndarray) -> np.ndarray:
     """Running maxima of |values| over blocks of ENVELOPE_BLOCK samples from index 0: entry
@@ -133,29 +143,76 @@ def envelope(values: np.ndarray) -> np.ndarray:
     return np.maximum.accumulate(np.maximum.reduceat(np.abs(values), starts))
 
 
+def closure_line(f: SpectralField, nodes: np.ndarray) -> HalfLine:
+    """f's closure at half-line nodes: filled on demand (``HalfLineClosure``) where f has a
+    modulus, else at once, with its nonzero span as ``live``."""
+    if f.modulus is not None:
+        return HalfLineClosure(f, nodes)
+    values = f.at(nodes)
+    return HalfLine(f.grid, values, _live(values))
+
+
+class HalfLineClosure(HalfLine):
+    """f.at(nodes) on xi <= 0 for a field with a ``modulus`` m, each sample computed once, on
+    first use, from xi = 0 outward.
+
+    ``envelope`` is the running maximum of m at the outermost node and at each envelope
+    block's innermost node: m does not increase with |xi| short of an inf tail, which then
+    holds the outermost node, so entry k bounds every sample out from block k.  ``live`` runs
+    from the first block whose entry is nonzero to xi = 0, a superset of the nonzero span
+    found without computing a sample; ``narrow`` fills the line to find that span itself."""
+
+    def __init__(self, f: SpectralField, nodes: np.ndarray):
+        inner = np.arange(-1, nodes.size + ENVELOPE_BLOCK - 1, ENVELOPE_BLOCK)
+        inner[0], inner[-1] = 0, nodes.size - 1
+        self.envelope = np.maximum.accumulate(np.asarray(f.modulus(nodes[inner]), dtype=float))[1:]
+        dead = int(np.count_nonzero(self.envelope == 0.0))  # zeros lead a nondecreasing envelope
+        live = slice(dead * ENVELOPE_BLOCK, nodes.size) if dead < self.envelope.size else slice(0, 0)
+        super().__init__(f.grid, None, live)
+        self._at, self._nodes, self._done = f.at, nodes, nodes.size
+
+    def upto(self, start: int) -> np.ndarray:
+        if start < self._done:
+            part = self._at(self._nodes[start:self._done])
+            if self._values is None:
+                self._values = np.empty(self._nodes.size, part.dtype)
+            self._values[start:self._done] = part
+            self._done = start
+        return self._values
+
+
+_ONE = np.ones((), float)  # datum * 1 keeps each zero's sign, in either dtype
+
+
 class HalfLineProduct(HalfLine):
     """datum * mult(nodes) on xi <= 0, each sample computed once, on first use, from xi = 0
     outward, with the arithmetic of ``spectral._multiply_live`` for a real multiplier: mult is
-    evaluated on the datum's live span alone, and outside it the sample is datum * 1.
+    evaluated on the live span alone, and outside it the sample is datum * 1.  The datum is
+    read through its ``upto``, so a datum filled on demand is filled no further out.
 
-    ``envelope`` is the datum's, given when 0 <= mult <= 1 on the live span, so that
-    |fl(datum * mult)| <= |datum| bounds every sample; None otherwise, and then no d_s scan of
-    the field stops at a horizon."""
+    ``live`` is the datum's, or a superset of it on which 0 <= mult <= 1, where datum * mult
+    is the same +-0 as datum * 1.  ``envelope`` is the datum's, given when 0 <= mult <= 1 on
+    the live span, so that |fl(datum * mult)| <= |datum| bounds every sample; None otherwise,
+    and then no d_s scan of the field stops at a horizon."""
 
-    def __init__(self, grid: GridSpec, datum: np.ndarray, nodes: np.ndarray, live: slice,
+    def __init__(self, datum: HalfLine, nodes: np.ndarray, live: slice,
                  mult: Callable[[np.ndarray], np.ndarray], bound: Optional[np.ndarray]):
-        super().__init__(grid, np.empty(datum.shape, np.result_type(datum, float)), live)
-        for dead in (slice(0, live.start), slice(live.stop, None)):
-            np.multiply(datum[dead], np.ones((), float), out=self._values[dead])
+        super().__init__(datum.grid, None, live)
         self._datum, self._nodes, self._mult = datum, nodes, mult
-        self._done = datum.size  # the samples from here to xi = 0 are final
+        self._done = nodes.size  # the samples from here to xi = 0 are final
         self.envelope = bound
 
     def upto(self, start: int) -> np.ndarray:
         if start < self._done:
-            seg = slice(max(start, self.live.start), min(self._done, self.live.stop))
-            if seg.start < seg.stop:
-                np.multiply(self._datum[seg], self._mult(self._nodes[seg]), out=self._values[seg])
+            datum, done = self._datum.upto(start), self._done
+            if self._values is None:
+                self._values = np.empty(datum.shape, np.result_type(datum, float))
+            a = min(max(self.live.start, start), done)  # [a, b): the live part of [start, done)
+            b = max(min(self.live.stop, done), a)
+            for lo, hi, live in ((start, a, False), (a, b, True), (b, done, False)):
+                if lo < hi:
+                    np.multiply(datum[lo:hi], self._mult(self._nodes[lo:hi]) if live else _ONE,
+                                out=self._values[lo:hi])
             self._done = start
         return self._values
 
@@ -188,7 +245,8 @@ def _ds_layout(grid: GridSpec, s: float):
     n_outer = int(np.count_nonzero(absxi >= cutoff))
     inner = np.flatnonzero((absxi > 0.5 * grid.dxi) & (absxi < cutoff))
     inner = np.concatenate((inner, inner[::-1]))  # |xi| = 7..1, 1..7 dxi: the full line's order
-    layout = (absxi[:n_outer], absxi[:n_outer] ** s, inner, absxi[inner])
+    with np.errstate(over="ignore"):  # inf where |xi|^s overflows
+        layout = (absxi[:n_outer], absxi[:n_outer] ** s, inner, absxi[inner])
     for a in layout:
         a.flags.writeable = False
     return (n_outer, *layout)
@@ -238,8 +296,9 @@ def ds_distance(f1: SpectralField | HalfLine, f2: SpectralField | HalfLine, s: f
     spans = [sp for sp in (_half_live(f1, half), _half_live(f2, half)) if sp.start < sp.stop]
     lo, hi = (min(sp.start for sp in spans), max(sp.stop for sp in spans)) if spans else (0, 0)
     envelopes = [f.envelope if isinstance(f, HalfLine) else None for f in (f1, f2)]
-    bounded = all(e is not None for e in envelopes) and pow_outer[-1] > 0.0
-    if not pow_outer[-1] > 0.0:  # |xi|^s underflows: the full scan's 0 / 0 is a NaN to keep
+    underflow = not pow_outer[-1] > 0.0
+    bounded = all(e is not None for e in envelopes) and not underflow
+    if underflow:  # |xi|^s underflows: the full scan's 0 / 0 is a NaN to keep
         lo, hi = 0, max(hi, n_outer)
     top = max(min(hi, n_outer), lo)
 
@@ -250,19 +309,23 @@ def ds_distance(f1: SpectralField | HalfLine, f2: SpectralField | HalfLine, s: f
         v1, v2 = upto(a)
         return np.abs(v1[a:b] - v2[a:b]) / pow_outer[a:b]
 
-    start = max(lo, top - HORIZON_CORE) if bounded else lo
-    scan = ratio(start, top)
-    s0 = float(np.max(scan)) if scan.size else 0.0
-    if start > lo:  # s0 = 0 bounds nothing, and a NaN s0 is the whole span's sup
-        horizon = _horizon(*envelopes, pow_outer, lo, start, s0 * (1.0 - HORIZON_SLACK)) \
-            if s0 > 0.0 else lo
-        scan, start = np.concatenate((ratio(horizon, start), scan)), horizon
-    k = int(np.argmax(scan)) if scan.size else 0
-    grid_sup = float(scan[k]) if scan.size else 0.0
-    # the ratio is 0 outside the span: where it is 0 throughout, the full scan's argmax is bin 0
-    argsup = float(abs_outer[start + k]) if grid_sup != 0.0 else float(abs_outer[0])
-    v1, v2 = upto(start)
-    limit = _small_xi_part(abs_inner, np.abs(v1[inner] - v2[inner]), s, grid_sup)
+    # where |xi|^s leaves the doubles, its 0 / 0 and x / inf are kept without a warning
+    quiet = np.errstate(divide="ignore", invalid="ignore", over="ignore") \
+        if underflow or pow_outer[-1] == math.inf else contextlib.nullcontext()
+    with quiet:
+        start = max(lo, top - HORIZON_CORE) if bounded else lo
+        scan = ratio(start, top)
+        s0 = float(np.max(scan)) if scan.size else 0.0
+        if start > lo:  # s0 = 0 bounds nothing, and a NaN s0 is the whole span's sup
+            horizon = _horizon(*envelopes, pow_outer, lo, start, s0 * (1.0 - HORIZON_SLACK)) \
+                if s0 > 0.0 else lo
+            scan, start = np.concatenate((ratio(horizon, start), scan)), horizon
+        k = int(np.argmax(scan)) if scan.size else 0
+        grid_sup = float(scan[k]) if scan.size else 0.0
+        # the ratio is 0 outside the span: where it is 0 throughout, the full scan's argmax is bin 0
+        argsup = float(abs_outer[start + k]) if grid_sup != 0.0 else float(abs_outer[0])
+        v1, v2 = upto(min(start, n_outer))  # the inner bins follow the outer ones
+        limit = _small_xi_part(abs_inner, np.abs(v1[inner] - v2[inner]), s, grid_sup)
     return MetricReport(limit, 0.0) if limit > grid_sup else MetricReport(grid_sup, argsup)
 
 
@@ -274,17 +337,24 @@ def l1_norm(d: MixedDistribution) -> float:
 
 @functools.lru_cache(maxsize=16)
 def _moment_weights(grid: GridSpec, k: int) -> np.ndarray:
-    """|v|^k on the grid's velocity nodes, shared per (grid, k) and read-only."""
-    w = np.abs(grid.v()) ** k
+    """|v|^k on the grid's velocity nodes, shared per (grid, k) and read-only; inf where it
+    overflows."""
+    with np.errstate(over="ignore"):
+        w = np.abs(grid.v()) ** k
     w.flags.writeable = False
     return w
 
 
 def moment(d: MixedDistribution, k: int) -> float:
-    """k-th absolute moment, of |v|^k: atom sum plus grid quadrature of the density part."""
+    """k-th absolute moment, of |v|^k: atom sum plus grid quadrature of the density part.
+    RosenauError where |v|^k overflows on the grid: the quadrature would be inf or NaN."""
     if k < 0 or int(k) != k:
         raise InvalidParameterError("moment order must be a nonnegative integer")
-    total = d.grid.dv * float(np.sum(_moment_weights(d.grid, k) * d.density))
+    weights = _moment_weights(d.grid, k)
+    if weights[0] == math.inf:  # |v| is largest at the grid's first node, -L/2
+        raise RosenauError(f"|v|^{k} overflows on the grid's |v| <= {d.grid.length / 2:.3g}: "
+                           f"the moment is out of double range")
+    total = d.grid.dv * float(np.sum(weights * d.density))
     for loc, mass in d.atoms:
         total += mass * abs(loc) ** k
     return total
@@ -306,9 +376,9 @@ def phi_r2(r: np.ndarray) -> np.ndarray:
 
 def phi_rlogr(r: np.ndarray) -> np.ndarray:
     r = np.asarray(r)
-    # r log r extends by 0 at r = 0; negative ringing values are clipped
+    # r log r extends by 0 at r = 0; negative ringing values are clipped, and a NaN stays NaN
     safe = np.maximum(r, 1e-300)
-    return np.where(r > 0.0, r * np.log(safe), 0.0)
+    return np.where(r <= 0.0, 0.0, r * np.log(safe))
 
 
 def phi_r4(r: np.ndarray) -> np.ndarray:

@@ -103,11 +103,17 @@ class SpectralField:
     ``analytic``, when present, evaluates the same transform exactly off the
     grid: a closed form for the presets, the chirp-z sum of ``forward_transform``
     for sampled data.  Propagators compose it so that rescaling stays exact.
+    ``modulus``, when present, is a closure m certifying the analytic one: |analytic(xi)| <=
+    m(xi) as computed, m does not increase with |xi| short of an outer tail where it is inf,
+    and it is inf wherever analytic(xi) might not be a number.  ``gaussian_field`` and
+    ``mixture_initial`` set it; every other field, propagated, dilated or sampled, has None.
+    The sweep evaluates a datum with a modulus only out to where its d_s scans reach.
     """
 
     grid: GridSpec
     values: Array
     analytic: Optional[Callable[[Array], Array]] = None
+    modulus: Optional[Callable[[Array], Array]] = None
 
     def __post_init__(self):
         vals = np.asarray(self.values)
@@ -164,9 +170,10 @@ class MixedDistribution:
         return float(self.grid.dv * np.sum(self.density) + sum(w for _, w in self.atoms))
 
 
-def field_from_symbol(grid: GridSpec, fn: Callable[[Array], Array]) -> SpectralField:
-    """Sample an analytic transform on the grid, keeping the closure."""
-    return SpectralField(grid=grid, values=fn(grid.xi()), analytic=fn)
+def field_from_symbol(grid: GridSpec, fn: Callable[[Array], Array],
+                      modulus: Optional[Callable[[Array], Array]] = None) -> SpectralField:
+    """Sample an analytic transform on the grid, keeping the closure and its modulus."""
+    return SpectralField(grid=grid, values=fn(grid.xi()), analytic=fn, modulus=modulus)
 
 
 def delta_field(grid: GridSpec) -> SpectralField:
@@ -183,7 +190,7 @@ def gaussian_field(grid: GridSpec, variance: float) -> SpectralField:
         x = np.asarray(xi, dtype=float)
         return _exp(-0.5 * variance * x * x)
 
-    return field_from_symbol(grid, fn)
+    return field_from_symbol(grid, fn, fn)  # its own modulus: positive, and falls with |xi|
 
 
 def gaussian_reference(grid: GridSpec, sigma_sq: float) -> SpectralField:
@@ -401,9 +408,12 @@ def regularized_propagator(kernel: BackgroundKernel, t: float, grid: GridSpec) -
 
 
 def regularized_solution(f: SpectralField, kernel: BackgroundKernel, t: float) -> SpectralField:
-    """Solution obtained by convolving the initial datum with the regularized kernel."""
+    """Solution obtained by convolving the initial datum with the regularized kernel.  An
+    intensity mu that overflows raises: exp(-mu (1 - Mhat)) would be inf * 0, a NaN, at xi = 0."""
     _require_time(t)
     mu = kernel.intensity(t)
+    if not mu < math.inf:
+        raise InvalidParameterError(f"the jump intensity mu = lam t / eps^2 is not finite: {mu!r}")
     w = math.exp(-mu)
 
     def mult(xi):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import sys
 from typing import NamedTuple
@@ -261,10 +262,16 @@ def multiply_oracle(f, mult_fn):
     return f.values * np.asarray(mult_fn(f.grid.xi()))
 
 
+def without_modulus(initial):
+    """``initial_by_name`` with the datum's modulus stripped: the sweep then fills the datum
+    whole, the path of a ``file:`` datum or a traced one."""
+    return lambda *args: dataclasses.replace(initial(*args), modulus=None)
+
+
 def rescaled_oracle(point, mult):
     """Values of ``SweepPoint.rescaled(mult)`` with the multiplier evaluated on the whole
     half line: the full-evaluation body that live-span multiplication replaced."""
-    return point.datum * np.asarray(mult(point.z))
+    return point.datum.values * np.asarray(mult(point.z))
 
 
 def window_sum_oracle(g0, kernel, weights, lowest):

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from rosenau import analysis, metrics, runner
+from rosenau import analysis, metrics, runner, spectral
 from rosenau.analysis import (APPENDIX_T_MAX, INITIAL_PRESETS, METRICS, SweepPoint, appendix_report,
                               d2_bound_check, d3_bound_check, exact_decay_check, frame_scale,
                               gaussian_initial, initial_by_name, mixture_initial, rate_fit, rescale)
@@ -36,7 +36,7 @@ from rosenau.spectral import (GridSpec, MixedDistribution, SpectralField, defaul
                               save_distribution, _multiply_live)
 
 from conftest import (b_eps_oracle, check_rhs_oracle, full_grid_ds_distance, mirrored,
-                      multiply_oracle, rescaled_oracle, write_atoms)
+                      multiply_oracle, rescaled_oracle, without_modulus, write_atoms)
 
 
 class TestInitialData:
@@ -61,6 +61,12 @@ class TestInitialData:
             s = math.sqrt(m2 - a_sq)
             want = np.cos(math.sqrt(a_sq) * xi) * np.exp(-0.5 * (s * s) * xi * xi)
             assert np.array_equal(mixture_initial(grid, m2).at(xi), want)
+
+    @pytest.mark.parametrize("m2", [0.0, -1.0, math.inf, math.nan])
+    def test_second_moment_positive_and_finite(self, grid, m2):
+        for make in (gaussian_initial, mixture_initial):
+            with pytest.raises(InvalidParameterError, match="positive and finite"):
+                make(grid, m2)
 
     def test_registry(self, grid):
         for name in ("gaussian-unit", "mixture-unit", "mixture-matched"):
@@ -477,8 +483,9 @@ SWEEP = runner._sweep  # the real sweep, for eager_sweep under a patched runner.
 
 def live_product(point, mult):
     """The rescaled field's values as whole-array ``_multiply_live`` gives them: datum * 1 outside
-    the live span, where a NaN multiplier would make rescaled_oracle's 0 * m a NaN."""
-    return _multiply_live(point.datum, point.z, point.live, mult)
+    the nonzero span, where a NaN multiplier would make rescaled_oracle's 0 * m a NaN."""
+    datum = point.datum.values
+    return _multiply_live(datum, point.z, metrics._live(datum), mult)
 
 
 def eager_sweep(cfg, monkeypatch, product=rescaled_oracle):
@@ -618,6 +625,125 @@ class TestHorizon:
         lazy = hex_rows(*runner._sweep(cfg, 1))
         assert len(lazy[0]) == 4 * 3 * 3 and len(lazy[1]) == 5 * 3
         assert lazy == hex_rows(*eager_sweep(cfg, monkeypatch))
+
+
+class TestDatumModulus:
+    """The preset data carry a modulus certifying their closure (``SpectralField.modulus``); the
+    sweep's datum is then filled on demand, from xi = 0 out to where the d_s scans reach, and
+    every row and check keeps the bits of the datum evaluated whole."""
+
+    @staticmethod
+    def mixture_parts(m2):
+        """a and s^2 of ``mixture_initial``: a^2 = m2 / sqrt(2), s^2 = m2 - a^2."""
+        a_sq = math.sqrt(0.5) * m2
+        return math.sqrt(a_sq), math.sqrt(m2 - a_sq) ** 2
+
+    @given(m2=st.one_of(st.sampled_from([sys.float_info.min, 1.0, 2.0, sys.float_info.max]),
+                        st.floats(sys.float_info.min, sys.float_info.max)),
+           xi=st.lists(st.one_of(st.sampled_from([0.0, -0.0, 1.0, 1e154, -1e300,
+                                                  sys.float_info.max]),
+                                 st.floats(allow_nan=False, allow_infinity=False)),
+                       min_size=1, max_size=32))
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    def test_modulus_certifies_the_closure(self, m2, xi):
+        grid = GridSpec(20.0, 16)
+        x = np.array(xi)
+        a, s_var = self.mixture_parts(m2)
+        with np.errstate(all="ignore"):  # m2 near the largest double overflows s^2 x^2 and a x
+            gauss, mix = gaussian_initial(grid, m2), mixture_initial(grid, m2)
+            values = [(f.at(x), f.modulus(x)) for f in (gauss, mix)]
+            finite, factor = np.isfinite(a * x), spectral._exp(-0.5 * s_var * x * x)
+        assert gauss.modulus is gauss.analytic
+        order = np.argsort(np.abs(x), kind="stable")
+        for value, bound in values:
+            nan = np.isnan(value)
+            assert np.all(np.abs(value[~nan]) <= bound[~nan])
+            assert np.all(bound[nan] == np.inf) and not np.any(np.isnan(bound))
+            # m does not increase with |xi|, short of an inf tail
+            m = bound[order]
+            tail = m == np.inf
+            assert np.all(tail[1:] >= tail[:-1]) and np.all(np.diff(m[~tail]) <= 0.0)
+        # the mixture's modulus has the bits of its closure's own exp factor where a x is finite,
+        # and inf where it is not
+        value, bound = values[1]
+        assert np.array_equal(bound[finite].view(np.int64), factor[finite].view(np.int64))
+        assert np.all(bound[~finite] == np.inf)
+        with np.errstate(all="ignore"):
+            assert np.array_equal(value[finite], np.cos(a * x[finite]) * bound[finite])
+
+    @pytest.mark.parametrize("initial", ["gaussian-unit", "mixture-unit", "mixture-matched"])
+    @pytest.mark.parametrize("points", [16, 256, 4096])
+    def test_half_line_bounds_its_samples_and_spans_the_nonzero_ones(self, initial, points):
+        # at t = 0 (z = xi) on a wide grid, the datum underflows to 0 on most of the half line
+        grid = GridSpec(math.pi * points / 200.0, points)
+        g0 = initial_by_name(initial, grid, 1.0)
+        z = grid.xi()[:points // 2 + 1]
+        line = metrics.closure_line(g0, z)
+        assert isinstance(line, metrics.HalfLineClosure)
+        full = g0.at(z)
+        live = metrics._live(full)
+        assert line.live.start <= live.start and line.live.stop >= live.stop
+        assert line.live.start > 0 or points // 2 < metrics.ENVELOPE_BLOCK  # one block: no skip
+        assert np.all(metrics.envelope(full) <= line.envelope)
+        head = line.upto(line.live.start)
+        assert np.array_equal(head[line.live.start:], full[line.live.start:])
+        assert np.array_equal(line.values.view(np.int64), full.view(np.int64))
+        eager = metrics.closure_line(dataclasses.replace(g0, modulus=None), z)
+        assert type(eager) is metrics.HalfLine and eager.live == live
+
+    def test_overflowing_cosine_argument_fills_the_whole_line(self):
+        # m2 = 1e300: a = 8.4e149, and a xi overflows at the outer nodes of a grid whose Nyquist
+        # frequency is 1e160; the closure is NaN there, so no block may be skipped
+        grid = GridSpec(math.pi * 256 / 1e160, 256)
+        z = grid.xi()[:129]
+        with np.errstate(all="ignore"):
+            g0 = mixture_initial(grid, 1e300)
+            line = metrics.closure_line(g0, z)
+            assert np.all(line.envelope == np.inf) and line.live == slice(0, 129)
+            full = g0.at(z)
+            assert np.isnan(full[0]) and np.array_equal(line.values, full, equal_nan=True)
+
+    CASES = [("sweep-selfsim", SWEEP_SELFSIM.format(times="0.5 3.7 100", N=65536))] + [
+        (f"{initial} {family}", "[experiment]\nkernel = {}\nepsilons = 0.5 0.1\ntimes = 0.5 3.7 100\n"
+         "initial = {}\nmetrics = {}\nchecks = {}\n[grid]\nN = 4096\n".format(
+             family, initial, "d2_selfsim d2_gap d2_selfsim_heat" + (" d3_selfsim" if initial ==
+                                                                     "mixture-matched" else ""),
+             "heat_decay d2_bound" + (" d3_bound" if initial == "mixture-matched" else "")))
+        for initial in ("gaussian-unit", "mixture-unit", "mixture-matched")
+        for family in ("rosenau", "central-diff")]
+
+    @pytest.mark.parametrize("text", [text for _, text in CASES], ids=[name for name, _ in CASES])
+    def test_sweep_keeps_the_bits_of_the_whole_datum(self, text, monkeypatch):
+        cfg = parse_config(text)
+        lazy = hex_rows(*runner._sweep(cfg, 1))
+        assert lazy[0] and lazy[1]
+        monkeypatch.setattr(runner.analysis, "initial_by_name", without_modulus(initial_by_name))
+        assert hex_rows(*runner._sweep(cfg, 1)) == lazy
+
+    def test_datum_closure_evaluates_less_than_the_half_line(self, monkeypatch):
+        # the benchmark's sweep: at every t > 0 the closure, modulus kept, is evaluated on fewer
+        # nodes than the half line holds, and the rows are those of the whole datum
+        cfg = dataclasses.replace(parse_config(SWEEP_SELFSIM.format(times="logspace 0.5 100 32",
+                                                                   N=65536)), checks=[])
+        counts = []
+
+        def counting(*args):
+            g0 = initial_by_name(*args)
+            base = g0.analytic
+
+            def analytic(xi):
+                counts[-1] += np.size(xi)
+                return base(xi)
+
+            return dataclasses.replace(g0, analytic=analytic)
+
+        monkeypatch.setattr(runner.analysis, "initial_by_name", counting)
+        half = 65536 // 2 + 1
+        for t in cfg.times:
+            counts.append(0)
+            runner._sweep(dataclasses.replace(cfg, times=[t]), 1)
+        assert len(counts) == 32 and all(0 < n < half for n in counts), counts
+        assert sum(counts) < 0.1 * 32 * half
 
 
 class TestRealFields:

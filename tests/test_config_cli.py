@@ -854,7 +854,15 @@ class TestCli:
         # the d_s limit fit's |xi|^4 column would overflow, so its SVD would not converge
         ("metrics", "kernel = central-diff\nsigma = 1e-150\nepsilons = 1e150\ntimes = 1e6\n"
                     "initial = mixture-matched\nmetrics = d2_gap\n", "kernel=central-diff, eps=1e+150, t=1e+06"),
-    ], ids=["d2-gap-svd"])
+        # its squared xi^4 column, 14 xi^8 summed over the inner bins, would overflow: numpy's
+        # overflow and rank warnings under exit 0 once the bins pass 2.4e38
+        ("metrics", "kernel = central-diff\nsigma = 1e-45\nepsilons = 1e40\ntimes = 1e6\n"
+                    "initial = mixture-matched\nmetrics = d2_gap d2_selfsim\n",
+         "kernel=central-diff, eps=1e+40, t=1e+06"),
+        ("metrics", "kernel = central-diff\nsigma = 1e-80\nepsilons = 1e70\ntimes = 1e6\n"
+                    "initial = mixture-matched\nmetrics = d2_gap d2_selfsim\n",
+         "kernel=central-diff, eps=1e+70, t=1e+06"),
+    ], ids=["d2-gap-svd", "column-norm-1e40", "column-norm-1e70"])
     def test_float_and_fit_failures_name_the_sweep_point_exit_1(self, tmp_path, command, text, point):
         cfg = tmp_path / "edge.cfg"
         cfg.write_text(text)

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rosenau import metrics, spectral
-from rosenau.errors import InfiniteDistanceError, InvalidParameterError, UndefinedFunctionalError
+from rosenau.errors import (InfiniteDistanceError, InvalidParameterError, RosenauError,
+                            UndefinedFunctionalError)
 from rosenau.kernels import b_epsilon, bernoulli_kernel, rosenau_kernel
 from rosenau.metrics import (CONVEX_FUNCTIONALS, HalfLine, HalfLineProduct, MetricReport,
                              convex_functional, ds_distance, envelope, l1_norm, moment)
@@ -167,7 +168,8 @@ def product_field(grid, datum, m, nodes=None):
         seen.extend(idx.tolist())
         return m[idx]
 
-    return HalfLineProduct(grid, datum, nodes, metrics._live(datum), mult, envelope(datum)), seen
+    live = metrics._live(datum)
+    return HalfLineProduct(HalfLine(grid, datum, live), nodes, live, mult, envelope(datum)), seen
 
 
 class TestSpanLimitedScan:
@@ -273,6 +275,19 @@ class TestSpanLimitedScan:
             got = ds_distance(HalfLine(grid, f1), HalfLine(grid, f2), 400.0)
             want = full_grid_ds_distance(mirrored(grid, f1), mirrored(grid, f2), 400.0)
         assert math.isnan(got.value)
+        assert [float(x).hex() for x in got] == [float(x).hex() for x in want]
+
+    def test_overflowing_powers_scan_without_a_warning(self):
+        # |xi|^3 overflows past |xi| ~ 5.6e102: every ratio there is x / inf = 0, as in the full scan
+        grid = GridSpec(1e-103, 64)
+        z = grid.xi()[:grid.points // 2 + 1]
+        f1, f2 = np.zeros(z.size), np.zeros(z.size)
+        f1[-1] = f2[-1] = 1.0
+        f1[3] = 0.5
+        with np.errstate(all="ignore"):
+            assert metrics._ds_layout(grid, 3.0)[2][-1] == math.inf
+            want = full_grid_ds_distance(mirrored(grid, f1), mirrored(grid, f2), 3.0)
+        got = ds_distance(HalfLine(grid, f1), HalfLine(grid, f2), 3.0)
         assert [float(x).hex() for x in got] == [float(x).hex() for x in want]
 
     def test_divergence_raised_where_the_grid_sup_wins(self):
@@ -392,6 +407,13 @@ class TestMoment:
         # the moment is of |v|^k: the signed third moment of these atoms is 0
         assert moment(d, 3) == pytest.approx(8.0)
 
+    def test_overflowing_weights_raise(self):
+        # |v|^4 at |v| = 5e99 overflows a double; |v|^2 does not
+        d = MixedDistribution(grid=GridSpec(1e100, 16), density=np.zeros(16))
+        assert moment(d, 2) == 0.0
+        with pytest.raises(RosenauError, match="overflows"):
+            moment(d, 4)
+
 
 class TestConvexFunctional:
     def test_identity_gives_mass(self, grid):
@@ -409,6 +431,13 @@ class TestConvexFunctional:
         d = inverse_transform(gaussian_reference(grid, 1.0))
         l2 = math.sqrt(d.grid.dv * float(np.sum(d.density**2)))
         assert convex_functional(d, CONVEX_FUNCTIONALS["r2"]) == pytest.approx(l2**2, rel=1e-12)
+
+    def test_rlogr_keeps_a_nan(self):
+        r = np.array([math.nan, -1.0, -0.0, 0.0, 1e-320, 0.5, 1.0, 3.0])
+        got = CONVEX_FUNCTIONALS["rlogr"](r)
+        assert math.isnan(got[0])
+        want = np.where(r[1:] > 0.0, r[1:] * np.log(np.maximum(r[1:], 1e-300)), 0.0)
+        assert np.array_equal(got[1:].view(np.int64), want.view(np.int64))
 
     def test_atoms_rejected(self):
         g = GridSpec(20.0, 64)

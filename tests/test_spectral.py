@@ -316,6 +316,13 @@ class TestRegularizedPropagator:
         assert np.max(np.abs(gap - explicit)) <= 1e-15
         assert np.max(np.abs(gap)) <= 2.0 * math.exp(-mu)
 
+    def test_overflowing_intensity_raises(self, grid, gauss_unit):
+        # mu = t / eps^2 = 1e10 / 1e-300 overflows: exp(-mu (1 - Mhat)) would be NaN at xi = 0
+        kernel = rosenau_kernel(1e-150, 1.0)
+        assert kernel.intensity(1e10) == math.inf
+        with pytest.raises(InvalidParameterError, match="jump intensity .* is not finite: inf"):
+            regularized_solution(gauss_unit, kernel, 1e10)
+
 
 class TestInverseTransform:
     def test_gaussian_roundtrip(self):
