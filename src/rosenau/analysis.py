@@ -9,7 +9,6 @@ over sweeps, and measured decay series are summarized by log-log rate fits.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field as dataclass_field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -361,17 +360,21 @@ CHECKS: Dict[str, Tuple[str, Callable[..., List[BoundCheck]]]] = {
 _APPENDIX_XI_MAX = 1e8
 # up to here t xi^2, (1+t)^(s+1/2) and I_s(t) all stay normal doubles
 APPENDIX_T_MAX = 1e200
-_GL_NODES = 16
-
-
-@functools.lru_cache(maxsize=1)
-def _gauss_legendre() -> Tuple[np.ndarray, np.ndarray]:
-    """The _GL_NODES-point Gauss-Legendre rule on [-1, 1], read-only.  Built on first
-    use: numpy.polynomial is imported lazily and a run without the appendix skips it."""
-    rule = np.polynomial.legendre.leggauss(_GL_NODES)
-    for arr in rule:
-        arr.flags.writeable = False
-    return rule
+# the 16-point Gauss-Legendre rule on [-1, 1], bit for bit as numpy.polynomial.legendre.leggauss(16)
+# gives it; the rule is symmetric, so it is stated by its positive nodes, each with its weight
+_GL_HALF = np.array([
+    (0.09501250983763744, 0.18945061045506864),
+    (0.2816035507792589, 0.18260341504492364),
+    (0.45801677765722737, 0.16915651939500265),
+    (0.6178762444026438, 0.1495959888165767),
+    (0.755404408355003, 0.12462897125553407),
+    (0.8656312023878318, 0.0951585116824926),
+    (0.9445750230732326, 0.062253523938647456),
+    (0.9894009349916499, 0.027152459411754176),
+])
+_GL_NODES = np.concatenate((-_GL_HALF[::-1, 0], _GL_HALF[:, 0]))
+_GL_WEIGHTS = np.concatenate((_GL_HALF[::-1, 1], _GL_HALF[:, 1]))
+_GL_NODES.flags.writeable = _GL_WEIGHTS.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -398,16 +401,15 @@ def _i_s_integral(s: float, t: float, panels: int) -> float:
         [0.0],
         np.geomspace(lo, _APPENDIX_XI_MAX, panels),
     ))
-    nodes, weights = _gauss_legendre()
     a = breaks[:-1][:, None]
     b = breaks[1:][:, None]
-    x = 0.5 * (b - a) * nodes[None, :] + 0.5 * (b + a)
+    x = 0.5 * (b - a) * _GL_NODES[None, :] + 0.5 * (b + a)
     jac = 0.5 * (b - a)
     expt = math.exp(-t)
     x2 = x * x
     bracket = np.exp(-t * x2 / (1.0 + x2)) - expt
     integrand = np.abs(x) ** (2.0 * s) * bracket**2
-    return 2.0 * float(np.sum(weights[None, :] * jac * integrand))
+    return 2.0 * float(np.sum(_GL_WEIGHTS[None, :] * jac * integrand))
 
 
 def appendix_report(s: float, t: float, panels: int = 128) -> AppendixReport:

@@ -955,6 +955,16 @@ class TestAppendix:
                       epsabs=0.0, epsrel=1e-13, limit=200)[0]
         assert appendix_report(s, t).integral == pytest.approx(oracle, rel=1e-9, abs=0.0)
 
+    def test_gauss_legendre_table(self):
+        # the stored rule against numpy's, to 2 ulps: numpy versions differ in the last bits
+        nodes, weights = np.polynomial.legendre.leggauss(16)
+        for table, ref in ((analysis._GL_NODES, nodes), (analysis._GL_WEIGHTS, weights)):
+            assert not table.flags.writeable
+            assert np.all(np.abs(table - ref) <= 2 * np.spacing(np.abs(ref)))
+        assert np.array_equal(analysis._GL_NODES, -analysis._GL_NODES[::-1])
+        assert np.array_equal(analysis._GL_WEIGHTS, analysis._GL_WEIGHTS[::-1])
+        assert abs(math.fsum(analysis._GL_WEIGHTS) - 2.0) <= 2 * np.spacing(2.0)
+
     def test_stable_under_panel_doubling(self):
         for t in (1.0, 100.0, 1000.0):
             a = appendix_report(0.9, t, panels=128).value

@@ -1142,9 +1142,8 @@ class TestImportFootprint:
 
     def test_no_scipy_loaded(self, tmp_path):
         # a fresh interpreter: importing rosenau, a shipped-config metrics run
-        # and the appendix table must all leave scipy unloaded, and only the
-        # appendix may load numpy.polynomial (its Gauss-Legendre rule is built
-        # on first use)
+        # and the appendix table must all leave scipy and numpy.polynomial
+        # unloaded (the appendix's Gauss-Legendre rule is a module constant)
         script = (
             "import sys\n"
             "def scipy_mods():\n"
@@ -1156,7 +1155,7 @@ class TestImportFootprint:
             f"'--out', {str(tmp_path)!r}]) == 0\n"
             "print('metrics', scipy_mods(), 'numpy.polynomial' in sys.modules)\n"
             "assert main(['appendix']) == 0\n"
-            "print('appendix', scipy_mods())\n"
+            "print('appendix', scipy_mods(), 'numpy.polynomial' in sys.modules)\n"
         )
         env = dict(os.environ, PYTHONPATH=SRC_DIR)
         proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
@@ -1164,4 +1163,4 @@ class TestImportFootprint:
         assert proc.returncode == 0, proc.stderr
         stages = [line for line in proc.stdout.splitlines()
                   if line.split(" ")[0] in ("import", "metrics", "appendix")]
-        assert stages == ["import [] False", "metrics [] False", "appendix []"]
+        assert stages == ["import [] False", "metrics [] False", "appendix [] False"]

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -9,10 +10,11 @@ from rosenau import wild
 from rosenau.analysis import INITIAL_PRESETS, initial_by_name
 from rosenau.errors import InvalidParameterError, UnsupportedKernelError
 from rosenau.kernels import bernoulli_kernel, generator_symbol, kernel_by_name, rosenau_kernel
-from rosenau.spectral import (GridSpec, MixedDistribution, default_grid, forward_transform,
-                              gaussian_field, heat_propagate, rosenau_propagate)
-from rosenau.wild import (WILD_TOL, _MILLER_MARGIN, _poisson_tails, _reach, cd_wild_solution,
-                          truncation_order, wild_partial_sum, wild_solution)
+from rosenau.spectral import (GridSpec, MixedDistribution, SpectralField, default_grid,
+                              forward_transform, gaussian_field, heat_propagate,
+                              rosenau_propagate)
+from rosenau.wild import (WILD_TOL, _MILLER_MARGIN, _poisson_tails, _reach, _window_sum,
+                          cd_wild_solution, truncation_order, wild_partial_sum, wild_solution)
 
 from conftest import binomial_atoms, window_sum_oracle, write_atoms
 
@@ -98,7 +100,7 @@ class TestWildPartialSum:
         # even data and symmetric kernel keep the partial sums real and even
         g0 = gaussian_field(grid, 1.0)
         out = wild_partial_sum(g0, cd_kernel, 1.0, 25)
-        assert np.max(np.abs(out.values.imag)) == 0.0  # the Horner loop is real
+        assert np.max(np.abs(out.values.imag)) == 0.0  # the window sum is real
         vals = out.values.real
         assert np.max(np.abs(vals[1:] - vals[1:][::-1])) <= 1e-13
 
@@ -338,7 +340,7 @@ class TestScipyOracles:
         from scipy.special import gammainc, gammaincc
 
         # P(X < n_lo) = Q(n_lo, mu) and P(X > N*) = P(N* + 1, mu); no spatial work is
-        # needed, so a coarse grid keeps the Horner loop short
+        # needed, so a coarse grid keeps the window sum short
         k = rosenau_kernel(0.1, 1.0)
         t = mu * k.epsilon**2 / k.lam
         tr = wild_solution(gaussian_field(GridSpec(160.0, 64), 1.0), k, t).truncation
@@ -414,24 +416,110 @@ class TestSemigroup:
         assert np.max(np.abs(second.field.values - once.field.values)) <= bound
 
 
-class TestLiveSpanHorner:
-    """The Horner loop on the live span of Mhat^n_lo g0hat returns, bit for bit, what
-    the loop over every node returns (conftest.window_sum_oracle)."""
+class TestPower:
+    """wild._power against pow: Mhat^n within (3y + 2) u of it relatively, y = n |log|Mhat||
+    and u = 2^-53 (numpy's exp and log within one ulp each), plus 2u for pow's own ulp;
+    zeros signed as pow signs them, and 1 at n = 0."""
 
-    @pytest.mark.parametrize("family", ["rosenau", "central-diff"])
-    @pytest.mark.parametrize("mu", [0.3, 7.0, 200.0, 5000.0, 2e4, 9.9e4])
-    @pytest.mark.parametrize("initial", ["gaussian-unit", "mixture-unit"])
-    @pytest.mark.parametrize("points", [256, 4096])
-    def test_bitwise_full_grid(self, family, mu, initial, points):
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 7, 200, 2131, 4097])
+    def test_matches_pow(self, n):
+        m = np.concatenate((np.linspace(-1.0, 1.0, 2001), [-0.0, 1e-300, -1e-300, 0.999, -0.999]))
+        got, exact = wild._power(m, n), m**n
+        if n == 0:
+            assert np.all(got == 1.0)
+            return
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rel = np.where(exact == 0, 0.0, (3.0 * n * np.abs(np.log(np.abs(m))) + 4.0) * 2.0**-53)
+        # one subnormal step on each side of the underflow threshold
+        assert np.all(np.abs(got - exact) <= rel * np.abs(exact) + 2 * 5e-324)
+        assert np.array_equal(np.signbit(got), np.signbit(exact))
+
+
+def _window_cases():
+    """The ids of the 48 certified-window cases, and each of them again with a window of
+    0, 1 or 2 orders from the mode and with the sum taken from order 0."""
+    base = itertools.product([256, 4096], ["gaussian-unit", "mixture-unit"],
+                             [0.3, 7.0, 200.0, 5000.0, 2e4, 9.9e4], ["rosenau", "central-diff"])
+    for (points, initial, mu, family), window, lowest in itertools.product(
+            base, [None, 0, 1, 2], [None, 0]):
+        ident = f"{points}-{initial}-{mu}-{family}"
+        ident += "" if window is None else f"-window{window}"
+        ident += "" if lowest is None else f"-lowest{lowest}"
+        yield pytest.param(family, mu, initial, points, window, lowest, id=ident)
+
+
+class TestLiveSpanHorner:
+    """The blocked window sum on the live span of Mhat^lowest g0hat against the Horner
+    loop over every node (conftest.window_sum_oracle): the oracle's zeros, sign included,
+    and elsewhere the two evaluations' rounding bound."""
+
+    @staticmethod
+    def rounding_bound(n: int) -> float:
+        """Bound on |window sum - oracle| over n weights, in units of max |g0hat|.
+
+        With u = 2^-53 and gamma_k = k u / (1 - k u) (Higham, Accuracy and Stability of
+        Numerical Algorithms, ch. 3 and 5): the weights are Poisson probabilities, of
+        total at most 1, and |Mhat| <= 1, so a bound on each term's relative error
+        bounds each sum's absolute error, and the exact sum is at most 1.
+        - Horner (the oracle) takes each term through at most 2(n - 1) roundings.
+        - The blocked sum, b = isqrt(2n) and r = ceil(n/b) rows: m^i for i < b takes
+          i - 1 <= b - 2 roundings, the product with its weight 1, the row sum b - 1,
+          and each of at most r - 1 outer Horner steps one multiplication, one
+          addition and the b - 1 roundings of m^b: 2b - 2 + (r - 1)(b + 1) <= n + r + 2b.
+        - pow is within one ulp, 2u relatively, of Mhat^lowest; exp(lowest log|Mhat|),
+          numpy's exp and log within one ulp each, is within (3y + 2) u relatively,
+          y = lowest |log Mhat|, so within (3/e + 2) u absolutely, as Mhat^lowest = e^-y.
+        - Each side then multiplies twice, by Mhat^lowest and by g0hat: gamma_2 each,
+          and the products of two errors add less than u to each side.
+        """
+        u = 2.0**-53
+
+        def gamma(k):
+            return k * u / (1.0 - k * u)
+
+        b = max(1, math.isqrt(2 * n))
+        rows = -(-n // b)
+        return gamma(2 * n) + gamma(n + rows + 2 * b) + 2 * gamma(2) + (3 / math.e + 6) * u
+
+    def assert_close(self, got, expected, n, peak, signed=True):
+        """got has the oracle's zeros, with their signs where signed, and elsewhere lies
+        within rounding_bound(n) peak of it."""
+        zero = expected == 0
+        assert np.all(got[zero] == 0)
+        signed = zero & signed
+        assert np.array_equal(np.signbit(got[signed]), np.signbit(expected[signed]))
+        assert np.max(np.abs(got - expected)) <= self.rounding_bound(n) * peak
+
+    @pytest.mark.parametrize("family, mu, initial, points, window, lowest", _window_cases())
+    def test_bitwise_full_grid(self, family, mu, initial, points, window, lowest):
         k = (rosenau_kernel if family == "rosenau" else bernoulli_kernel)(0.1, 1.0)
         t = mu * k.epsilon**2 / k.lam
         g0 = initial_by_name(initial, default_grid(1.0, t, n=points))
-        res = wild_solution(g0, k, t)
-        tr = res.truncation
-        lo, pmf, _, _ = _poisson_tails(tr.mu)
-        expected = window_sum_oracle(g0, k, pmf[tr.lowest - lo:tr.terms + 1 - lo], tr.lowest)
-        # every bit, the sign of each zero included
-        assert res.field.values.tobytes() == expected.tobytes()
-        n = max(int(mu), 3)
-        expected = window_sum_oracle(g0, k, pmf[:max(n + 1 - lo, 0)], lo)
-        assert np.array_equal(wild_partial_sum(g0, k, t, n).values, expected)
+        peak = np.max(np.abs(g0.values))
+        lo, pmf, _, _ = _poisson_tails(k.intensity(t))
+        if window is None:
+            res = wild_solution(g0, k, t)
+            order = res.truncation.lowest
+            weights = pmf[order - lo:res.truncation.terms + 1 - lo]
+        else:  # from the mode, where the weights are largest
+            order = math.floor(k.intensity(t))
+            weights = pmf[order - lo:order - lo + window]
+        if lowest is not None:
+            order = lowest
+        if window is None and lowest is None:
+            got = res.field.values
+        else:
+            got = _window_sum(g0, k, weights, order).values
+        self.assert_close(got, window_sum_oracle(g0, k, weights, order), weights.size, peak)
+        if window is None and lowest is None:
+            n = max(int(mu), 3)
+            weights = pmf[:max(n + 1 - lo, 0)]
+            # a sum cut at the mode can be negative, or cancel below its rounding where
+            # Mhat < 0, and where Mhat^lo g0hat is a zero the sum keeps its last weight,
+            # >= 0: a zero's sign is asserted only where the oracle's sum is certain of
+            # its own and Mhat^lo g0hat is not a zero
+            acc = window_sum_oracle(SpectralField(grid=g0.grid, values=np.ones(points)), k, weights, 0)
+            signed = ((np.abs(acc) > self.rounding_bound(weights.size))
+                      & (window_sum_oracle(g0, k, np.ones(1), lo) != 0))
+            self.assert_close(wild_partial_sum(g0, k, t, n).values,
+                              window_sum_oracle(g0, k, weights, lo), weights.size, peak, signed)
